@@ -67,6 +67,7 @@ from .efficiency import (
     check_po,
     leximin_cmp,
     leximin_set,
+    pareto_front,
     pareto_improves,
     utilities,
     utility_vector,

@@ -244,13 +244,33 @@ def _check_ef(inst, alloc):
 # ---------------------------------------------------------------------------
 # the Chen-Liu variant (generally good/bad problems only)
 
+def _item_classes(inst):
+    """``classify(inst)``, computed on first use and kept on the instance.
+
+    Instances are immutable, so the classes never go stale.  As with
+    :func:`functools.cached_property`, the value lives in the instance's
+    ``__dict__``, which the dataclass's field-based equality ignores.
+    """
+    try:
+        return inst.__dict__["_item_classes"]
+    except KeyError:
+        classes = inst.__dict__["_item_classes"] = classify(inst)
+        return classes
+
+
+def well_defined(inst: Instance, axiom: str) -> bool:
+    """False only for chen-liu on an instance with an item that is neither
+    generally good nor generally bad for some agent."""
+    return axiom != CHEN_LIU or _item_classes(inst)[0].generally_good_bad_items
+
+
 def _check_chen_liu(inst, alloc):
-    problem, matrix = classify(inst)
-    if not problem.generally_good_bad_items:
+    if not well_defined(inst, CHEN_LIU):
         raise NotWellDefinedError(
             "the chen-liu variant is only well-defined for problems with "
             "generally good/bad items"
         )
+    matrix = _item_classes(inst)[1]
     violations = []
     vacuous = []
     n = inst.n

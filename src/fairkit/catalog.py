@@ -36,7 +36,14 @@ from .core import (
     is_additive_consistent,
     mask_from_names,
 )
-from .efficiency import check_po, leximin_set, pareto_improves, utilities, utility_vector
+from .efficiency import (
+    check_po,
+    leximin_set,
+    pareto_front,
+    pareto_improves,
+    utilities,
+    utility_vector,
+)
 from .protocols import cut_and_choose
 from .taxonomy import classify
 
@@ -106,12 +113,12 @@ def _fmt(inst, alloc):
     return "(" + ", ".join(parts) + ")"
 
 
-def _axiom_allocs(inst, axiom):
-    return [a for a in enumerate_allocations(inst) if satisfies(inst, a, axiom)]
-
-
-def _po_allocs(inst):
-    return [a for a in enumerate_allocations(inst) if check_po(inst, a).satisfied]
+def _allocs(inst, *axiom_ids, po=False):
+    """Allocations satisfying every listed axiom (and po), in enumeration order."""
+    front = pareto_front(inst) if po else None
+    return [a for a in enumerate_allocations(inst)
+            if (front is None or utilities(inst, a) in front)
+            and all(satisfies(inst, a, ax) for ax in axiom_ids)]
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +133,7 @@ def _predicate(fn):
 
 def _no_allocation(*axiom_ids, and_po=False):
     def check(inst):
-        hits = []
-        for a in enumerate_allocations(inst):
-            if all(satisfies(inst, a, ax) for ax in axiom_ids):
-                if and_po and not check_po(inst, a).satisfied:
-                    continue
-                hits.append(a)
+        hits = _allocs(inst, *axiom_ids, po=and_po)
         label = "&".join(axiom_ids) + ("&po" if and_po else "")
         if hits:
             return False, f"{label} satisfied by {len(hits)} allocations, e.g. {_fmt(inst, hits[0])}"
@@ -139,13 +141,11 @@ def _no_allocation(*axiom_ids, and_po=False):
     return check
 
 
-def _exists_allocation(*axiom_ids, and_po=False):
+def _exists_allocation(*axiom_ids):
     def check(inst):
-        for a in enumerate_allocations(inst):
-            if all(satisfies(inst, a, ax) for ax in axiom_ids):
-                if and_po and not check_po(inst, a).satisfied:
-                    continue
-                return True, f"witness {_fmt(inst, a)}"
+        hits = _allocs(inst, *axiom_ids)
+        if hits:
+            return True, f"witness {_fmt(inst, hits[0])}"
         return False, "no satisfying allocation"
     return check
 
@@ -174,7 +174,7 @@ def _fix_ex1() -> Fixture:
         return ok, "both one-item splits are envy-free"
 
     def efxpm_everywhere(inst):
-        sat = _axiom_allocs(inst, EFXPM)
+        sat = _allocs(inst, EFXPM)
         vac = [a for a in sat if check_efxpm(inst, a).vacuous]
         return len(sat) == 4 and len(vac) == 2, (
             f"efxpm holds on {len(sat)}/4 allocations, {len(vac)} vacuously"
@@ -413,7 +413,7 @@ def _fix_t1() -> Fixture:
         return ok, "every leximin allocation is efxpm and po"
 
     def variant_a_portability(inst):
-        sat = _axiom_allocs(inst, axioms.VARIANT_A)
+        sat = _allocs(inst, axioms.VARIANT_A)
         if sat:
             return False, (
                 f"recorded as impossible, but variant-a holds on {len(sat)} allocations, "
@@ -466,7 +466,7 @@ def _fix_t2() -> Fixture:
         return ok, "identical, non-zero marginals, every item generally bad"
 
     def efx_set(inst):
-        sat = _axiom_allocs(inst, EFX)
+        sat = _allocs(inst, EFX)
         want = {_alloc(inst, ("a", "b", "c"), ("d",)), _alloc(inst, ("d",), ("a", "b", "c"))}
         return set(sat) == want, f"efx set = {[_fmt(inst, a) for a in sat]}"
 
@@ -493,8 +493,7 @@ def _fix_t2() -> Fixture:
         return ok, f"leximin vector {vec}, tie-set of {len(lm)} two-two splits"
 
     def variant_b_portability(inst):
-        hits = [a for a in enumerate_allocations(inst)
-                if satisfies(inst, a, axioms.VARIANT_B) and check_po(inst, a).satisfied]
+        hits = _allocs(inst, axioms.VARIANT_B, po=True)
         if hits:
             return False, (
                 f"recorded as impossible, but variant-b & po holds on {len(hits)} "
@@ -551,13 +550,13 @@ def _fix_t4() -> Fixture:
         return {a for a in enumerate_allocations(inst) if bin(a[0]).count("1") in (1, 2)}
 
     def ef1_set(inst):
-        sat = set(_axiom_allocs(inst, axioms.EF1))
+        sat = set(_allocs(inst, axioms.EF1))
         ok = sat == _expected(inst) and len(sat) == 10
         return ok, f"ef1 set = the {len(sat)} allocations giving agent 1 one or two items"
 
     def ef1pm_set(inst):
-        sat = set(_axiom_allocs(inst, axioms.EF1PM))
-        ok = sat == set(_axiom_allocs(inst, axioms.EF1)) == _expected(inst)
+        sat = set(_allocs(inst, axioms.EF1PM))
+        ok = sat == set(_allocs(inst, axioms.EF1)) == _expected(inst)
         return ok, f"ef1pm set equals the ef1 set ({len(sat)} allocations)"
 
     def empty_all_po(inst):
@@ -603,12 +602,12 @@ def _fix_d1() -> Fixture:
         return ok, "identical, generally good items, zero marginals present"
 
     def po_set(inst):
-        po = _po_allocs(inst)
+        po = _allocs(inst, po=True)
         want = [_alloc(inst, ("a", "b"), ()), _alloc(inst, (), ("a", "b"))]
         return set(po) == set(want), f"po set = {[_fmt(inst, a) for a in po]}"
 
     def chen_liu_breaks(inst):
-        for a in _po_allocs(inst):
+        for a in _allocs(inst, po=True):
             verdict = check_chen_liu(inst, a)
             envier = 1 if a[0] else 0
             want = Witness(envier, 1 - envier, REMOVED_GOOD, 1, 0, 1)

@@ -19,7 +19,7 @@ from . import axioms
 from .axioms import NotWellDefinedError, Verdict, Witness, check_axiom
 from .catalog import fixture, list_fixtures, verify_claims
 from .core import BudgetExceededError, Instance, enumerate_allocations, names_of
-from .efficiency import check_po, leximin_set, utilities, utility_vector
+from .efficiency import check_po, leximin_set, pareto_front, utilities, utility_vector
 from .protocols import cut_and_choose
 from .search import (
     GenParams,
@@ -148,31 +148,18 @@ def cmd_enumerate(args) -> int:
     inst = _load_instance(args)
     requested = _axiom_list(args.axioms)
     budget = _budget(args)
-    po_flags = None
-    if "po" in requested:
-        tables = [v.table for v in inst.valuations]
-        profiles = [
-            tuple(tables[i][a[i]] for i in range(inst.n))
-            for a in enumerate_allocations(inst, budget)
-        ]
-        po_flags = []
-        for prof in profiles:
-            dominated = any(
-                all(o[i] >= prof[i] for i in range(inst.n))
-                and any(o[i] > prof[i] for i in range(inst.n))
-                for o in profiles
-            )
-            po_flags.append(not dominated)
+    front = pareto_front(inst, budget) if "po" in requested else None
     for k, alloc in enumerate(enumerate_allocations(inst, budget)):
+        utils = utilities(inst, alloc)
         row = {
             "index": k,
             "bundles": [list(names_of(inst.item_names, b)) for b in alloc],
-            "utilities": [format_value(u) for u in utilities(inst, alloc)],
+            "utilities": [format_value(u) for u in utils],
             "axioms": {},
         }
         for ax in requested:
             if ax == "po":
-                row["axioms"]["po"] = po_flags[k]
+                row["axioms"]["po"] = utils in front
             else:
                 row["axioms"][ax] = check_axiom(inst, alloc, ax).satisfied
         print(json.dumps(row))

@@ -149,7 +149,7 @@ class ExplicitValuation(Valuation):
                 raise ValueError(f"bundle mask {mask} out of range for m={m}")
             if table[mask] is not None:
                 raise ValueError(f"duplicate entry for bundle mask {mask}")
-            table[mask] = as_value(v)
+            table[mask] = v
         if table[0] is None:
             table[0] = 0
         missing = [mask for mask, v in enumerate(table) if v is None]
@@ -286,21 +286,25 @@ def allocation_count(inst: Instance) -> int:
 
 
 def enumerate_allocations(inst: Instance, budget: Optional[int] = None) -> Iterator[Allocation]:
-    """Yield every complete allocation exactly once, in a fixed order.
+    """Iterate over every complete allocation exactly once, in a fixed order.
 
     Order: allocation k assigns item o to agent ``(k // n**o) % n`` — a base-n
     assignment counter with item 0 as the least significant digit — and k runs
-    from 0 to ``n**m - 1``.  Raises :class:`BudgetExceededError` up front when
-    ``n**m`` exceeds the budget (default ``DEFAULT_BUDGET``).
+    from 0 to ``n**m - 1``.  Raises :class:`BudgetExceededError` at the call,
+    before any allocation is built, when ``n**m`` exceeds the budget (default
+    ``DEFAULT_BUDGET``).
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     total = inst.n ** inst.m
     if total > budget:
         raise BudgetExceededError(total, budget)
-    n, m = inst.n, inst.m
+    return _allocations(inst.n, inst.m, inst.full, total)
+
+
+def _allocations(n: int, m: int, full: int, total: int) -> Iterator[Allocation]:
     digits = [0] * m
     masks = [0] * n
-    masks[0] = inst.full
+    masks[0] = full
     yield tuple(masks)
     last = n - 1
     for _ in range(total - 1):

@@ -7,6 +7,7 @@ over the complete allocation space, guarded by the enumeration budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge, getitem
 from typing import Optional
 
 from .core import Allocation, Instance, enumerate_allocations
@@ -70,6 +71,27 @@ def check_po(inst: Instance, alloc: Allocation, budget: Optional[int] = None) ->
             if strict:
                 return PoVerdict(False, other)
     return PoVerdict(True)
+
+
+def pareto_front(inst: Instance, budget: Optional[int] = None) -> frozenset:
+    """The utility profiles (see :func:`utilities`) that no allocation dominates.
+
+    An allocation is Pareto-optimal iff its profile is in the front.  One scan
+    collects the distinct profiles; a skyline pass then visits them by
+    descending sum and keeps each one that no kept profile weakly dominates.
+    A dominating profile has a strictly larger sum, so it is always visited
+    first, and distinct profiles with equal sums never dominate each other:
+    every comparison stays exact.  Raises :class:`BudgetExceededError` like
+    :func:`enumerate_allocations`.
+    """
+    tables = [v.table for v in inst.valuations]
+    profiles = {tuple(map(getitem, tables, alloc))
+                for alloc in enumerate_allocations(inst, budget)}
+    front: list = []
+    for prof in sorted(profiles, key=sum, reverse=True):
+        if not any(all(map(ge, kept, prof)) for kept in front):
+            front.append(prof)
+    return frozenset(front)
 
 
 def leximin_set(inst: Instance, budget: Optional[int] = None) -> list:

@@ -9,17 +9,20 @@ instance) and keeps those whose axiom landscape matches a predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import getitem
 from typing import Iterable, Optional, Sequence
 
 from . import axioms
 from .core import (
+    DEFAULT_ITEM_CAP,
     AdditiveValuation,
     ExplicitValuation,
     Instance,
     enumerate_allocations,
     nonzero_marginals,
 )
-from .axioms import NotWellDefinedError, satisfies
+from .axioms import satisfies
+from .efficiency import pareto_front
 from .taxonomy import classify
 
 ITEM_CLASSES = ("any", "generallyGoodBad", "noMixed")
@@ -76,6 +79,8 @@ class GenParams:
             raise ValueError("need at least 2 agents")
         if self.items < 1:
             raise ValueError("need at least 1 item")
+        if self.items > DEFAULT_ITEM_CAP:
+            raise ValueError(f"item count {self.items} exceeds the cap of {DEFAULT_ITEM_CAP}")
         if self.lo > self.hi:
             raise ValueError("empty value range")
         if self.item_class not in ITEM_CLASSES:
@@ -260,53 +265,48 @@ def landscape(inst: Instance, combos: Optional[Sequence[tuple]] = None,
 
     Combos are tuples of axiom ids, optionally including ``"po"``.  Rows for
     the chen-liu axiom are skipped when it is not well-defined for the
-    instance.
+    instance.  Each row's example is its first satisfying allocation in
+    enumeration order.
+
+    Pareto optimality is decided first, by :func:`pareto_front`; one pass over
+    the allocations then evaluates each axiom at most once per allocation,
+    and an axiom that occurs only in combos with ``"po"`` only on
+    Pareto-optimal allocations.
     """
     combos = tuple(DEFAULT_COMBOS if combos is None else combos)
-    axiom_ids = sorted({ax for combo in combos for ax in combo if ax != "po"})
+    allocs = enumerate_allocations(inst, budget)  # the budget is checked before any work
+    combos = tuple(c for c in combos if all(axioms.well_defined(inst, ax) for ax in c))
     need_po = any("po" in combo for combo in combos)
+    front = pareto_front(inst, budget) if need_po else None
 
-    allocs = list(enumerate_allocations(inst, budget))
-    flags: dict = {}
-    for ax in axiom_ids:
-        try:
-            flags[ax] = [satisfies(inst, a, ax) for a in allocs]
-        except NotWellDefinedError:
-            flags[ax] = None
-    if need_po:
-        tables = [v.table for v in inst.valuations]
-        profiles = [tuple(tables[i][a[i]] for i in range(inst.n)) for a in allocs]
-        po_flags = []
-        n = inst.n
-        for k, prof in enumerate(profiles):
-            dominated = False
-            for other in profiles:
-                strict = False
-                for i in range(n):
-                    if other[i] < prof[i]:
-                        break
-                    if other[i] > prof[i]:
-                        strict = True
-                else:
-                    if strict:
-                        dominated = True
-                        break
-            po_flags.append(not dominated)
-        flags["po"] = po_flags
+    names = sorted({ax for combo in combos for ax in combo} - {"po"})
+    bits = {ax: 1 << k for k, ax in enumerate(names)}
+    bits["po"] = po_bit = 1 << len(names)
+    anywhere = {ax for combo in combos if "po" not in combo for ax in combo}
+    everywhere = [(ax, bits[ax]) for ax in names if ax in anywhere]
+    front_only = [(ax, bits[ax]) for ax in names if ax not in anywhere]
+    needs = [sum(bits[ax] for ax in set(combo)) for combo in combos]
+    counts = [0] * len(combos)
+    examples: list = [None] * len(combos)
+    tables = [v.table for v in inst.valuations]
 
-    rows = []
-    for combo in combos:
-        if any(flags.get(ax) is None for ax in combo):
-            continue
-        count = 0
-        example = None
-        for k, a in enumerate(allocs):
-            if all(flags[ax][k] for ax in combo):
-                count += 1
-                if example is None:
-                    example = a
-        rows.append(LandscapeRow(tuple(combo), count, example))
-    return rows
+    for alloc in allocs:
+        held = 0
+        for ax, bit in everywhere:
+            if satisfies(inst, alloc, ax):
+                held |= bit
+        if front is not None and tuple(map(getitem, tables, alloc)) in front:
+            held |= po_bit
+            for ax, bit in front_only:
+                if satisfies(inst, alloc, ax):
+                    held |= bit
+        for k, need in enumerate(needs):
+            if held & need == need:
+                counts[k] += 1
+                if examples[k] is None:
+                    examples[k] = alloc
+    return [LandscapeRow(tuple(combo), count, example)
+            for combo, count, example in zip(combos, counts, examples)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import json
 from typing import Optional, Sequence
 
 from .core import (
+    DEFAULT_ITEM_CAP,
     AdditiveValuation,
     Allocation,
     ExplicitValuation,
@@ -83,6 +84,8 @@ def instance_from_document(doc: dict) -> Instance:
         raise DocumentError("item names must be unique")
     item_names = tuple(items)
     m = len(item_names)
+    if m > DEFAULT_ITEM_CAP:  # before any 2**m table is built
+        raise DocumentError(f"item count {m} outside 1..{DEFAULT_ITEM_CAP}")
 
     identical = doc.get("identical", False)
     if not isinstance(identical, bool):
@@ -107,6 +110,16 @@ def instance_from_document(doc: dict) -> Instance:
                 f"'agents' is {agents} but {len(raw_vals)} valuations are given"
             )
 
+    parsed: dict = {}  # value string -> value; each distinct string is parsed once
+
+    def value_in(raw, where) -> Value:
+        if not isinstance(raw, str):
+            return _value_in(raw, where)
+        found = parsed.get(raw)
+        if found is None:
+            found = parsed[raw] = _value_in(raw, where)
+        return found
+
     def build(raw, idx) -> Valuation:
         where = f"valuations[{idx}]"
         if not isinstance(raw, dict):
@@ -120,7 +133,7 @@ def instance_from_document(doc: dict) -> Instance:
             for name, v in values.items():
                 if name not in item_names:
                     raise DocumentError(f"{where}: unknown item {name!r}")
-                per_item[name] = _value_in(v, f"{where}[{name!r}]")
+                per_item[name] = value_in(v, f"{where}[{name!r}]")
             missing = [n for n in item_names if n not in per_item]
             if missing:
                 raise DocumentError(f"{where}: missing item value for {missing[0]!r}")
@@ -131,7 +144,7 @@ def instance_from_document(doc: dict) -> Instance:
                 mask = mask_from_key(item_names, key)
                 if mask in entries:
                     raise DocumentError(f"{where}: duplicate bundle key {key!r}")
-                entries[mask] = _value_in(v, f"{where}[{key!r}]")
+                entries[mask] = value_in(v, f"{where}[{key!r}]")
             try:
                 return ExplicitValuation.from_map(m, entries)
             except ValueError as exc:

@@ -3,8 +3,9 @@ import os
 
 import pytest
 
-from fairkit import dumps_instance, fixture
+from fairkit import check_po, dumps_instance, fixture, mask_from_names
 from fairkit.cli import main
+from fairkit.search import GenParams, generate
 
 
 @pytest.fixture
@@ -175,3 +176,33 @@ def test_mine_cli(capsys):
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, ["leximin", "/nonexistent/instance.json"])
     assert code == 2 and "cannot read" in err
+
+
+def test_enumerate_po_flags_match_check_po(files, capsys):
+    for k, (n, m) in enumerate([(2, 4), (3, 3), (4, 2), (2, 3)]):
+        inst = generate(GenParams(agents=n, items=m, lo=-2, hi=2, identical=k == 3,
+                                  seed=300 + k))
+        path = files(f"inst{k}.json", dumps_instance(inst))
+        code, out, _ = run(capsys, ["enumerate", path, "--axioms", "po,ef"])
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert len(rows) == n ** m
+        for r in rows:
+            alloc = tuple(mask_from_names(inst.item_names, b) for b in r["bundles"])
+            assert r["axioms"]["po"] is check_po(inst, alloc).satisfied
+
+
+def test_enumerate_over_budget_prints_nothing(files, capsys):
+    inst = files("t1.json", dumps_instance(fixture("FIX-T1").instance))
+    for axioms in ("po", "ef,po", "ef"):
+        code, out, err = run(capsys, ["enumerate", inst, "--axioms", axioms, "--budget", "15"])
+        assert code == 3 and out == "" and "exceeding budget" in err
+
+
+def test_items_over_the_cap_exit_2(files, capsys):
+    code, _, err = run(capsys, ["mine", "--predicate", "efx=0", "-m", "17", "--count", "1"])
+    assert code == 2 and "cap" in err
+    doc = {"items": [f"o{i}" for i in range(21)],
+           "valuations": [{"kind": "additive", "values": {f"o{i}": 1 for i in range(21)}}] * 2}
+    code, _, err = run(capsys, ["taxonomy", files("big.json", doc)])
+    assert code == 2 and "item count 21" in err

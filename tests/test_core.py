@@ -173,6 +173,9 @@ def test_budget_error_reports_total():
         list(enumerate_allocations(T1, budget=10))
     assert err.value.total == 16
     assert err.value.budget == 10
+    # raised at the call, before the first allocation is built
+    with pytest.raises(BudgetExceededError):
+        enumerate_allocations(T1, budget=10)
 
 
 def test_validate_allocation_rejects_bad_shapes():

@@ -1,7 +1,12 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairkit import (
     AdditiveValuation,
+    BudgetExceededError,
+    ExplicitValuation,
     Instance,
     check_po,
     enumerate_allocations,
@@ -9,7 +14,9 @@ from fairkit import (
     leximin_cmp,
     leximin_set,
     mask_from_names,
+    pareto_front,
     pareto_improves,
+    utilities,
     utility_vector,
 )
 from fairkit.search import GenParams, generate
@@ -130,3 +137,71 @@ def test_every_leximin_allocation_is_po():
             inst = generate(replace(base, seed=base.seed + k))
             for a in leximin_set(inst):
                 assert check_po(inst, a).satisfied
+
+
+def _assert_front_matches_ref_po(inst):
+    vm = value_maps(inst)
+    front = pareto_front(inst)
+    for a in enumerate_allocations(inst):
+        assert (utilities(inst, a) in front) == ref_po(vm, to_sets(a), inst.n, inst.m)
+
+
+def test_pareto_front_matches_reference_on_seeded_instances():
+    from dataclasses import replace
+
+    cases = [
+        GenParams(agents=2, items=4, lo=-4, hi=4, seed=8100),
+        GenParams(agents=3, items=3, lo=-4, hi=4, seed=8200),
+        GenParams(agents=4, items=2, lo=-4, hi=4, seed=8300),
+        GenParams(agents=3, items=3, lo=-2, hi=2, identical=True, seed=8400),
+        GenParams(agents=2, items=4, lo=-3, hi=3, additive=True, seed=8500),
+        GenParams(agents=4, items=3, lo=-1, hi=1, additive=True, seed=8600),
+        GenParams(agents=3, items=3, item_class="generallyGoodBad", seed=8700),
+    ]
+    for base in cases:
+        for k in range(6):
+            _assert_front_matches_ref_po(generate(replace(base, seed=base.seed + k)))
+
+
+def test_pareto_front_with_ties_and_fractions():
+    zero = ExplicitValuation((0,) * 8)
+    half = ExplicitValuation((0, Fraction(1, 2), Fraction(1, 2), 1,
+                              Fraction(-1, 3), Fraction(1, 6), Fraction(1, 6), Fraction(2, 3)))
+    for vals in [(zero, zero), (zero, zero, zero, zero), (half, half), (half, zero, half),
+                 (AdditiveValuation((1, 1, Fraction(3, 2))),) * 3]:
+        inst = Instance(("a", "b", "c"), vals)
+        _assert_front_matches_ref_po(inst)
+    # every profile of an all-zero instance ties, so every allocation is PO
+    flat = Instance(("a", "b", "c"), (zero,) * 4)
+    assert pareto_front(flat) == {(0, 0, 0, 0)}
+
+
+_VALUES = st.sampled_from((-2, -1, 0, 0, 1, 2, Fraction(1, 2), Fraction(-3, 2)))
+
+
+@st.composite
+def _small_instances(draw):
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, 4 if n == 2 else 3))
+    kind = draw(st.sampled_from(("explicit", "additive", "identical")))
+    if kind == "additive":
+        vals = [AdditiveValuation(draw(st.lists(_VALUES, min_size=m, max_size=m)))
+                for _ in range(n)]
+    else:
+        tables = [draw(st.lists(_VALUES, min_size=1 << m, max_size=1 << m))
+                  for _ in range(1 if kind == "identical" else n)]
+        vals = [ExplicitValuation(t) for t in tables] * (n if kind == "identical" else 1)
+    return Instance(tuple("abcd"[:m]), vals)
+
+
+@settings(max_examples=60)
+@given(_small_instances())
+def test_pareto_front_matches_reference_property(inst):
+    _assert_front_matches_ref_po(inst)
+
+
+def test_pareto_front_checks_the_budget_before_any_work():
+    with pytest.raises(BudgetExceededError) as err:
+        pareto_front(T1, budget=15)
+    assert err.value.total == 16
+    assert pareto_front(T1, budget=16)

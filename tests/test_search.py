@@ -1,8 +1,14 @@
+from dataclasses import replace
+
 import pytest
 
-from fairkit import fixture
+import fairkit.axioms
+import fairkit.search
+from fairkit import BudgetExceededError, fixture
 from fairkit.core import is_additive_consistent
+from fairkit.efficiency import pareto_front, utilities
 from fairkit.search import (
+    DEFAULT_COMBOS,
     GenParams,
     RejectionBudgetError,
     SplitMix64,
@@ -12,6 +18,17 @@ from fairkit.search import (
     parse_predicate,
 )
 from fairkit.taxonomy import classify
+
+from reference import (
+    ref_chen_liu,
+    ref_ef,
+    ref_ef1,
+    ref_ef1pm,
+    ref_efx,
+    ref_efxpm,
+    ref_po,
+    value_maps,
+)
 
 
 def test_splitmix_is_stable():
@@ -176,3 +193,110 @@ def test_mine_seeds_are_consecutive_offsets():
     params = GenParams(agents=2, items=2, lo=-1, hi=1, seed=40)
     hits = mine(params, parse_predicate("ef1>=0"), 5)  # always true
     assert [h.seed for h in hits] == [40, 41, 42, 43, 44]
+
+
+def _oracle_landscape(inst, combos):
+    """(combo, count, example) per combo from the naive reference checkers.
+
+    Allocation k gives item o to agent (k // n**o) % n, the documented
+    enumeration order, so the example is the first satisfying k.
+    """
+    n, m = inst.n, inst.m
+    vm = value_maps(inst)
+    order = [tuple(frozenset(o for o in range(m) if k // n ** o % n == i) for i in range(n))
+             for k in range(n ** m)]
+    ref = {
+        "ef": ref_ef, "ef1": ref_ef1, "efx": ref_efx, "ef1pm": ref_ef1pm, "efxpm": ref_efxpm,
+        "efx0": lambda vm, s: ref_efx(vm, s, zero=True),
+        "efxpm0": lambda vm, s: ref_efxpm(vm, s, zero=True),
+        "chen-liu": lambda vm, s: ref_chen_liu(vm, s, m),
+        "po": lambda vm, s: ref_po(vm, s, n, m),
+    }
+    flags = {ax: [ref[ax](vm, s) for s in order]
+             for ax in {ax for combo in combos for ax in combo}}
+    rows = []
+    for combo in combos:
+        hits = [k for k in range(len(order)) if all(flags[ax][k] for ax in combo)]
+        rows.append((tuple(combo), len(hits), order[hits[0]] if hits else None))
+    return rows
+
+
+def _rows_as_sets(rows):
+    def sets(alloc):
+        return tuple(frozenset(o for o in range(16) if b >> o & 1) for b in alloc)
+    return [(r.combo, r.count, None if r.example is None else sets(r.example)) for r in rows]
+
+
+def test_landscape_matches_naive_oracle():
+    cases = [
+        GenParams(agents=2, items=4, lo=-4, hi=4, seed=9100),
+        GenParams(agents=3, items=3, lo=-3, hi=3, seed=9200),
+        GenParams(agents=4, items=2, lo=-3, hi=3, seed=9300),
+        GenParams(agents=2, items=4, lo=-2, hi=2, identical=True, seed=9400),
+        GenParams(agents=3, items=3, lo=-2, hi=2, additive=True, seed=9500),
+    ]
+    for base in cases:
+        for k in range(4):
+            inst = generate(replace(base, seed=base.seed + k))
+            want = _oracle_landscape(inst, DEFAULT_COMBOS)
+            assert _rows_as_sets(landscape(inst)) == want
+
+
+def test_landscape_chen_liu_rows_match_naive_oracle():
+    combos = (("chen-liu",), ("chen-liu", "po"), ("efxpm", "po"), ("po",))
+    for k in range(8):
+        inst = generate(GenParams(agents=2 + k % 2, items=3, item_class="generallyGoodBad",
+                                  seed=9600 + k))
+        assert _rows_as_sets(landscape(inst, combos)) == _oracle_landscape(inst, combos)
+
+
+def test_landscape_checks_each_axiom_once_and_po_only_axioms_on_the_front(monkeypatch):
+    inst = generate(GenParams(agents=3, items=4, item_class="generallyGoodBad", seed=9700))
+    calls = []
+    real = fairkit.search.satisfies
+    monkeypatch.setattr(fairkit.search, "satisfies",
+                        lambda inst, alloc, ax: calls.append((alloc, ax)) or real(inst, alloc, ax))
+    front = pareto_front(inst)
+    on_front = [a for a in fairkit.search.enumerate_allocations(inst)
+                if utilities(inst, a) in front]
+    landscape(inst, (("efx",), ("efx", "po"), ("efxpm", "po"), ("chen-liu", "efxpm", "po")))
+    assert len(calls) == len(set(calls))
+    assert sorted(a for a, ax in calls if ax == "efx") == sorted(
+        fairkit.search.enumerate_allocations(inst))
+    for ax in ("efxpm", "chen-liu"):
+        assert sorted(a for a, x in calls if x == ax) == sorted(on_front)
+
+
+def test_landscape_checks_the_budget_before_any_work(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("work done before the budget check")
+
+    monkeypatch.setattr(fairkit.search, "satisfies", forbidden)
+    monkeypatch.setattr(fairkit.axioms, "classify", forbidden)
+    ex1 = fixture("FIX-EX1").instance
+    for combos in (None, [("chen-liu",)], [("efxpm", "po")]):
+        with pytest.raises(BudgetExceededError):
+            landscape(ex1, combos, budget=3)
+
+
+def test_chen_liu_classifies_each_instance_once(monkeypatch):
+    inst = generate(GenParams(agents=3, items=3, item_class="generallyGoodBad", seed=9800))
+    calls = []
+    monkeypatch.setattr(fairkit.axioms, "classify",
+                        lambda inst: calls.append(1) or classify(inst))
+    vm = value_maps(inst)
+    for a in fairkit.search.enumerate_allocations(inst):
+        sets = tuple(frozenset(o for o in range(inst.m) if b >> o & 1) for b in a)
+        assert fairkit.axioms.satisfies(inst, a, "chen-liu") == ref_chen_liu(vm, sets, inst.m)
+    assert len(calls) == 1
+    ex1 = fixture("FIX-EX1").instance
+    for a in fairkit.search.enumerate_allocations(ex1):
+        with pytest.raises(fairkit.axioms.NotWellDefinedError):
+            fairkit.axioms.check_chen_liu(ex1, a)
+
+
+def test_gen_params_reject_items_over_the_cap():
+    for items in (17, 21):
+        with pytest.raises(ValueError, match="cap"):
+            GenParams(items=items)
+    assert GenParams(items=16).items == 16

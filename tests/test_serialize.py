@@ -1,7 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+import fairkit.serialize
 from fairkit import fixture, list_fixtures
 from fairkit.serialize import (
     DocumentError,
@@ -145,3 +147,33 @@ def test_loads_rejects_invalid_json():
         loads_instance("{not json")
     with pytest.raises(DocumentError):
         loads_allocation(T1, "[1,")
+
+
+def test_item_count_is_capped_before_any_valuation_is_built(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("valuation built for an over-cap document")
+
+    monkeypatch.setattr(fairkit.serialize, "AdditiveValuation", forbidden)
+    monkeypatch.setattr(fairkit.serialize, "ExplicitValuation", forbidden)
+    for m in (17, 21):
+        names = [f"o{i}" for i in range(m)]
+        doc = {"items": names,
+               "valuations": [{"kind": "additive", "values": {x: "1" for x in names}}] * 2}
+        with pytest.raises(DocumentError, match=f"item count {m} outside 1..16"):
+            instance_from_document(doc)
+
+
+def test_first_bad_value_in_document_order_is_reported():
+    def doc(values):
+        return {"items": ["a", "b", "c"], "agents": 2, "identical": True,
+                "valuations": [{"kind": "additive", "values": values}]}
+
+    with pytest.raises(DocumentError, match=r"\['b'\].*'x'"):
+        instance_from_document(doc({"a": "1", "b": "x", "c": "x"}))
+    with pytest.raises(DocumentError, match=r"\['c'\]: cannot parse"):
+        instance_from_document(doc({"a": "1", "b": "1", "c": "1/0"}))
+    # a value already parsed does not let a boolean through
+    with pytest.raises(DocumentError, match=r"\['b'\]: boolean"):
+        instance_from_document(doc({"a": 1, "b": True, "c": "1"}))
+    inst = instance_from_document(doc({"a": "1/2", "b": 1, "c": "1/2"}))
+    assert inst.valuations[0].item_values == (Fraction(1, 2), 1, Fraction(1, 2))
