@@ -10,6 +10,7 @@ from .core import (
     AdditiveValuation,
     Allocation,
     BudgetExceededError,
+    DEFAULT_AGENT_CAP,
     DEFAULT_BUDGET,
     DEFAULT_ITEM_CAP,
     ExplicitValuation,
@@ -60,6 +61,7 @@ from .axioms import (
     check_efxpm,
     check_variant,
     envies,
+    kernels,
     satisfies,
 )
 from .efficiency import (

@@ -1,8 +1,10 @@
-"""Fairness-axiom checkers with violation witnesses.
+"""Fairness-axiom checkers with violation witnesses, and boolean kernels.
 
 Envy is strict: agent i envies agent j when v_i(A_i) < v_i(A_j).  Every
 checker evaluates every ordered agent pair and reports all violations, each
 as a :class:`Witness` whose lhs < rhs reproduces the failed inequality.
+:func:`kernels` decides the same axioms without witnesses, for scans that
+only need yes or no; :func:`satisfies` is one kernel applied once.
 
 The "up to any item" family (EFX and friends) uses universally quantified
 clauses over strictly qualifying items, so an envying pair with no qualifying
@@ -91,6 +93,8 @@ def envies(inst: Instance, alloc: Allocation, i: int, j: int) -> bool:
 #   repair "x":                   v(a - o) >= v(b)
 #   repair "pm":                  v(a) >= v(b + o)
 # The zero variants turn the strict qualifying comparisons non-strict.
+# Chen-Liu qualifies the agent's generally good items for the removal clause
+# and its generally bad own items for the "pm" own-item clause.
 
 _EFX_FAMILY = {
     EFX: (False, False, True),
@@ -102,54 +106,75 @@ _EFX_FAMILY = {
 }
 
 
-def _efx_pair(t, a, b, i, j, pm_removal, pm_own, strict):
-    """(violations, saw_qualifying) for one envying pair."""
+def _efx_pair(t, a, b, i, j, pm_removal, pm_own, strict, good=None, bad=None):
+    """(violations, saw_qualifying) for one envying pair.
+
+    ``good`` and ``bad`` (chen-liu) are item masks that replace the
+    qualifying comparisons of the removal and own-item clauses; chen-liu
+    lists its own-item violations first.
+    """
     va = t[a]
     vb = t[b]
-    viol = []
+    removed = []
+    own = []
     saw = False
     s = b
     while s:
         bit = s & -s
         s ^= bit
         rb = t[b ^ bit]
-        if pm_removal:
+        if good is not None:
+            q = good & bit
+        elif pm_removal:
             q = t[a | bit] > va if strict else t[a | bit] >= va
         else:
             q = vb > rb if strict else vb >= rb
         if q:
             saw = True
             if va < rb:
-                viol.append(Witness(i, j, REMOVED_GOOD, bit.bit_length() - 1, va, rb))
+                removed.append(Witness(i, j, REMOVED_GOOD, bit.bit_length() - 1, va, rb))
     s = a
     while s:
         bit = s & -s
         s ^= bit
         ra = t[a ^ bit]
-        if (ra > va) if strict else (ra >= va):
+        if bad is not None:
+            q = bad & bit
+        else:
+            q = ra > va if strict else ra >= va
+        if q:
             saw = True
             if pm_own:
                 ab = t[b | bit]
                 if va < ab:
-                    viol.append(Witness(i, j, ADDED_BAD, bit.bit_length() - 1, va, ab))
+                    own.append(Witness(i, j, ADDED_BAD, bit.bit_length() - 1, va, ab))
             else:
                 if ra < vb:
-                    viol.append(Witness(i, j, REMOVED_BAD, bit.bit_length() - 1, ra, vb))
-    return viol, saw
+                    own.append(Witness(i, j, REMOVED_BAD, bit.bit_length() - 1, ra, vb))
+    return (own + removed if good is not None else removed + own), saw
 
 
 def _check_efx_family(inst, alloc, axiom):
-    pm_removal, pm_own, strict = _EFX_FAMILY[axiom]
+    n = inst.n
+    if axiom == CHEN_LIU:
+        _require_chen_liu(inst)
+        matrix = _item_classes(inst)[1]
+        pm_removal, pm_own, strict = False, True, True
+        goods = _masks(matrix.generally_good)
+        bads = _masks(matrix.generally_bad)
+    else:
+        pm_removal, pm_own, strict = _EFX_FAMILY[axiom]
+        goods = bads = (None,) * n
     violations = []
     vacuous = []
-    n = inst.n
     for i in range(n):
         t = inst.valuations[i].table
         va = t[alloc[i]]
         for j in range(n):
             if i == j or va >= t[alloc[j]]:
                 continue
-            viol, saw = _efx_pair(t, alloc[i], alloc[j], i, j, pm_removal, pm_own, strict)
+            viol, saw = _efx_pair(t, alloc[i], alloc[j], i, j, pm_removal, pm_own, strict,
+                                  goods[i], bads[i])
             violations.extend(viol)
             if not saw:
                 vacuous.append(Witness(i, j, VACUOUS_ENVY, None, va, t[alloc[j]]))
@@ -264,52 +289,12 @@ def well_defined(inst: Instance, axiom: str) -> bool:
     return axiom != CHEN_LIU or _item_classes(inst)[0].generally_good_bad_items
 
 
-def _check_chen_liu(inst, alloc):
+def _require_chen_liu(inst):
     if not well_defined(inst, CHEN_LIU):
         raise NotWellDefinedError(
             "the chen-liu variant is only well-defined for problems with "
             "generally good/bad items"
         )
-    matrix = _item_classes(inst)[1]
-    violations = []
-    vacuous = []
-    n = inst.n
-    for i in range(n):
-        t = inst.valuations[i].table
-        good = matrix.generally_good[i]
-        bad = matrix.generally_bad[i]
-        a = alloc[i]
-        va = t[a]
-        for j in range(n):
-            if i == j:
-                continue
-            b = alloc[j]
-            if va >= t[b]:
-                continue
-            saw = False
-            s = a
-            while s:
-                bit = s & -s
-                s ^= bit
-                o = bit.bit_length() - 1
-                if bad[o]:
-                    saw = True
-                    ab = t[b | bit]
-                    if va < ab:
-                        violations.append(Witness(i, j, ADDED_BAD, o, va, ab))
-            s = b
-            while s:
-                bit = s & -s
-                s ^= bit
-                o = bit.bit_length() - 1
-                if good[o]:
-                    saw = True
-                    rb = t[b ^ bit]
-                    if va < rb:
-                        violations.append(Witness(i, j, REMOVED_GOOD, o, va, rb))
-            if not saw:
-                vacuous.append(Witness(i, j, VACUOUS_ENVY, None, va, t[b]))
-    return Verdict(CHEN_LIU, not violations, tuple(violations), tuple(vacuous))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +321,7 @@ def check_efxpm(inst: Instance, alloc: Allocation) -> Verdict:
 
 
 def check_chen_liu(inst: Instance, alloc: Allocation) -> Verdict:
-    return _check_chen_liu(inst, alloc)
+    return _check_efx_family(inst, alloc, CHEN_LIU)
 
 
 def check_variant(inst: Instance, alloc: Allocation, axiom: str) -> Verdict:
@@ -350,13 +335,274 @@ def check_axiom(inst: Instance, alloc: Allocation, axiom: str) -> Verdict:
         return _check_ef(inst, alloc)
     if axiom in (EF1, EF1PM):
         return _check_ef1_family(inst, alloc, axiom)
-    if axiom in _EFX_FAMILY:
+    if axiom in _EFX_FAMILY or axiom == CHEN_LIU:
         return _check_efx_family(inst, alloc, axiom)
-    if axiom == CHEN_LIU:
-        return _check_chen_liu(inst, alloc)
     raise ValueError(f"unknown axiom {axiom!r}")
 
 
 def satisfies(inst: Instance, alloc: Allocation, axiom: str) -> bool:
-    """Boolean form of :func:`check_axiom` (same semantics)."""
-    return check_axiom(inst, alloc, axiom).satisfied
+    """Boolean form of :func:`check_axiom` (same semantics, no witnesses).
+
+    A scan over many allocations should build :func:`kernels` once instead.
+    """
+    return kernels(inst, (axiom,))[axiom](alloc)
+
+
+# ---------------------------------------------------------------------------
+# boolean kernels
+#
+# A kernel decides one axiom for one allocation, stops at the first failing
+# envying pair and builds no witness.  The clauses that look at one bundle at
+# a time are read from one-removal rows.  For a table t and a bundle x, with
+# r_o = t[x - o] over the items o of x, the row holds
+#   lo = min r_o,   hi = max r_o,
+#   below = max{r_o < t[x]},   below0 = max{r_o <= t[x]},
+#   above = min{r_o > t[x]},   above0 = min{r_o >= t[x]}.
+# A max over no item is the table's minimum and a min over no item its
+# maximum.  For an envying pair, t[a] < t[b], so an empty set makes an
+# "exists" clause read false and a "for all" clause read true, and every
+# comparison stays exact.  For the envying pair (a, b) of one agent:
+#   EF1            t[a] >= lo[b]  or  hi[a] >= t[b]
+#   EFX removal    t[a] >= below[b]       (EFX0: below0)
+#   EFX own item   above[a] >= t[b]       (EFX0: above0)
+#   EF1-pm         t[a] >= lo[b]  or  an own strict bad o with t[a] >= t[b + o]
+#   chen-liu       t[a] >= the max of r_o over the agent's generally good o in b
+# The pm clauses and chen-liu's added-bad clause depend on both bundles and
+# keep an early-exit scan over the items.
+
+_LO, _HI, _BELOW, _BELOW0, _ABOVE, _ABOVE0 = range(6)
+
+
+def _one_removal_row(t, x, tmin, tmax):
+    """(lo, hi, below, below0, above, above0) of bundle ``x`` under table ``t``."""
+    v = t[x]
+    lo = above = tmax
+    hi = below = tmin
+    tie = False
+    s = x
+    while s:
+        bit = s & -s
+        s ^= bit
+        r = t[x ^ bit]
+        if r < lo:
+            lo = r
+        if r > hi:
+            hi = r
+        if r < v:
+            if r > below:
+                below = r
+        elif r > v:
+            if r < above:
+                above = r
+        else:
+            tie = True
+    return lo, hi, below, v if tie else below, above, v if tie else above
+
+
+class _Rows:
+    """One table's rows for one scan, each filled on first use.
+
+    ``cols`` holds the six one-removal columns.  For chen-liu, ``good`` and
+    ``bad`` are the masks of the agent's generally good and bad items and
+    ``good_max[x]`` is the max of ``t[x - o]`` over the good items o of x.
+    """
+
+    __slots__ = ("t", "tmin", "tmax", "cols", "good", "bad", "good_max")
+
+    def __init__(self, t, good=None, bad=None):
+        empty = [None] * len(t)
+        self.t = t
+        self.tmin = min(t)
+        self.tmax = max(t)
+        self.cols = (empty, empty[:], empty[:], empty[:], empty[:], empty[:])
+        self.good = good
+        self.bad = bad
+        self.good_max = None if good is None else empty[:]
+
+    def fill(self, x):
+        row = _one_removal_row(self.t, x, self.tmin, self.tmax)
+        lo, hi, below, below0, above, above0 = self.cols
+        lo[x], hi[x], below[x], below0[x], above[x], above0[x] = row
+        return row
+
+    def fill_good(self, x):
+        t = self.t
+        best = self.tmin
+        s = x & self.good
+        while s:
+            bit = s & -s
+            s ^= bit
+            r = t[x ^ bit]
+            if r > best:
+                best = r
+        self.good_max[x] = best
+        return best
+
+
+# Pair tests ok(rows, t, a, b, va, vb): one envying pair of an agent with
+# table t and rows ``rows``, own bundle a, envied bundle b, va = t[a] < vb = t[b].
+
+def _never(rows, t, a, b, va, vb):
+    return False
+
+
+def _both(first, second):
+    return lambda rows, t, a, b, va, vb: (first(rows, t, a, b, va, vb)
+                                          and second(rows, t, a, b, va, vb))
+
+
+def _either(first, second):
+    return lambda rows, t, a, b, va, vb: (first(rows, t, a, b, va, vb)
+                                          or second(rows, t, a, b, va, vb))
+
+
+def _removal_col(k):
+    """va >= column k of the envied bundle's row."""
+    def ok(rows, t, a, b, va, vb):
+        x = rows.cols[k][b]
+        if x is None:
+            x = rows.fill(b)[k]
+        return va >= x
+    return ok
+
+
+def _own_col(k):
+    """Column k of the own bundle's row >= vb."""
+    def ok(rows, t, a, b, va, vb):
+        x = rows.cols[k][a]
+        if x is None:
+            x = rows.fill(a)[k]
+        return x >= vb
+    return ok
+
+
+def _good_removal(rows, t, a, b, va, vb):
+    """chen-liu's removal clause: va >= the max of t[b - o] over good o."""
+    x = rows.good_max[b]
+    if x is None:
+        x = rows.fill_good(b)
+    return va >= x
+
+
+def _pm_removal(strict):
+    """Every o in b that is a good at a (t[a + o] > va, or >=) has va >= t[b - o]."""
+    def ok(rows, t, a, b, va, vb):
+        s = b
+        while s:
+            bit = s & -s
+            s ^= bit
+            g = t[a | bit]
+            if ((g > va) if strict else (g >= va)) and va < t[b ^ bit]:
+                return False
+        return True
+    return ok
+
+
+def _pm_own(strict):
+    """Every own o that is a bad at a (t[a - o] > va, or >=) has va >= t[b + o]."""
+    def ok(rows, t, a, b, va, vb):
+        s = a
+        while s:
+            bit = s & -s
+            s ^= bit
+            r = t[a ^ bit]
+            if ((r > va) if strict else (r >= va)) and va < t[b | bit]:
+                return False
+        return True
+    return ok
+
+
+def _ef1pm_own(rows, t, a, b, va, vb):
+    """Some own strict bad o has va >= t[b + o]."""
+    s = a
+    while s:
+        bit = s & -s
+        s ^= bit
+        if t[a ^ bit] > va and va >= t[b | bit]:
+            return True
+    return False
+
+
+def _chen_liu_own(rows, t, a, b, va, vb):
+    """Every own generally bad o has va >= t[b + o]."""
+    s = a & rows.bad
+    while s:
+        bit = s & -s
+        s ^= bit
+        if va < t[b | bit]:
+            return False
+    return True
+
+
+def _efx_pair_test(pm_removal, pm_own, strict):
+    removal = _pm_removal(strict) if pm_removal else _removal_col(_BELOW if strict else _BELOW0)
+    own = _pm_own(strict) if pm_own else _own_col(_ABOVE if strict else _ABOVE0)
+    return _both(removal, own)
+
+
+_PAIR_TESTS = {
+    EF: _never,
+    EF1: _either(_removal_col(_LO), _own_col(_HI)),
+    EF1PM: _either(_removal_col(_LO), _ef1pm_own),
+    CHEN_LIU: _both(_good_removal, _chen_liu_own),
+    **{ax: _efx_pair_test(*spec) for ax, spec in _EFX_FAMILY.items()},
+}
+
+# the axioms whose pair tests read no rows
+_ROWLESS = frozenset([EF, EFXPM, EFXPM0])
+
+
+def _masks(flags):
+    """Per-agent item flags -> per-agent item masks."""
+    return [sum(1 << o for o, flag in enumerate(row) if flag) for row in flags]
+
+
+def kernels(inst: Instance, axiom_ids) -> dict:
+    """Boolean kernels ``alloc -> bool``, one per axiom id, for one scan.
+
+    Each kernel agrees with ``check_axiom(...).satisfied`` but stops at the
+    first failing envying pair and builds no witness.  The kernels share
+    their rows, and agents holding the same table object share its rows.
+    Build them once per scan and drop them with it: the rows are not kept on
+    the instance.  Raises ``ValueError`` for an unknown axiom and
+    :class:`NotWellDefinedError` for chen-liu outside its domain.
+    """
+    tests = {}
+    for ax in axiom_ids:
+        test = _PAIR_TESTS.get(ax)
+        if test is None:
+            raise ValueError(f"unknown axiom {ax!r}")
+        tests[ax] = test
+    tabs = tuple(v.table for v in inst.valuations)
+    n = len(tabs)
+    rows: list = [None] * n
+    if not _ROWLESS.issuperset(tests):
+        goods = bads = (None,) * n
+        if CHEN_LIU in tests:
+            _require_chen_liu(inst)
+            matrix = _item_classes(inst)[1]
+            goods = _masks(matrix.generally_good)
+            bads = _masks(matrix.generally_bad)
+        shared: dict = {}
+        for i, t in enumerate(tabs):
+            r = shared.get(id(t))
+            if r is None:
+                r = shared[id(t)] = _Rows(t, goods[i], bads[i])
+            rows[i] = r
+    pairs = tuple((i, j) for i in range(n) for j in range(n) if i != j)
+    return {ax: _over_envying_pairs(pairs, tabs, rows, test) for ax, test in tests.items()}
+
+
+def _over_envying_pairs(pairs, tabs, rows, ok):
+    """The kernel: every envying ordered pair passes ``ok``."""
+    def holds(alloc):
+        for i, j in pairs:
+            t = tabs[i]
+            a = alloc[i]
+            b = alloc[j]
+            va = t[a]
+            vb = t[b]
+            if va < vb and not ok(rows[i], t, a, b, va, vb):
+                return False
+        return True
+    return holds

@@ -17,15 +17,16 @@ from . import axioms
 from .axioms import (
     ADDED_BAD,
     CHEN_LIU,
+    EF,
     EFX,
     EFXPM,
     EFXPM0,
     REMOVED_GOOD,
     Witness,
     check_chen_liu,
-    check_ef,
     check_efx,
     check_efxpm,
+    kernels,
     satisfies,
 )
 from .core import (
@@ -116,9 +117,10 @@ def _fmt(inst, alloc):
 def _allocs(inst, *axiom_ids, po=False):
     """Allocations satisfying every listed axiom (and po), in enumeration order."""
     front = pareto_front(inst) if po else None
+    holds = kernels(inst, axiom_ids).values()
     return [a for a in enumerate_allocations(inst)
             if (front is None or utilities(inst, a) in front)
-            and all(satisfies(inst, a, ax) for ax in axiom_ids)]
+            and all(kernel(a) for kernel in holds)]
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +172,7 @@ def _fix_ex1() -> Fixture:
 
     def singles_envy_free(inst):
         pairs = [_alloc(inst, ("b",), ("r",)), _alloc(inst, ("r",), ("b",))]
-        ok = all(check_ef(inst, a).satisfied for a in pairs)
+        ok = all(map(kernels(inst, (EF,))[EF], pairs))
         return ok, "both one-item splits are envy-free"
 
     def efxpm_everywhere(inst):
@@ -183,7 +185,7 @@ def _fix_ex1() -> Fixture:
     def cut_choose(inst):
         out = cut_and_choose(inst)
         want = _alloc(inst, (), ("b", "r"))
-        ok = out == want and check_efxpm(inst, out).satisfied
+        ok = out == want and satisfies(inst, out, EFXPM)
         return ok, f"protocol returned {_fmt(inst, out)}"
 
     return Fixture(
@@ -229,14 +231,14 @@ def _fix_ex2() -> Fixture:
 
     def outcome_a(inst):
         a = _alloc(inst, ("s",), ("l1", "l2", "l3"))
-        ok = (check_efxpm(inst, a).satisfied and check_po(inst, a).satisfied
-              and not check_efx(inst, a).satisfied
+        ok = (satisfies(inst, a, EFXPM) and check_po(inst, a).satisfied
+              and not satisfies(inst, a, EFX)
               and utilities(inst, a) == (6, 12))
         return ok, f"{_fmt(inst, a)}: efxpm and po hold, efx fails, credits (6, 12)"
 
     def outcome_b(inst):
         a = _alloc(inst, ("s", "l1"), ("l2", "l3"))
-        ok = (check_efx(inst, a).satisfied and check_efxpm(inst, a).satisfied
+        ok = (satisfies(inst, a, EFX) and satisfies(inst, a, EFXPM)
               and not check_po(inst, a).satisfied
               and utilities(inst, a) == (6, 9))
         return ok, f"{_fmt(inst, a)}: efx and efxpm hold, po fails, credits (6, 9)"
@@ -244,7 +246,7 @@ def _fix_ex2() -> Fixture:
     def cut_choose(inst):
         out = cut_and_choose(inst)
         t = inst.valuations[1].table
-        ok = t[out[1]] == 12 and check_efxpm(inst, out).satisfied
+        ok = t[out[1]] == 12 and satisfies(inst, out, EFXPM)
         return ok, f"protocol returned {_fmt(inst, out)}, chooser credits {t[out[1]]}"
 
     return Fixture(
@@ -385,7 +387,7 @@ def _fix_t1() -> Fixture:
         )
 
     def no_efx(inst):
-        count = sum(1 for a in enumerate_allocations(inst) if check_efx(inst, a).satisfied)
+        count = len(_allocs(inst, EFX))
         return count == 0, f"efx satisfied by {count} of 16 allocations"
 
     def efx_witnesses(inst):
@@ -408,8 +410,7 @@ def _fix_t1() -> Fixture:
         return ok, f"leximin tie-set {[ _fmt(inst, a) for a in lm ]}, vector (5, 8)"
 
     def leximin_efxpm_po(inst):
-        lm = leximin_set(inst)
-        ok = all(check_efxpm(inst, a).satisfied and check_po(inst, a).satisfied for a in lm)
+        ok = set(leximin_set(inst)) <= set(_allocs(inst, EFXPM, po=True))
         return ok, "every leximin allocation is efxpm and po"
 
     def variant_a_portability(inst):
@@ -646,7 +647,7 @@ def _fix_zm() -> Fixture:
 
     def pair_split(inst):
         a = _alloc(inst, ("b",), ("a",))
-        return check_efxpm(inst, a).satisfied, f"{_fmt(inst, a)} satisfies efxpm"
+        return satisfies(inst, a, EFXPM), f"{_fmt(inst, a)} satisfies efxpm"
 
     return Fixture(
         "FIX-ZM",

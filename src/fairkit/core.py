@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .values import Value, as_value
 
 DEFAULT_ITEM_CAP = 16
+DEFAULT_AGENT_CAP = 64  # documents and generator parameters; checked before any table is built
 DEFAULT_BUDGET = 10_000_000
 
 Allocation = tuple  # tuple[int, ...], one bundle mask per agent

@@ -14,6 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import axioms
 from .core import (
+    DEFAULT_AGENT_CAP,
     DEFAULT_ITEM_CAP,
     AdditiveValuation,
     ExplicitValuation,
@@ -21,7 +22,7 @@ from .core import (
     enumerate_allocations,
     nonzero_marginals,
 )
-from .axioms import satisfies
+from .axioms import satisfies  # noqa: F401  (still importable from here; landscape uses kernels)
 from .efficiency import pareto_front
 from .taxonomy import classify
 
@@ -77,6 +78,8 @@ class GenParams:
     def __post_init__(self):
         if self.agents < 2:
             raise ValueError("need at least 2 agents")
+        if self.agents > DEFAULT_AGENT_CAP:
+            raise ValueError(f"agent count {self.agents} exceeds the cap of {DEFAULT_AGENT_CAP}")
         if self.items < 1:
             raise ValueError("need at least 1 item")
         if self.items > DEFAULT_ITEM_CAP:
@@ -280,33 +283,38 @@ def landscape(inst: Instance, combos: Optional[Sequence[tuple]] = None,
     front = pareto_front(inst, budget) if need_po else None
 
     names = sorted({ax for combo in combos for ax in combo} - {"po"})
+    holds = axioms.kernels(inst, names)
     bits = {ax: 1 << k for k, ax in enumerate(names)}
     bits["po"] = po_bit = 1 << len(names)
     anywhere = {ax for combo in combos if "po" not in combo for ax in combo}
-    everywhere = [(ax, bits[ax]) for ax in names if ax in anywhere]
-    front_only = [(ax, bits[ax]) for ax in names if ax not in anywhere]
+    everywhere = [(holds[ax], bits[ax]) for ax in names if ax in anywhere]
+    front_only = [(holds[ax], bits[ax]) for ax in names if ax not in anywhere]
     needs = [sum(bits[ax] for ax in set(combo)) for combo in combos]
-    counts = [0] * len(combos)
-    examples: list = [None] * len(combos)
     tables = [v.table for v in inst.valuations]
+    tally: dict = {}  # set of held axioms (as bits) -> allocations holding exactly it
+    first: dict = {}  # set of held axioms -> (index, allocation) of its first allocation
 
-    for alloc in allocs:
+    for k, alloc in enumerate(allocs):
         held = 0
-        for ax, bit in everywhere:
-            if satisfies(inst, alloc, ax):
+        for kernel, bit in everywhere:
+            if kernel(alloc):
                 held |= bit
         if front is not None and tuple(map(getitem, tables, alloc)) in front:
             held |= po_bit
-            for ax, bit in front_only:
-                if satisfies(inst, alloc, ax):
+            for kernel, bit in front_only:
+                if kernel(alloc):
                     held |= bit
-        for k, need in enumerate(needs):
-            if held & need == need:
-                counts[k] += 1
-                if examples[k] is None:
-                    examples[k] = alloc
-    return [LandscapeRow(tuple(combo), count, example)
-            for combo, count, example in zip(combos, counts, examples)]
+        if held in tally:
+            tally[held] += 1
+        else:
+            tally[held] = 1
+            first[held] = (k, alloc)
+    rows = []
+    for combo, need in zip(combos, needs):
+        sets = [held for held in tally if held & need == need]
+        example = min((first[held] for held in sets), default=(None, None))[1]
+        rows.append(LandscapeRow(tuple(combo), sum(tally[held] for held in sets), example))
+    return rows
 
 
 # ---------------------------------------------------------------------------

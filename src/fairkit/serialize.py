@@ -14,6 +14,7 @@ import json
 from typing import Optional, Sequence
 
 from .core import (
+    DEFAULT_AGENT_CAP,
     DEFAULT_ITEM_CAP,
     AdditiveValuation,
     Allocation,
@@ -109,6 +110,8 @@ def instance_from_document(doc: dict) -> Instance:
             raise DocumentError(
                 f"'agents' is {agents} but {len(raw_vals)} valuations are given"
             )
+    if agents > DEFAULT_AGENT_CAP:  # before any valuation is built or repeated
+        raise DocumentError(f"agent count {agents} exceeds the cap of {DEFAULT_AGENT_CAP}")
 
     parsed: dict = {}  # value string -> value; each distinct string is parsed once
 

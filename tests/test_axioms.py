@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from fairkit import (
@@ -19,6 +21,7 @@ from fairkit import (
 )
 from fairkit.axioms import (
     ADDED_BAD,
+    ALL_AXIOMS,
     CHEN_LIU,
     EF,
     EF1,
@@ -34,6 +37,7 @@ from fairkit.axioms import (
     VARIANT_B,
     NotWellDefinedError,
     Witness,
+    well_defined,
 )
 from fairkit.core import enumerate_allocations
 from fairkit.search import GenParams, generate
@@ -311,3 +315,28 @@ def test_up_to_any_vs_up_to_some_boundary_instance():
             (0, 1, VACUOUS_ENVY)]
     assert not satisfies(inst, a, EF1)
     assert not satisfies(inst, a, EF1PM)
+
+
+# sha256 over repr(check_axiom(...)) for every defined axiom and allocation of
+# the grid below, taken before chen-liu was folded into the efx-family checker
+_WITNESS_DIGEST = "b76be7185a46f8d9f8a14dadf532ccae0ea3b00355892b9780628500125c4329"
+
+
+def test_witness_output_is_unchanged():
+    digest = hashlib.sha256()
+    for k in range(24):
+        inst = generate(GenParams(agents=2 + k % 2, items=3, lo=-4, hi=4,
+                                  item_class=("any", "generallyGoodBad")[k % 2],
+                                  seed=13_000 + k))
+        for a in enumerate_allocations(inst):
+            for ax in ALL_AXIOMS:
+                if well_defined(inst, ax):
+                    digest.update(repr(check_axiom(inst, a, ax)).encode())
+    assert digest.hexdigest() == _WITNESS_DIGEST
+
+
+def test_chen_liu_lists_added_bad_violations_first():
+    inst = Instance(("a", "b"), (AdditiveValuation((-1, 3)),) * 2)
+    v = check_chen_liu(inst, alloc(inst, ("a",), ("b",)))
+    assert v.violations == (Witness(0, 1, ADDED_BAD, 0, -1, 2),
+                            Witness(0, 1, REMOVED_GOOD, 1, -1, 0))

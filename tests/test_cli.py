@@ -1,9 +1,17 @@
+import hashlib
 import json
 import os
 
 import pytest
 
-from fairkit import check_po, dumps_instance, fixture, mask_from_names
+from fairkit import (
+    check_axiom,
+    check_po,
+    dumps_instance,
+    enumerate_allocations,
+    fixture,
+    mask_from_names,
+)
 from fairkit.cli import main
 from fairkit.search import GenParams, generate
 
@@ -206,3 +214,32 @@ def test_items_over_the_cap_exit_2(files, capsys):
            "valuations": [{"kind": "additive", "values": {f"o{i}": 1 for i in range(21)}}] * 2}
     code, _, err = run(capsys, ["taxonomy", files("big.json", doc)])
     assert code == 2 and "item count 21" in err
+
+
+# sha256 of the stdout that enumerate printed for this input when every flag
+# still came from check_axiom(...).satisfied, before the boolean kernels
+_ENUMERATE_ALL_AXIOMS_SHA256 = "6bb6777fbec52da25b1bdf9116e8b7287b3667ad8afabae2e8a60b0bd9bf442f"
+
+
+def test_enumerate_all_axioms_output_is_unchanged(files, capsys):
+    inst = generate(GenParams(agents=3, items=5, item_class="generallyGoodBad", seed=500))
+    axioms = "ef,ef1,efx,ef1pm,efxpm,efx0,efxpm0,variant-a,variant-b,chen-liu"
+    code, out, err = run(capsys, ["enumerate", files("ggb.json", dumps_instance(inst)),
+                                  "--axioms", axioms])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == _ENUMERATE_ALL_AXIOMS_SHA256
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert len(rows) == 3 ** 5
+    for row, alloc in zip(rows, enumerate_allocations(inst)):
+        assert row["axioms"] == {ax: check_axiom(inst, alloc, ax).satisfied
+                                 for ax in axioms.split(",")}
+
+
+def test_agents_over_the_cap_exit_2(files, capsys):
+    code, _, err = run(capsys, ["mine", "--predicate", "efx=0", "-n", str(10 ** 12),
+                                "--identical", "--count", "1"])
+    assert code == 2 and "agent count 1000000000000 exceeds the cap of 64" in err
+    doc = {"items": ["a", "b"], "agents": 10 ** 12, "identical": True,
+           "valuations": [{"kind": "additive", "values": {"a": "1", "b": "2"}}]}
+    code, out, err = run(capsys, ["taxonomy", files("many.json", doc)])
+    assert code == 2 and out == "" and "agent count 1000000000000" in err

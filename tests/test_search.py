@@ -253,13 +253,20 @@ def test_landscape_chen_liu_rows_match_naive_oracle():
 def test_landscape_checks_each_axiom_once_and_po_only_axioms_on_the_front(monkeypatch):
     inst = generate(GenParams(agents=3, items=4, item_class="generallyGoodBad", seed=9700))
     calls = []
-    real = fairkit.search.satisfies
-    monkeypatch.setattr(fairkit.search, "satisfies",
-                        lambda inst, alloc, ax: calls.append((alloc, ax)) or real(inst, alloc, ax))
+    builds = []
+    real = fairkit.axioms.kernels
+
+    def counting(inst, axiom_ids):
+        builds.append(tuple(axiom_ids))
+        return {ax: lambda alloc, ax=ax, kernel=kernel: calls.append((alloc, ax)) or kernel(alloc)
+                for ax, kernel in real(inst, axiom_ids).items()}
+
+    monkeypatch.setattr(fairkit.axioms, "kernels", counting)
     front = pareto_front(inst)
     on_front = [a for a in fairkit.search.enumerate_allocations(inst)
                 if utilities(inst, a) in front]
     landscape(inst, (("efx",), ("efx", "po"), ("efxpm", "po"), ("chen-liu", "efxpm", "po")))
+    assert builds == [("chen-liu", "efx", "efxpm")]
     assert len(calls) == len(set(calls))
     assert sorted(a for a, ax in calls if ax == "efx") == sorted(
         fairkit.search.enumerate_allocations(inst))
@@ -271,7 +278,7 @@ def test_landscape_checks_the_budget_before_any_work(monkeypatch):
     def forbidden(*args):
         raise AssertionError("work done before the budget check")
 
-    monkeypatch.setattr(fairkit.search, "satisfies", forbidden)
+    monkeypatch.setattr(fairkit.axioms, "kernels", forbidden)
     monkeypatch.setattr(fairkit.axioms, "classify", forbidden)
     ex1 = fixture("FIX-EX1").instance
     for combos in (None, [("chen-liu",)], [("efxpm", "po")]):
@@ -300,3 +307,10 @@ def test_gen_params_reject_items_over_the_cap():
         with pytest.raises(ValueError, match="cap"):
             GenParams(items=items)
     assert GenParams(items=16).items == 16
+
+
+def test_gen_params_reject_agents_over_the_cap():
+    for agents in (65, 10 ** 12):
+        with pytest.raises(ValueError, match="cap of 64"):
+            GenParams(agents=agents, identical=True)
+    assert GenParams(agents=64, identical=True).agents == 64

@@ -177,3 +177,20 @@ def test_first_bad_value_in_document_order_is_reported():
         instance_from_document(doc({"a": 1, "b": True, "c": "1"}))
     inst = instance_from_document(doc({"a": "1/2", "b": 1, "c": "1/2"}))
     assert inst.valuations[0].item_values == (Fraction(1, 2), 1, Fraction(1, 2))
+
+
+def test_agent_count_is_capped_before_any_valuation_is_built(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("valuation built for an over-cap document")
+
+    monkeypatch.setattr(fairkit.serialize, "AdditiveValuation", forbidden)
+    monkeypatch.setattr(fairkit.serialize, "ExplicitValuation", forbidden)
+    one = {"kind": "additive", "values": {"a": "1"}}
+    for doc in ({"items": ["a"], "agents": 10 ** 12, "identical": True, "valuations": [one]},
+                {"items": ["a"], "agents": 65, "identical": True, "valuations": [one]},
+                {"items": ["a"], "valuations": [one] * 65}):
+        with pytest.raises(DocumentError, match=r"agent count \d+ exceeds the cap of 64"):
+            instance_from_document(doc)
+    monkeypatch.undo()
+    doc = {"items": ["a"], "agents": 64, "identical": True, "valuations": [one]}
+    assert instance_from_document(doc).n == 64
