@@ -16,7 +16,6 @@ from .core import (
     ExplicitValuation,
     Instance,
     Valuation,
-    allocation_count,
     enumerate_allocations,
     indices_of,
     is_additive_consistent,
@@ -67,7 +66,6 @@ from .axioms import (
 from .efficiency import (
     PoVerdict,
     check_po,
-    leximin_cmp,
     leximin_set,
     pareto_front,
     pareto_improves,

@@ -4,7 +4,8 @@ Envy is strict: agent i envies agent j when v_i(A_i) < v_i(A_j).  Every
 checker evaluates every ordered agent pair and reports all violations, each
 as a :class:`Witness` whose lhs < rhs reproduces the failed inequality.
 :func:`kernels` decides the same axioms without witnesses, for scans that
-only need yes or no; :func:`satisfies` is one kernel applied once.
+only need yes or no; :func:`satisfies` answers yes or no for one allocation
+without building any rows.
 
 The "up to any item" family (EFX and friends) uses universally quantified
 clauses over strictly qualifying items, so an envying pair with no qualifying
@@ -341,11 +342,12 @@ def check_axiom(inst: Instance, alloc: Allocation, axiom: str) -> Verdict:
 
 
 def satisfies(inst: Instance, alloc: Allocation, axiom: str) -> bool:
-    """Boolean form of :func:`check_axiom` (same semantics, no witnesses).
+    """Boolean form of :func:`check_axiom`, for one allocation.
 
-    A scan over many allocations should build :func:`kernels` once instead.
+    A scan over many allocations should build :func:`kernels` once instead:
+    their rows cost O(2**m) to set up, which one call cannot repay.
     """
-    return kernels(inst, (axiom,))[axiom](alloc)
+    return check_axiom(inst, alloc, axiom).satisfied
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,8 @@ from .core import (
 from .efficiency import (
     check_po,
     leximin_set,
-    pareto_front,
     pareto_improves,
+    pareto_optimal_allocations,
     utilities,
     utility_vector,
 )
@@ -116,11 +116,9 @@ def _fmt(inst, alloc):
 
 def _allocs(inst, *axiom_ids, po=False):
     """Allocations satisfying every listed axiom (and po), in enumeration order."""
-    front = pareto_front(inst) if po else None
+    allocs = pareto_optimal_allocations(inst) if po else enumerate_allocations(inst)
     holds = kernels(inst, axiom_ids).values()
-    return [a for a in enumerate_allocations(inst)
-            if (front is None or utilities(inst, a) in front)
-            and all(kernel(a) for kernel in holds)]
+    return [a for a in allocs if all(kernel(a) for kernel in holds)]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .search import (
     GenParams,
     ITEM_CLASSES,
     RejectionBudgetError,
-    mine,
+    mine_seeds,
     parse_predicate,
 )
 from .serialize import (
@@ -276,10 +276,16 @@ def cmd_mine(args) -> int:
         predicate = parse_predicate(args.predicate)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
-    hits = mine(params, predicate, args.count, budget=_budget(args))
+    hits, skipped = [], []
+    for seed, hit, reason in mine_seeds(params, predicate, args.count, budget=_budget(args)):
+        if hit is not None:
+            hits.append(hit)
+        if reason is not None:
+            skipped.append({"seed": seed, "reason": reason})
     doc = {
         "predicate": predicate.text(),
         "scanned": args.count,
+        "skipped": skipped,
         "hits": [
             {
                 "seed": h.seed,

@@ -7,10 +7,11 @@ over the complete allocation space, guarded by the enumeration budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import ge, getitem
-from typing import Optional
+from itertools import chain, compress
+from operator import ge
+from typing import Iterator, Optional
 
-from .core import Allocation, Instance, enumerate_allocations
+from .core import Allocation, Instance, allocation_blocks, enumerate_allocations
 
 
 def utilities(inst: Instance, alloc: Allocation) -> tuple:
@@ -21,16 +22,6 @@ def utilities(inst: Instance, alloc: Allocation) -> tuple:
 def utility_vector(inst: Instance, alloc: Allocation) -> tuple:
     """Own-bundle values sorted non-decreasing."""
     return tuple(sorted(utilities(inst, alloc)))
-
-
-def leximin_cmp(u: tuple, w: tuple) -> int:
-    """-1, 0 or 1: lexicographic order of sorted utility vectors.
-
-    1 means ``u`` leximin-dominates ``w``.  Vectors must have equal length.
-    """
-    if len(u) != len(w):
-        raise ValueError(f"utility vectors of different lengths: {len(u)} vs {len(w)}")
-    return (u > w) - (u < w)
 
 
 def pareto_improves(inst: Instance, b: Allocation, a: Allocation) -> bool:
@@ -77,21 +68,33 @@ def pareto_front(inst: Instance, budget: Optional[int] = None) -> frozenset:
     """The utility profiles (see :func:`utilities`) that no allocation dominates.
 
     An allocation is Pareto-optimal iff its profile is in the front.  One scan
-    collects the distinct profiles; a skyline pass then visits them by
-    descending sum and keeps each one that no kept profile weakly dominates.
-    A dominating profile has a strictly larger sum, so it is always visited
-    first, and distinct profiles with equal sums never dominate each other:
-    every comparison stays exact.  Raises :class:`BudgetExceededError` like
-    :func:`enumerate_allocations`.
+    collects the distinct profiles, a block of allocations at a time; a
+    skyline pass then visits them by descending sum and keeps each one that
+    no kept profile weakly dominates.  A dominating profile has a strictly
+    larger sum, so it is always visited first, and distinct profiles with
+    equal sums never dominate each other: every comparison stays exact.
+    Raises :class:`BudgetExceededError` like :func:`enumerate_allocations`.
     """
-    tables = [v.table for v in inst.valuations]
-    profiles = {tuple(map(getitem, tables, alloc))
-                for alloc in enumerate_allocations(inst, budget)}
+    profiles: set = set()
+    for _, profs in allocation_blocks(inst, budget):
+        profiles.update(profs)
     front: list = []
     for prof in sorted(profiles, key=sum, reverse=True):
         if not any(all(map(ge, kept, prof)) for kept in front):
             front.append(prof)
     return frozenset(front)
+
+
+def pareto_optimal_allocations(inst: Instance,
+                               budget: Optional[int] = None) -> Iterator[Allocation]:
+    """The Pareto-optimal allocations, lazily, in enumeration order.
+
+    The front is computed at the call, so the budget is checked there; each
+    block's allocations are then picked by their profiles' membership in it.
+    """
+    front = pareto_front(inst, budget)
+    return chain.from_iterable(compress(allocs, map(front.__contains__, profiles))
+                               for allocs, profiles in allocation_blocks(inst, budget))
 
 
 def leximin_set(inst: Instance, budget: Optional[int] = None) -> list:

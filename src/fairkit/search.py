@@ -9,8 +9,8 @@ instance) and keeps those whose axiom landscape matches a predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import getitem
-from typing import Iterable, Optional, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import axioms
 from .core import (
@@ -19,11 +19,12 @@ from .core import (
     AdditiveValuation,
     ExplicitValuation,
     Instance,
+    allocation_blocks,
     enumerate_allocations,
     nonzero_marginals,
 )
 from .axioms import satisfies  # noqa: F401  (still importable from here; landscape uses kernels)
-from .efficiency import pareto_front
+from .efficiency import pareto_front, pareto_optimal_allocations
 from .taxonomy import classify
 
 ITEM_CLASSES = ("any", "generallyGoodBad", "noMixed")
@@ -277,10 +278,9 @@ def landscape(inst: Instance, combos: Optional[Sequence[tuple]] = None,
     Pareto-optimal allocations.
     """
     combos = tuple(DEFAULT_COMBOS if combos is None else combos)
-    allocs = enumerate_allocations(inst, budget)  # the budget is checked before any work
+    blocks = allocation_blocks(inst, budget)  # the budget is checked before any work
     combos = tuple(c for c in combos if all(axioms.well_defined(inst, ax) for ax in c))
     need_po = any("po" in combo for combo in combos)
-    front = pareto_front(inst, budget) if need_po else None
 
     names = sorted({ax for combo in combos for ax in combo} - {"po"})
     holds = axioms.kernels(inst, names)
@@ -290,16 +290,18 @@ def landscape(inst: Instance, combos: Optional[Sequence[tuple]] = None,
     everywhere = [(holds[ax], bits[ax]) for ax in names if ax in anywhere]
     front_only = [(holds[ax], bits[ax]) for ax in names if ax not in anywhere]
     needs = [sum(bits[ax] for ax in set(combo)) for combo in combos]
-    tables = [v.table for v in inst.valuations]
     tally: dict = {}  # set of held axioms (as bits) -> allocations holding exactly it
     first: dict = {}  # set of held axioms -> (index, allocation) of its first allocation
 
-    for k, alloc in enumerate(allocs):
+    front = pareto_front(inst, budget) if need_po else frozenset()
+    flagged = chain.from_iterable(zip(allocs, map(front.__contains__, profiles))
+                                  for allocs, profiles in blocks)  # (allocation, is it PO)
+    for k, (alloc, po) in enumerate(flagged):
         held = 0
         for kernel, bit in everywhere:
             if kernel(alloc):
                 held |= bit
-        if front is not None and tuple(map(getitem, tables, alloc)) in front:
+        if po:
             held |= po_bit
             for kernel, bit in front_only:
                 if kernel(alloc):
@@ -334,13 +336,20 @@ class Predicate:
     def __call__(self, rows: Iterable[LandscapeRow], total: int) -> bool:
         for row in rows:
             if row.combo == self.combo:
-                want = total if self.target == "all" else self.target
-                if self.op == "=":
-                    return row.count == want
-                if self.op == "<=":
-                    return row.count <= want
-                return row.count >= want
+                return self.settled(row.count, row.count, total)
         return False
+
+    def settled(self, lo: int, hi: int, total: int) -> Optional[bool]:
+        """The predicate's value if it is the same for every count in
+        ``lo..hi``, else None."""
+        want = total if self.target == "all" else self.target
+        if self.op == "=":
+            if lo == hi:
+                return lo == want
+            return None if lo <= want <= hi else False
+        if self.op == "<=":
+            return True if hi <= want else False if lo > want else None
+        return True if lo >= want else False if hi < want else None
 
     def text(self) -> str:
         return "&".join(self.combo) + self.op + str(self.target)
@@ -376,20 +385,64 @@ def mine(params: GenParams, predicate: Predicate, count: int,
 
     Instance k is generated from ``params.seed + k``, so a run is fully
     reproducible from (params, count).  Every hit carries its landscape so it
-    can be re-validated independently.
+    can be re-validated independently.  See :func:`mine_seeds`.
+    """
+    return [hit for _, hit, _ in mine_seeds(params, predicate, count, combos, budget, max_attempts)
+            if hit is not None]
+
+
+def mine_seeds(params: GenParams, predicate: Predicate, count: int,
+               combos: Optional[Sequence[tuple]] = None,
+               budget: Optional[int] = None,
+               max_attempts: int = 1000) -> Iterator[tuple]:
+    """:func:`mine`, one ``(seed, hit, skipped)`` triple per seed.
+
+    ``hit`` is the seed's :class:`MineHit` or None.  ``skipped`` is None, or
+    the reason the seed was skipped: the message of the
+    :class:`RejectionBudgetError` that ``generate`` raised for it.  Each
+    instance's predicate is decided by the smallest scan that settles it
+    (:func:`_matches`); the landscape, over ``combos`` plus the predicate's
+    combo, is computed for hits only.
     """
     combos = tuple(combos) if combos is not None else (predicate.combo,)
     if predicate.combo not in combos:
         combos = combos + (predicate.combo,)
-    hits = []
-    total = params.agents ** params.items
     for k in range(count):
-        seeded = replace(params, seed=params.seed + k)
+        seed = params.seed + k
         try:
-            inst = generate(seeded, max_attempts=max_attempts)
-        except RejectionBudgetError:
+            inst = generate(replace(params, seed=seed), max_attempts=max_attempts)
+        except RejectionBudgetError as exc:
+            yield seed, None, str(exc)
             continue
-        rows = landscape(inst, combos, budget)
-        if predicate(rows, total):
-            hits.append(MineHit(seeded.seed, inst, tuple(rows)))
-    return hits
+        if _matches(inst, predicate, budget):
+            yield seed, MineHit(seed, inst, tuple(landscape(inst, combos, budget))), None
+        else:
+            yield seed, None, None
+
+
+def _matches(inst: Instance, predicate: Predicate, budget: Optional[int]) -> bool:
+    """``predicate(landscape(inst, [predicate.combo]), n**m)``, without the landscape.
+
+    The combo's count is kept within lo <= count <= hi, and the scan stops
+    as soon as the predicate has one value on that whole range.  A combo
+    with ``po`` scans the Pareto-optimal allocations only, since no other
+    allocation can satisfy it; when they run out, the count is lo.
+    """
+    combo = predicate.combo
+    allocs = enumerate_allocations(inst, budget)  # the budget is checked before any work
+    if not all(axioms.well_defined(inst, ax) for ax in combo):
+        return False  # landscape has no row for the combo
+    if "po" in combo:
+        allocs = pareto_optimal_allocations(inst, budget)
+    holds = tuple(axioms.kernels(inst, [ax for ax in combo if ax != "po"]).values())
+    total = inst.n ** inst.m
+    lo, hi = 0, total
+    for alloc in allocs:
+        verdict = predicate.settled(lo, hi, total)
+        if verdict is not None:
+            return verdict
+        if all(kernel(alloc) for kernel in holds):
+            lo += 1
+        else:
+            hi -= 1
+    return predicate.settled(lo, lo, total)

@@ -181,6 +181,22 @@ def test_mine_cli(capsys):
     assert all(h["landscape"][0]["count"] == 0 for h in doc["hits"])
 
 
+def test_mine_cli_lists_skipped_seeds(capsys):
+    # non-zero marginals at 2x6 exhaust generate's rejection budget on every seed
+    code, out, _ = run(capsys, ["mine", "--predicate", "efx>=0", "-n", "2", "-m", "6",
+                                "--nonzero-marginals", "--count", "2"])
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == ["predicate", "scanned", "skipped", "hits"]
+    assert doc["scanned"] == 2 and doc["hits"] == []
+    assert [s["seed"] for s in doc["skipped"]] == [0, 1]
+    assert all("non-zero marginals" in s["reason"] for s in doc["skipped"])
+    code, out, _ = run(capsys, ["mine", "--predicate", "efx>=0", "-n", "2", "-m", "2",
+                                "--count", "2"])
+    doc = json.loads(out)
+    assert doc["skipped"] == [] and [h["seed"] for h in doc["hits"]] == [0, 1]
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, ["leximin", "/nonexistent/instance.json"])
     assert code == 2 and "cannot read" in err

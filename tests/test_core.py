@@ -2,18 +2,19 @@ from fractions import Fraction
 
 import pytest
 
+import fairkit.core
 from fairkit import (
     AdditiveValuation,
     BudgetExceededError,
     ExplicitValuation,
     Instance,
-    allocation_count,
     enumerate_allocations,
     fixture,
     is_additive_consistent,
     mask_from_names,
     validate_allocation,
 )
+from fairkit.core import allocation_blocks
 from fairkit.search import GenParams, SplitMix64, generate
 
 from reference import all_allocations, to_sets
@@ -110,7 +111,7 @@ def test_instance_validation():
 
 def test_single_item_instance_is_accepted():
     inst = Instance(("a",), (AdditiveValuation((1,)), AdditiveValuation((2,))))
-    assert allocation_count(inst) == 2
+    assert len(list(enumerate_allocations(inst))) == 2
 
 
 def test_is_identical():
@@ -143,7 +144,6 @@ def test_disjoint_normalisation():
 def test_enumeration_counts():
     for n, m, want in ((2, 2, 4), (2, 4, 16), (3, 2, 9)):
         inst = Instance(tuple("abcd"[:m]), (AdditiveValuation((1,) * m),) * n)
-        assert allocation_count(inst) == want
         assert len(list(enumerate_allocations(inst))) == want
 
 
@@ -166,6 +166,69 @@ def test_enumeration_order_is_base_n_counter():
         for o in range(2):
             agent = (k // 3**o) % 3
             assert alloc[agent] >> o & 1
+
+
+def _counter_order(n, m):
+    """Allocation k sends item o to agent (k // n**o) % n, for k = 0 .. n**m - 1."""
+    out = []
+    for k in range(n ** m):
+        masks = [0] * n
+        for o in range(m):
+            masks[k // n ** o % n] |= 1 << o
+        out.append(tuple(masks))
+    return out
+
+
+def _low_block_size(n, m):
+    """n**L for the largest L <= min(m, 8) with n**L <= 1024."""
+    size = 1
+    for _ in range(min(m, 8)):
+        if size * n > 1024:
+            break
+        size *= n
+    return size
+
+
+def _instance(n, m):
+    return Instance(tuple(f"o{i}" for i in range(m)), (AdditiveValuation((1,) * m),) * n)
+
+
+def test_blocked_enumeration_follows_the_counter_order():
+    # every (n, m) with n**m <= 20000 covers m < L, m = L and m = L + 1 for
+    # each n = 2..5 (L = 8, 6, 5, 4), so both block parts are exercised
+    for n in range(2, 6):
+        for m in range(1, 14):
+            if n ** m > 20_000:
+                break
+            assert list(enumerate_allocations(_instance(n, m))) == _counter_order(n, m), (n, m)
+
+
+def test_allocation_blocks_split_at_the_largest_low_block_under_the_cap():
+    for n, m in ((2, 7), (2, 8), (2, 9), (2, 14), (3, 6), (3, 7), (4, 5), (4, 6),
+                 (5, 4), (5, 5), (6, 4), (3, 2), (17, 3), (32, 2), (64, 2)):
+        inst = Instance(tuple(f"o{i}" for i in range(m)),
+                        tuple(AdditiveValuation(range(i, i + m)) for i in range(n)))
+        blocks = [(list(allocs), list(profiles)) for allocs, profiles in allocation_blocks(inst)]
+        size = _low_block_size(n, m)
+        assert [len(allocs) for allocs, _ in blocks] == [size] * (n ** m // size), (n, m)
+        assert [len(profiles) for _, profiles in blocks] == [size] * (n ** m // size), (n, m)
+        allocs = [alloc for block, _ in blocks for alloc in block]
+        assert allocs == _counter_order(n, m), (n, m)
+        profiles = [prof for _, block in blocks for prof in block]
+        assert profiles == [tuple(v.table[b] for v, b in zip(inst.valuations, alloc))
+                            for alloc in allocs], (n, m)
+
+
+def test_block_layout_is_built_at_the_first_scan(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("layout built")
+
+    monkeypatch.setattr(fairkit.core, "_low_columns", forbidden)
+    with pytest.raises(BudgetExceededError):
+        allocation_blocks(T1, budget=10)
+    blocks = allocation_blocks(T1)  # in budget, but nothing built until the first block
+    with pytest.raises(AssertionError, match="layout built"):
+        next(blocks)
 
 
 def test_budget_error_reports_total():

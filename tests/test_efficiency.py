@@ -11,7 +11,6 @@ from fairkit import (
     check_po,
     enumerate_allocations,
     fixture,
-    leximin_cmp,
     leximin_set,
     mask_from_names,
     pareto_front,
@@ -40,29 +39,6 @@ def test_utility_vector_examples():
     flat = Instance(("a",), (AdditiveValuation((0,)),) * 2)
     for a in enumerate_allocations(flat):
         assert utility_vector(flat, a) == (0, 0)
-
-
-def test_leximin_cmp():
-    assert leximin_cmp((5, 8), (5, 7)) == 1
-    assert leximin_cmp((5, 8), (5, 8)) == 0
-    assert leximin_cmp((-7, -5), (-8, -6)) == 1
-    assert leximin_cmp((0, 1), (1, 1)) == -1
-    with pytest.raises(ValueError):
-        leximin_cmp((1, 2), (1, 2, 3))
-
-
-def test_leximin_cmp_is_a_total_order_on_vectors():
-    from fairkit.search import SplitMix64
-
-    rng = SplitMix64(31)
-    vecs = [tuple(sorted(rng.randint(-4, 4) for _ in range(3))) for _ in range(40)]
-    for u in vecs:
-        for w in vecs:
-            assert leximin_cmp(u, w) == -leximin_cmp(w, u)
-            assert (leximin_cmp(u, w) == 0) == (u == w)
-            for x in vecs:
-                if leximin_cmp(u, w) >= 0 and leximin_cmp(w, x) >= 0:
-                    assert leximin_cmp(u, x) >= 0
 
 
 def test_pareto_improves_examples():

@@ -1,14 +1,16 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fairkit.axioms
 import fairkit.search
-from fairkit import BudgetExceededError, fixture
+from fairkit import BudgetExceededError, dumps_instance, fixture
 from fairkit.core import is_additive_consistent
 from fairkit.efficiency import pareto_front, utilities
 from fairkit.search import (
     DEFAULT_COMBOS,
+    ITEM_CLASSES,
     GenParams,
     RejectionBudgetError,
     SplitMix64,
@@ -46,6 +48,32 @@ def test_generate_is_deterministic():
     p = GenParams(agents=3, items=4, lo=-9, hi=9, seed=99)
     assert generate(p) == generate(p)
     assert generate(p) != generate(GenParams(agents=3, items=4, lo=-9, hi=9, seed=100))
+
+
+@st.composite
+def _gen_params(draw):
+    lo = draw(st.integers(-5, 2))
+    return GenParams(agents=draw(st.integers(2, 3)), items=draw(st.integers(1, 4)),
+                     lo=lo, hi=draw(st.integers(lo, 5)),
+                     identical=draw(st.booleans()), additive=draw(st.booleans()),
+                     item_class=draw(st.sampled_from(ITEM_CLASSES)),
+                     seed=draw(st.integers(0, 2 ** 64)))
+
+
+def _generated(params):
+    """The canonical export of ``generate(params)``, or the error it raised."""
+    try:
+        return dumps_instance(generate(params, max_attempts=50))
+    except RejectionBudgetError as exc:
+        return repr(exc)
+
+
+@given(_gen_params())
+@settings(max_examples=80)
+def test_generate_is_deterministic_property(params):
+    first = _generated(params)
+    assert _generated(replace(params)) == first
+    assert _generated(params) == first
 
 
 def test_generated_instances_meet_constraints():
@@ -314,3 +342,127 @@ def test_gen_params_reject_agents_over_the_cap():
         with pytest.raises(ValueError, match="cap of 64"):
             GenParams(agents=agents, identical=True)
     assert GenParams(agents=64, identical=True).agents == 64
+
+
+# ---------------------------------------------------------------------------
+# mine decides each predicate without a landscape
+
+_MINE_GRIDS = (
+    GenParams(agents=2, items=3, lo=-3, hi=3, seed=500),
+    GenParams(agents=2, items=4, lo=-3, hi=3, item_class="generallyGoodBad", seed=600),
+    GenParams(agents=3, items=3, lo=-2, hi=2, seed=700),
+    GenParams(agents=2, items=3, lo=0, hi=1, identical=True, seed=800),
+)
+_MINE_SEEDS = 10
+_MINE_COMBOS = (("ef",), ("efx",), ("efx", "efxpm"), ("po",), ("efxpm", "po"), ("ef1", "po"),
+                ("chen-liu",), ("chen-liu", "po"))
+_MINE_TARGETS = (0, 1, 2, 3, 5, "all")
+
+
+def _full_landscape_mine(params, predicate, count, combos):
+    """mine as the predicate defines it: one full landscape per seed."""
+    combos = tuple(combos) + ((predicate.combo,) if predicate.combo not in combos else ())
+    hits = []
+    for k in range(count):
+        inst = generate(replace(params, seed=params.seed + k))
+        rows = tuple(landscape(inst, combos))
+        if predicate(rows, inst.n ** inst.m):
+            hits.append((params.seed + k, inst, rows))
+    return hits
+
+
+def test_mine_decides_every_predicate_like_a_full_landscape():
+    undefined = boundary = 0
+    for params in _MINE_GRIDS:
+        seen = []  # (seed, instance, {combo: row of the full landscape})
+        for k in range(_MINE_SEEDS):
+            inst = generate(replace(params, seed=params.seed + k))
+            rows = {r.combo: r for r in landscape(inst, _MINE_COMBOS)}
+            undefined += ("chen-liu",) not in rows
+            seen.append((params.seed + k, inst, rows))
+        total = params.agents ** params.items
+        for combo in _MINE_COMBOS:
+            for op in ("=", "<=", ">="):
+                for target in _MINE_TARGETS:
+                    pred = parse_predicate("&".join(combo) + op + str(target))
+                    want = [(seed, inst, (rows[combo],)) for seed, inst, rows in seen
+                            if combo in rows and pred([rows[combo]], total)]
+                    got = [(h.seed, h.instance, h.rows) for h in mine(params, pred, _MINE_SEEDS)]
+                    assert got == want, (params, pred.text())
+                    boundary += sum(target != "all" and rows[combo].count in (target - 1, target)
+                                    for _, _, rows in seen if combo in rows)
+    assert undefined and boundary > 100  # chen-liu undefined somewhere; counts at the targets
+
+
+def test_mine_hits_equal_a_full_landscape_mine_with_every_combo():
+    params = GenParams(agents=3, items=3, lo=-3, hi=3, seed=900)
+    for text in ("efxpm&po=0", "efx=0", "ef1&po>=2", "ef<=0", "po=all", "efx&efxpm>=4"):
+        pred = parse_predicate(text)
+        got = [(h.seed, h.instance, h.rows) for h in mine(params, pred, 12, DEFAULT_COMBOS)]
+        assert got == _full_landscape_mine(params, pred, 12, DEFAULT_COMBOS), text
+
+
+def test_mine_builds_a_landscape_for_hits_only(monkeypatch):
+    calls = []
+    real = fairkit.search.landscape
+    monkeypatch.setattr(fairkit.search, "landscape",
+                        lambda inst, *a: calls.append(inst) or real(inst, *a))
+    params = GenParams(agents=3, items=4, lo=-3, hi=3, item_class="generallyGoodBad", seed=950)
+    hits = mine(params, parse_predicate("efx&po>=3"), 20)
+    assert hits and len(hits) < 20
+    assert calls == [h.instance for h in hits]
+
+
+def test_mine_po_scan_tests_front_allocations_only(monkeypatch):
+    tested = []
+    real = fairkit.axioms.kernels
+
+    def recording(inst, axiom_ids):
+        return {ax: lambda alloc, kernel=kernel, inst=inst: tested.append((inst, alloc))
+                or kernel(alloc) for ax, kernel in real(inst, axiom_ids).items()}
+
+    monkeypatch.setattr(fairkit.axioms, "kernels", recording)
+    params = GenParams(agents=3, items=3, lo=-3, hi=3, seed=975)
+    mine(params, parse_predicate("efxpm&po>=5"), 10)
+    assert tested
+    fronts = {}
+    for inst, alloc in tested:
+        if inst not in fronts:
+            fronts[inst] = pareto_front(inst)
+        assert utilities(inst, alloc) in fronts[inst]
+
+
+def test_mine_checks_the_budget_before_any_work(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("work done before the budget check")
+
+    for module, name in ((fairkit.axioms, "kernels"), (fairkit.axioms, "classify"),
+                         (fairkit.search, "pareto_optimal_allocations"),
+                         (fairkit.search, "landscape"), (fairkit.core, "_low_columns")):
+        monkeypatch.setattr(module, name, forbidden)
+    params = GenParams(agents=2, items=4, seed=3)
+    for text in ("efxpm&po=0", "efx>=1", "chen-liu=0"):
+        with pytest.raises(BudgetExceededError):
+            mine(params, parse_predicate(text), 2, budget=15)
+
+
+def test_predicate_settles_only_when_every_count_in_range_agrees():
+    cases = {  # (text, lo, hi) -> value, or None while undecided
+        ("efx=2", 0, 5): None, ("efx=2", 3, 5): False, ("efx=2", 0, 1): False,
+        ("efx=2", 2, 2): True, ("efx=all", 8, 8): True, ("efx=all", 0, 7): False,
+        ("efx<=2", 0, 2): True, ("efx<=2", 0, 3): None, ("efx<=2", 3, 8): False,
+        ("efx>=2", 2, 8): True, ("efx>=2", 1, 8): None, ("efx>=2", 0, 1): False,
+        ("efx>=0", 0, 8): True, ("efx<=all", 0, 8): True,
+    }
+    for (text, lo, hi), want in cases.items():
+        assert parse_predicate(text).settled(lo, hi, 8) is want, (text, lo, hi)
+
+
+def test_mine_seeds_reports_skipped_seeds():
+    params = GenParams(agents=2, items=2, lo=0, hi=0, nonzero_marginals=True, seed=5)
+    scans = list(fairkit.search.mine_seeds(params, parse_predicate("efx>=0"), 3))
+    assert [(seed, hit) for seed, hit, _ in scans] == [(5, None), (6, None), (7, None)]
+    assert all("non-zero marginals" in reason for _, _, reason in scans)
+    assert mine(params, parse_predicate("efx>=0"), 3) == []
+    ok = list(fairkit.search.mine_seeds(replace(params, hi=3), parse_predicate("efx>=0"), 2))
+    assert [(seed, hit.seed, reason) for seed, hit, reason in ok] == [(5, 5, None), (6, 6, None)]

@@ -2,9 +2,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fairkit.serialize
-from fairkit import fixture, list_fixtures
+from fairkit import AdditiveValuation, ExplicitValuation, Instance, fixture, list_fixtures
+from fairkit.search import ITEM_CLASSES, GenParams, generate
 from fairkit.serialize import (
     DocumentError,
     allocation_from_document,
@@ -41,6 +43,37 @@ def test_canonical_document_is_byte_stable():
         ],
     }
     text = json.dumps(doc, indent=2)
+    assert dumps_instance(loads_instance(text)) == text
+
+
+_VALUES = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def _canonical_exports(draw):
+    """Canonical text of a generated instance or of one with drawn rational tables."""
+    n = draw(st.integers(2, 3))
+    m = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        lo = draw(st.integers(-4, 0))
+        return dumps_instance(generate(GenParams(
+            agents=n, items=m, lo=lo, hi=draw(st.integers(lo, 4)),
+            identical=draw(st.booleans()), additive=draw(st.booleans()),
+            item_class=draw(st.sampled_from(ITEM_CLASSES)), seed=draw(st.integers(0, 2 ** 64)))))
+
+    def valuation():
+        if draw(st.booleans()):
+            return AdditiveValuation(draw(st.lists(_VALUES, min_size=m, max_size=m)))
+        return ExplicitValuation(draw(st.lists(_VALUES, min_size=1 << m, max_size=1 << m)))
+
+    vals = (valuation(),) * n if draw(st.booleans()) else tuple(valuation() for _ in range(n))
+    inst = Instance(tuple(f"o{i}" for i in range(m)), vals)
+    return dumps_instance(inst)
+
+
+@given(_canonical_exports())
+@settings(max_examples=80)
+def test_canonical_export_round_trips_byte_for_byte(text):
     assert dumps_instance(loads_instance(text)) == text
 
 
