@@ -29,11 +29,6 @@ from .taxonomy import (
     MixedWitness,
     ProblemClass,
     classify,
-    is_bad_wrt,
-    is_generally_bad,
-    is_generally_good,
-    is_good_wrt,
-    is_mixed,
     mixed_witness,
 )
 from .axioms import (
@@ -58,7 +53,6 @@ from .axioms import (
     check_ef1pm,
     check_efx,
     check_efxpm,
-    check_variant,
     envies,
     kernels,
     satisfies,

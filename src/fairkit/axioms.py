@@ -37,7 +37,6 @@ VARIANT_B = "variant-b"
 CHEN_LIU = "chen-liu"
 
 ALL_AXIOMS = (EF, EF1, EFX, EF1PM, EFXPM, EFX0, EFXPM0, VARIANT_A, VARIANT_B, CHEN_LIU)
-VARIANT_AXIOMS = (EFX0, EFXPM0, VARIANT_A, VARIANT_B, CHEN_LIU)
 
 # witness condition tags
 REMOVED_GOOD = "removed-good"
@@ -323,12 +322,6 @@ def check_efxpm(inst: Instance, alloc: Allocation) -> Verdict:
 
 def check_chen_liu(inst: Instance, alloc: Allocation) -> Verdict:
     return _check_efx_family(inst, alloc, CHEN_LIU)
-
-
-def check_variant(inst: Instance, alloc: Allocation, axiom: str) -> Verdict:
-    if axiom not in VARIANT_AXIOMS:
-        raise ValueError(f"{axiom!r} is not a variant axiom")
-    return check_axiom(inst, alloc, axiom)
 
 
 def check_axiom(inst: Instance, alloc: Allocation, axiom: str) -> Verdict:

@@ -5,27 +5,27 @@ and each carries the claims stated for it as executable checks over the full
 allocation space.  Gating claims decide the verifier's exit status;
 exploratory claims are reported but never gate, which keeps recorded
 discrepancies visible without failing the run.
+
+Fixtures are data: each row of ``_SPECS`` holds the id, title, item names,
+valuations and claim rows ``(id, kind, description, check[, gating])``, and
+each check comes from the few shared forms below.  A combo is written
+``"efx&po"`` and an allocation ``"a,b|c"`` (agent 1 gets a and b, agent 2 c).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Optional
 
-from . import axioms
 from .axioms import (
     ADDED_BAD,
-    CHEN_LIU,
-    EF,
-    EFX,
     EFXPM,
-    EFXPM0,
     REMOVED_GOOD,
     Witness,
-    check_chen_liu,
-    check_efx,
-    check_efxpm,
+    _item_classes,
+    check_axiom,
     kernels,
     satisfies,
 )
@@ -46,7 +46,7 @@ from .efficiency import (
     utility_vector,
 )
 from .protocols import cut_and_choose
-from .taxonomy import classify
+from .values import format_value
 
 
 @dataclass(frozen=True)
@@ -88,30 +88,24 @@ class ClaimReport:
 
 
 # ---------------------------------------------------------------------------
-# construction helpers
+# notation
 
-def _explicit(names, table):
-    entries = {
-        mask_from_names(names, key.split(",") if key else []): v
-        for key, v in table.items()
-    }
-    return ExplicitValuation.from_map(len(names), entries)
+@lru_cache(maxsize=None)
+def _bundle(item_names, key):
+    """``"a,b"`` -> the mask of items a and b; ``""`` is the empty bundle."""
+    return mask_from_names(item_names, key.split(",") if key else [])
 
 
-def _mask(inst, *names):
-    return mask_from_names(inst.item_names, names)
+def _parse(inst, text):
+    """``"a,b|c"`` -> the allocation giving a and b to agent 1 and c to agent 2."""
+    return tuple(_bundle(inst.item_names, part) for part in text.split("|"))
 
 
-def _alloc(inst, *bundles):
-    return tuple(mask_from_names(inst.item_names, b) for b in bundles)
-
-
-def _fmt(inst, alloc):
-    parts = []
-    for b in alloc:
-        members = ",".join(n for i, n in enumerate(inst.item_names) if b >> i & 1)
-        parts.append("{" + members + "}")
-    return "(" + ", ".join(parts) + ")"
+def _fmt(inst, *allocs):
+    """Allocations in ``"a,b|c"`` notation, separated by spaces."""
+    names = tuple(enumerate(inst.item_names))
+    return " ".join("|".join(",".join(n for i, n in names if b >> i & 1) for b in alloc)
+                    for alloc in allocs)
 
 
 def _allocs(inst, *axiom_ids, po=False):
@@ -121,561 +115,366 @@ def _allocs(inst, *axiom_ids, po=False):
     return [a for a in allocs if all(kernel(a) for kernel in holds)]
 
 
+def _scan(inst, combo):
+    """The allocations satisfying ``combo``, e.g. ``"efx&po"``."""
+    parts = combo.split("&")
+    return _allocs(inst, *[ax for ax in parts if ax != "po"], po="po" in parts)
+
+
+def _meets(inst, alloc, holds, fails, utils):
+    """``alloc`` meets every axiom of ``holds``, none of ``fails``, and ``utils`` unless None."""
+    def held(axiom):
+        return check_po(inst, alloc).satisfied if axiom == "po" else satisfies(inst, alloc, axiom)
+    return (all(map(held, filter(None, holds.split("&"))))
+            and not any(map(held, filter(None, fails.split("&"))))
+            and (utils is None or utilities(inst, alloc) == utils))
+
+
+def _values(values):
+    return "(" + ", ".join(map(format_value, values)) + ")"
+
+
+def _utils(inst, alloc):
+    return _values(utilities(inst, alloc))
+
+
 # ---------------------------------------------------------------------------
-# claim body helpers; each returns (passed, detail)
+# check forms; each returns a check ``Instance -> (passed, detail)``
 
-def _predicate(fn):
+_FACTS = {
+    "identical": Instance.is_identical,
+    "additive": lambda inst: all(map(is_additive_consistent, inst.valuations)),
+    "nonzero_marginals": Instance.has_nonzero_marginals,
+    "generally_good_bad": lambda inst: _item_classes(inst)[0].generally_good_bad_items,
+    "no_mixed": lambda inst: _item_classes(inst)[0].no_mixed_items,
+    "all_good": lambda inst: all(map(all, _item_classes(inst)[1].generally_good)),
+    "all_bad": lambda inst: all(map(all, _item_classes(inst)[1].generally_bad)),
+}
+
+
+def _facts(**want):
+    """Instance-level flags named in ``_FACTS``, e.g. ``_facts(identical=True)``."""
     def check(inst):
-        ok, detail = fn(inst)
-        return bool(ok), detail
+        seen = {name: _FACTS[name](inst) for name in want}
+        return seen == want, ", ".join(f"{name}={flag}" for name, flag in seen.items())
     return check
 
 
-def _no_allocation(*axiom_ids, and_po=False):
+def _items(names, mixed, good, bad):
+    """Each item of ``names`` ("a,b") has these mixed and per-agent general flags."""
     def check(inst):
-        hits = _allocs(inst, *axiom_ids, po=and_po)
-        label = "&".join(axiom_ids) + ("&po" if and_po else "")
-        if hits:
-            return False, f"{label} satisfied by {len(hits)} allocations, e.g. {_fmt(inst, hits[0])}"
-        return True, f"{label} satisfied by 0 allocations"
+        _, mat = _item_classes(inst)
+        seen = {}
+        for name in names.split(","):
+            o = inst.item_index(name)
+            seen[name] = (mat.mixed[o], tuple(row[o] for row in mat.generally_good),
+                          tuple(row[o] for row in mat.generally_bad))
+        ok = all(flags == (mixed, good, bad) for flags in seen.values())
+        return ok, "; ".join(f"item {name}: mixed={m}, generally good={g}, generally bad={b}"
+                             for name, (m, g, b) in seen.items())
     return check
 
 
-def _exists_allocation(*axiom_ids):
+def _marginals(item, bundles):
+    """Agent 1's marginal of ``item`` on each named bundle ("b,d" -> value)."""
     def check(inst):
-        hits = _allocs(inst, *axiom_ids)
-        if hits:
-            return True, f"witness {_fmt(inst, hits[0])}"
-        return False, "no satisfying allocation"
+        v, o = inst.valuations[0], inst.item_index(item)
+        seen = {key: v.marginal(_bundle(inst.item_names, key), o) for key in bundles}
+        return seen == bundles, f"marginals of {item}: " + ", ".join(
+            f"{{{key}}} {format_value(x)}" for key, x in seen.items())
     return check
+
+
+def _count(combo, n, at_least=False):
+    """``combo`` holds on exactly ``n`` allocations (at least ``n`` with ``at_least``)."""
+    def check(inst):
+        hits = _scan(inst, combo)
+        ok = len(hits) >= n if at_least else len(hits) == n
+        example = f", e.g. {_fmt(inst, hits[0])}" if hits else ""
+        return ok, f"{combo} satisfied by {len(hits)} of {inst.n ** inst.m} allocations{example}"
+    return check
+
+
+def _allocs_are(allocs, *combos):
+    """Each of ``combos`` holds on exactly the allocations ``allocs``."""
+    def check(inst):
+        want = {_parse(inst, a) for a in allocs}
+        found = {combo: _scan(inst, combo) for combo in combos}
+        ok = all(set(hits) == want for hits in found.values())
+        return ok, "; ".join(f"{combo} holds on {len(hits)}: {_fmt(inst, *hits)}"
+                             for combo, hits in found.items())
+    return check
+
+
+def _allocation(*allocs, holds="", fails="", utils=None):
+    """Each allocation meets ``holds``, ``fails`` and ``utils`` as in :func:`_meets`."""
+    def check(inst):
+        parsed = [_parse(inst, a) for a in allocs]
+        ok = all(_meets(inst, a, holds, fails, utils) for a in parsed)
+        return ok, "; ".join(f"{_fmt(inst, a)}: {holds or '-'} required, {fails or '-'} "
+                             f"refuted, utilities {_utils(inst, a)}" for a in parsed)
+    return check
+
+
+def _witnesses(axiom, condition, rows, covers=None):
+    """Each row ``(allocation, envier, envied, item, lhs, rhs)`` fails ``axiom``
+    with that witness; the rows hold exactly the ``covers`` combo's allocations."""
+    def check(inst):
+        if covers is not None and set(_scan(inst, covers)) != {_parse(inst, r[0]) for r in rows}:
+            return False, f"the rows do not hold exactly the {covers} allocations"
+        for text, envier, envied, item, lhs, rhs in rows:
+            witness = Witness(envier, envied, condition, inst.item_index(item), lhs, rhs)
+            verdict = check_axiom(inst, _parse(inst, text), axiom)
+            if verdict.satisfied or witness not in verdict.violations:
+                return False, f"{text} lacks the {axiom} witness {witness}"
+        text, _, _, item, lhs, rhs = rows[0]
+        return True, (f"{len(rows)} allocations fail {axiom} with their {condition} witness, "
+                      f"e.g. {text} item {item} ({lhs} < {rhs})")
+    return check
+
+
+def _leximin(allocs, vector, holds=""):
+    """The leximin tie-set is ``allocs``, every allocation with ``vector``; all meet ``holds``."""
+    def check(inst):
+        lm = leximin_set(inst)
+        tied = {a for a in enumerate_allocations(inst) if utility_vector(inst, a) == vector}
+        ok = (set(lm) == {_parse(inst, a) for a in allocs} == tied
+              and (not holds or set(lm) <= set(_scan(inst, holds))))
+        vec = _values(utility_vector(inst, lm[0]))
+        return ok, f"leximin tie-set {_fmt(inst, *lm)}, vector {vec}"
+    return check
+
+
+def _cut_and_choose(alloc, holds="", utils=None):
+    """Cut-and-choose (agent 1 cuts) returns ``alloc``, which meets ``holds`` and ``utils``."""
+    def check(inst):
+        out = cut_and_choose(inst)
+        ok = out == _parse(inst, alloc) and _meets(inst, out, holds, "", utils)
+        return ok, f"protocol returned {_fmt(inst, out)}, utilities {_utils(inst, out)}"
+    return check
+
+
+def _improves(*pairs):
+    """In each ``(better, worse)`` pair the first allocation Pareto-improves the second."""
+    def check(inst):
+        ok = all(pareto_improves(inst, _parse(inst, b), _parse(inst, w)) for b, w in pairs)
+        return ok, "; ".join(f"{b} {_utils(inst, _parse(inst, b))} over "
+                             f"{w} {_utils(inst, _parse(inst, w))}" for b, w in pairs)
+    return check
+
+
+# ---------------------------------------------------------------------------
+# the two claims no form fits
+
+def _ex1_vacuous(inst):
+    """efxpm holds everywhere, vacuously on exactly the two lopsided allocations."""
+    sat = _scan(inst, EFXPM)
+    vacuous = [a for a in sat if check_axiom(inst, a, EFXPM).vacuous]
+    ok = len(sat) == 4 and set(vacuous) == {(inst.full, 0), (0, inst.full)}
+    return ok, f"efxpm holds on {len(sat)} of 4 allocations, vacuously on {_fmt(inst, *vacuous)}"
+
+
+def _t1_mixed_witness(inst):
+    """Item a's mixed witness splits the other items into a bundle where a's
+    marginal is positive and one where it is negative; {c} vs {b,d} gives -2, +2."""
+    w = _item_classes(inst)[1].mixed_witnesses[0]
+    recorded, detail = _marginals("a", {"c": -2, "b,d": 2})(inst)
+    if w is None:
+        return False, f"item a not reported mixed; {detail}"
+    v = inst.valuations[0]
+    ok = (v.marginal(w.positive_bundle, 0) > 0 > v.marginal(w.negative_bundle, 0)
+          and w.positive_bundle | w.negative_bundle == inst.full & ~1)
+    split = _fmt(inst, (w.positive_bundle, w.negative_bundle))
+    return ok and recorded, f"witness bundles {split}; {detail}"
 
 
 # ---------------------------------------------------------------------------
 # fixtures
 
-def _fix_ex1() -> Fixture:
-    names = ("b", "r")
-    v = _explicit(names, {"": 0, "b": -1, "r": -1, "b,r": 2})
-    inst = Instance(names, (v, v))
-
-    def all_mixed(inst):
-        _, mat = classify(inst)
-        unclassified = all(
-            not mat.generally_good[a][o] and not mat.generally_bad[a][o]
-            for a in range(inst.n) for o in range(inst.m)
-        )
-        return all(mat.mixed) and unclassified, (
-            f"mixed={list(mat.mixed)}, no (agent,item) pair generally good or bad"
-        )
-
-    def singles_envy_free(inst):
-        pairs = [_alloc(inst, ("b",), ("r",)), _alloc(inst, ("r",), ("b",))]
-        ok = all(map(kernels(inst, (EF,))[EF], pairs))
-        return ok, "both one-item splits are envy-free"
-
-    def efxpm_everywhere(inst):
-        sat = _allocs(inst, EFXPM)
-        vac = [a for a in sat if check_efxpm(inst, a).vacuous]
-        return len(sat) == 4 and len(vac) == 2, (
-            f"efxpm holds on {len(sat)}/4 allocations, {len(vac)} vacuously"
-        )
-
-    def cut_choose(inst):
-        out = cut_and_choose(inst)
-        want = _alloc(inst, (), ("b", "r"))
-        ok = out == want and satisfies(inst, out, EFXPM)
-        return ok, f"protocol returned {_fmt(inst, out)}"
-
-    return Fixture(
-        "FIX-EX1",
-        "one ball and one racket, complementary pair",
-        inst,
-        (
-            Claim("ex1-identical", "instance-predicate",
-                  "both agents share one valuation", True,
-                  _predicate(lambda i: (i.is_identical(), "identical tables"))),
-            Claim("ex1-all-items-mixed", "instance-predicate",
-                  "every item is mixed and none is generally good or bad for anyone",
-                  True, all_mixed),
-            Claim("ex1-singles-envy-free", "allocation-has",
-                  "the two one-item splits are envy-free", True, singles_envy_free),
-            Claim("ex1-efxpm-set", "set-equality",
-                  "efxpm holds on all four allocations, vacuously on the two lopsided ones",
-                  True, efxpm_everywhere),
-            Claim("ex1-cut-and-choose", "allocation-has",
-                  "cut-and-choose gives agent 2 the full pair and is efxpm", True,
-                  cut_choose),
-        ),
-    )
-
-
-def _fix_ex2() -> Fixture:
-    names = ("s", "l1", "l2", "l3")
-
-    def credit(mask):
-        size = bin(mask).count("1")
-        if size == 0:
-            return 0
-        if size == 1:
-            return 6
-        if size == 2:
-            return 6 if mask & 1 else 9
-        if size == 3:
-            return 12
-        return 18
-
-    v = ExplicitValuation(tuple(credit(m) for m in range(16)))
-    inst = Instance(names, (v, v))
-
-    def outcome_a(inst):
-        a = _alloc(inst, ("s",), ("l1", "l2", "l3"))
-        ok = (satisfies(inst, a, EFXPM) and check_po(inst, a).satisfied
-              and not satisfies(inst, a, EFX)
-              and utilities(inst, a) == (6, 12))
-        return ok, f"{_fmt(inst, a)}: efxpm and po hold, efx fails, credits (6, 12)"
-
-    def outcome_b(inst):
-        a = _alloc(inst, ("s", "l1"), ("l2", "l3"))
-        ok = (satisfies(inst, a, EFX) and satisfies(inst, a, EFXPM)
-              and not check_po(inst, a).satisfied
-              and utilities(inst, a) == (6, 9))
-        return ok, f"{_fmt(inst, a)}: efx and efxpm hold, po fails, credits (6, 9)"
-
-    def cut_choose(inst):
-        out = cut_and_choose(inst)
-        t = inst.valuations[1].table
-        ok = t[out[1]] == 12 and satisfies(inst, out, EFXPM)
-        return ok, f"protocol returned {_fmt(inst, out)}, chooser credits {t[out[1]]}"
-
-    return Fixture(
-        "FIX-EX2",
-        "seminar plus three lectures, course credits",
-        inst,
-        (
-            Claim("ex2-seminar-vs-lectures", "allocation-has",
-                  "seminar-only split is efxpm and po but not efx", True, outcome_a),
-            Claim("ex2-two-two-split", "allocation-has",
-                  "seminar+lecture split is efx and efxpm but not po", True, outcome_b),
-            Claim("ex2-cut-and-choose", "allocation-has",
-                  "cut-and-choose hands the chooser a 12-credit module and is efxpm",
-                  True, cut_choose),
-        ),
-    )
-
-
-def _fix_obs1() -> Fixture:
-    names = ("a", "b")
-    inst = Instance(names, (AdditiveValuation((3, -1)), AdditiveValuation((1, 1))))
-
-    def additive_not_identical(inst):
-        ok = all(is_additive_consistent(v) for v in inst.valuations) and not inst.is_identical()
-        return ok, "additive valuations, agents disagree"
-
-    def item_b(inst):
-        _, mat = classify(inst)
-        ok = mat.mixed[1] and mat.generally_bad[0][1] and mat.generally_good[1][1]
-        return ok, "item b: mixed, generally bad for agent 1, generally good for agent 2"
-
-    def pclass(inst):
-        pc, _ = classify(inst)
-        return pc.generally_good_bad_items and not pc.no_mixed_items, str(pc)
-
-    return Fixture(
-        "FIX-OBS1",
-        "additive two-agent instance with a mixed item",
-        inst,
-        (
-            Claim("obs1-additive-not-identical", "instance-predicate",
-                  "valuations are additive but not identical", True, additive_not_identical),
-            Claim("obs1-item-b", "instance-predicate",
-                  "item b is mixed yet generally classified by each agent", True, item_b),
-            Claim("obs1-class", "instance-predicate",
-                  "generally good/bad items, mixed items present", True, pclass),
-        ),
-    )
-
-
-def _fix_obs3() -> Fixture:
-    names = ("a", "b", "c", "d")
-    v = _explicit(names, {
-        "": 0, "a": 1, "b": 1, "c": 3, "d": 1,
-        "a,b": 2, "a,c": 2, "a,d": 2, "b,c": 2, "b,d": 2, "c,d": 2,
-        "a,b,c": 4, "a,b,d": Fraction(3, 2), "a,c,d": 4, "b,c,d": 4,
-        "a,b,c,d": 5,
-    })
-    inst = Instance(names, (v, v))
-
-    def pclass(inst):
-        pc, _ = classify(inst)
-        return pc.no_mixed_items and not pc.generally_good_bad_items, str(pc)
-
-    def item_a_unclassified(inst):
-        _, mat = classify(inst)
-        ok = all(not mat.generally_good[ag][0] and not mat.generally_bad[ag][0]
-                 for ag in range(inst.n))
-        return ok, "item a is neither generally good nor generally bad for any agent"
-
-    def item_a_sign_witnesses(inst):
-        v0 = inst.valuations[0]
-        vals = (
-            v0.marginal(_mask(inst, "b"), 0),
-            v0.marginal(_mask(inst, "c", "d"), 0),
-            v0.marginal(_mask(inst, "c"), 0),
-            v0.marginal(_mask(inst, "b", "d"), 0),
-        )
-        ok = vals == (1, 2, -1, Fraction(-1, 2))
-        return ok, f"marginals of a: {vals[0]}, {vals[1]} vs {vals[2]}, {vals[3]}"
-
-    return Fixture(
-        "FIX-OBS3",
-        "identical instance without mixed items where item a resists classification",
-        inst,
-        (
-            Claim("obs3-class", "instance-predicate",
-                  "no mixed items, yet not a generally good/bad problem", True, pclass),
-            Claim("obs3-item-a-unclassified", "instance-predicate",
-                  "item a is not generally good/bad for anyone", True, item_a_unclassified),
-            Claim("obs3-item-a-marginals", "instance-predicate",
-                  "item a is good in the {a,b}|{c,d} split and bad in the {a,c}|{b,d} split",
-                  True, item_a_sign_witnesses),
-        ),
-    )
-
-
-def _fix_t1() -> Fixture:
-    names = ("a", "b", "c", "d")
-    v = _explicit(names, {
-        "": 0, "a": 5, "b": 5, "c": 5, "d": 5,
-        "a,b": 6, "a,c": 3, "a,d": 6, "b,c": 3, "b,d": 6, "c,d": 3,
-        "a,b,c": 7, "a,b,d": 8, "a,c,d": 7, "b,c,d": 7,
-        "a,b,c,d": 9,
-    })
-    inst = Instance(names, (v, v))
-
-    # per complement pair: envied bundle, removed item, lhs < rhs
-    efx_rows = (
-        (("a", "b", "c", "d"), "c", 0, 8),
-        (("b", "c", "d"), "c", 5, 6),
-        (("a", "c", "d"), "c", 5, 6),
-        (("a", "b", "d"), "d", 5, 6),
-        (("a", "b", "c"), "c", 5, 6),
-        (("a", "b"), "a", 3, 5),
-        (("b", "d"), "b", 3, 5),
-        (("a", "d"), "d", 3, 5),
-    )
-
-    def base_facts(inst):
-        ok = inst.is_identical() and inst.has_nonzero_marginals()
-        return ok, "identical valuations with non-zero marginals"
-
-    def item_a_mixed(inst):
-        _, mat = classify(inst)
-        w = mat.mixed_witnesses[0]
-        if w is None:
-            return False, "item a not reported mixed"
-        v0 = inst.valuations[0]
-        ok = (v0.marginal(w.positive_bundle, 0) > 0 > v0.marginal(w.negative_bundle, 0)
-              and (w.positive_bundle | w.negative_bundle) == inst.full & ~1)
-        neg = _mask(inst, "c")
-        pos = _mask(inst, "b", "d")
-        seen = (v0.marginal(neg, 0), v0.marginal(pos, 0))
-        return ok and seen == (-2, 2), (
-            f"witness bundles {_fmt(inst, (w.positive_bundle, w.negative_bundle))}, "
-            f"recorded pair has marginals -2 and +2"
-        )
-
-    def no_efx(inst):
-        count = len(_allocs(inst, EFX))
-        return count == 0, f"efx satisfied by {count} of 16 allocations"
-
-    def efx_witnesses(inst):
-        full = inst.full
-        for bundle, item_name, lhs, rhs in efx_rows:
-            envied = _mask(inst, *bundle)
-            o = inst.item_index(item_name)
-            for envied_pos in (0, 1):
-                alloc = (envied, full ^ envied) if envied_pos == 0 else (full ^ envied, envied)
-                want = Witness(1 - envied_pos, envied_pos, REMOVED_GOOD, o, lhs, rhs)
-                verdict = check_efx(inst, alloc)
-                if verdict.satisfied or want not in verdict.violations:
-                    return False, f"{_fmt(inst, alloc)} missing witness {want}"
-        return True, "all 16 allocations carry their recorded removed-good witness"
-
-    def leximin_facts(inst):
-        lm = leximin_set(inst)
-        want = {_alloc(inst, ("c",), ("a", "b", "d")), _alloc(inst, ("a", "b", "d"), ("c",))}
-        ok = set(lm) == want and utility_vector(inst, lm[0]) == (5, 8)
-        return ok, f"leximin tie-set {[ _fmt(inst, a) for a in lm ]}, vector (5, 8)"
-
-    def leximin_efxpm_po(inst):
-        ok = set(leximin_set(inst)) <= set(_allocs(inst, EFXPM, po=True))
-        return ok, "every leximin allocation is efxpm and po"
-
-    def variant_a_portability(inst):
-        sat = _allocs(inst, axioms.VARIANT_A)
-        if sat:
-            return False, (
-                f"recorded as impossible, but variant-a holds on {len(sat)} allocations, "
-                f"e.g. {_fmt(inst, sat[0])} (literal clause reading)"
-            )
-        return True, "variant-a satisfied by 0 allocations"
-
-    return Fixture(
-        "FIX-T1",
-        "identical mixed-manna instance where no allocation is efx",
-        inst,
-        (
-            Claim("t1-base", "instance-predicate",
-                  "identical valuations, non-zero marginals", True, base_facts),
-            Claim("t1-item-a-mixed", "instance-predicate",
-                  "item a is mixed; the {c} vs {b,d} bipartition certifies it", True,
-                  item_a_mixed),
-            Claim("t1-no-efx", "no-allocation",
-                  "no allocation satisfies efx", True, no_efx),
-            Claim("t1-efx-witnesses", "allocation-lacks",
-                  "every allocation fails efx with its recorded removed-good witness",
-                  True, efx_witnesses),
-            Claim("t1-leximin", "set-equality",
-                  "the leximin tie-set is {c}|{a,b,d} and its swap, vector (5, 8)",
-                  True, leximin_facts),
-            Claim("t1-leximin-efxpm-po", "allocation-has",
-                  "both leximin allocations satisfy efxpm and po", True, leximin_efxpm_po),
-            Claim("t1-variant-a-portability", "exploratory",
-                  "recorded: the efx impossibility carries over to variant-a", False,
-                  variant_a_portability),
-        ),
-    )
-
-
-def _fix_t2() -> Fixture:
-    names = ("a", "b", "c", "d")
-    v = _explicit(names, {
-        "": 0, "a": -4, "b": -4, "c": -4, "d": -6,
-        "a,b": -5, "a,c": -5, "b,c": -5, "a,d": -7, "b,d": -7, "c,d": -7,
-        "a,b,c": -8, "a,b,d": -8, "a,c,d": -8, "b,c,d": -8,
-        "a,b,c,d": -9,
-    })
-    inst = Instance(names, (v, v))
-
-    def base_facts(inst):
-        pc, mat = classify(inst)
-        all_bad = all(mat.generally_bad[ag][o] for ag in range(inst.n) for o in range(inst.m))
-        ok = (inst.is_identical() and inst.has_nonzero_marginals()
-              and pc.generally_good_bad_items and all_bad)
-        return ok, "identical, non-zero marginals, every item generally bad"
-
-    def efx_set(inst):
-        sat = _allocs(inst, EFX)
-        want = {_alloc(inst, ("a", "b", "c"), ("d",)), _alloc(inst, ("d",), ("a", "b", "c"))}
-        return set(sat) == want, f"efx set = {[_fmt(inst, a) for a in sat]}"
-
-    def efxpm_witness(inst):
-        a = _alloc(inst, ("a", "b", "c"), ("d",))
-        verdict = check_efxpm(inst, a)
-        want = Witness(0, 1, ADDED_BAD, 0, -8, -7)
-        ok = not verdict.satisfied and want in verdict.violations
-        return ok, f"{_fmt(inst, a)} fails efxpm with added-bad witness a (-8 < -7)"
-
-    def improvements(inst):
-        c = _alloc(inst, ("a", "b"), ("c", "d"))
-        d = _alloc(inst, ("c", "d"), ("a", "b"))
-        a = _alloc(inst, ("d",), ("a", "b", "c"))
-        b = _alloc(inst, ("a", "b", "c"), ("d",))
-        ok = pareto_improves(inst, c, a) and pareto_improves(inst, d, b)
-        return ok, "the two-two splits pareto-improve the efx allocations"
-
-    def leximin_facts(inst):
-        lm = leximin_set(inst)
-        vec = utility_vector(inst, lm[0])
-        want = {al for al in enumerate_allocations(inst) if utility_vector(inst, al) == (-7, -5)}
-        ok = vec == (-7, -5) and set(lm) == want and len(lm) == 6
-        return ok, f"leximin vector {vec}, tie-set of {len(lm)} two-two splits"
-
-    def variant_b_portability(inst):
-        hits = _allocs(inst, axioms.VARIANT_B, po=True)
-        if hits:
-            return False, (
-                f"recorded as impossible, but variant-b & po holds on {len(hits)} "
-                f"allocations, e.g. {_fmt(inst, hits[0])} (literal clause reading)"
-            )
-        return True, "variant-b & po satisfied by 0 allocations"
-
-    return Fixture(
-        "FIX-T2",
-        "identical generally-bad instance separating efx from efxpm and po",
-        inst,
-        (
-            Claim("t2-base", "instance-predicate",
-                  "identical, non-zero marginals, all items generally bad", True, base_facts),
-            Claim("t2-efx-set", "set-equality",
-                  "exactly the triple/single splits satisfy efx", True, efx_set),
-            Claim("t2-no-efx-efxpm", "no-allocation",
-                  "no allocation satisfies efx and efxpm together", True,
-                  _no_allocation(EFX, EFXPM)),
-            Claim("t2-no-efx-po", "no-allocation",
-                  "no efx allocation is pareto-optimal", True,
-                  _no_allocation(EFX, and_po=True)),
-            Claim("t2-efxpm-witness", "allocation-lacks",
-                  "the triple/single split fails efxpm by adding item a", True,
-                  efxpm_witness),
-            Claim("t2-pareto-improvements", "allocation-has",
-                  "each efx allocation is pareto-improved by a two-two split", True,
-                  improvements),
-            Claim("t2-leximin", "set-equality",
-                  "leximin vector is (-7, -5), achieved by all six two-two splits",
-                  True, leximin_facts),
-            Claim("t2-variant-b-portability", "exploratory",
-                  "recorded: the efx/po incompatibility carries over to variant-b", False,
-                  variant_b_portability),
-        ),
-    )
-
-
-def _fix_t4() -> Fixture:
-    names = ("a", "b", "c", "d")
-    s1 = (0, -1, -2, 3, 4)
-    s2 = (0, 1, 2, 3, 4)
-    v1 = ExplicitValuation(tuple(s1[bin(m).count("1")] for m in range(16)))
-    v2 = ExplicitValuation(tuple(s2[bin(m).count("1")] for m in range(16)))
-    inst = Instance(names, (v1, v2))
-
-    def base_facts(inst):
-        pc, _ = classify(inst)
-        ok = (not inst.is_identical() and inst.has_nonzero_marginals()
-              and not pc.no_mixed_items)
-        return ok, "non-identical, non-zero marginals, mixed items present"
-
-    def _expected(inst):
-        return {a for a in enumerate_allocations(inst) if bin(a[0]).count("1") in (1, 2)}
-
-    def ef1_set(inst):
-        sat = set(_allocs(inst, axioms.EF1))
-        ok = sat == _expected(inst) and len(sat) == 10
-        return ok, f"ef1 set = the {len(sat)} allocations giving agent 1 one or two items"
-
-    def ef1pm_set(inst):
-        sat = set(_allocs(inst, axioms.EF1PM))
-        ok = sat == set(_allocs(inst, axioms.EF1)) == _expected(inst)
-        return ok, f"ef1pm set equals the ef1 set ({len(sat)} allocations)"
-
-    def empty_all_po(inst):
-        a = (0, inst.full)
-        ok = check_po(inst, a).satisfied and utilities(inst, a) == (0, 4)
-        return ok, f"{_fmt(inst, a)} is po with utilities (0, 4)"
-
-    return Fixture(
-        "FIX-T4",
-        "cardinality valuations where ef1 and pareto-optimality clash",
-        inst,
-        (
-            Claim("t4-base", "instance-predicate",
-                  "non-identical valuations with non-zero marginals and mixed items",
-                  True, base_facts),
-            Claim("t4-ef1-set", "set-equality",
-                  "ef1 holds exactly when agent 1 gets one or two items", True, ef1_set),
-            Claim("t4-ef1pm-equals-ef1", "set-equality",
-                  "the ef1pm set coincides with the ef1 set", True, ef1pm_set),
-            Claim("t4-no-ef1-po", "no-allocation",
-                  "no ef1 allocation is pareto-optimal", True,
-                  _no_allocation(axioms.EF1, and_po=True)),
-            Claim("t4-no-ef1pm-po", "no-allocation",
-                  "no ef1pm allocation is pareto-optimal", True,
-                  _no_allocation(axioms.EF1PM, and_po=True)),
-            Claim("t4-empty-all-po", "allocation-has",
-                  "handing everything to agent 2 is pareto-optimal at utilities (0, 4)",
-                  True, empty_all_po),
-        ),
-    )
-
-
-def _fix_d1() -> Fixture:
-    names = ("a", "b")
-    v = _explicit(names, {"": 0, "a": 1, "b": 0, "a,b": 2})
-    inst = Instance(names, (v, v))
-
-    def base_facts(inst):
-        pc, mat = classify(inst)
-        all_good = all(mat.generally_good[ag][o] for ag in range(inst.n) for o in range(inst.m))
-        ok = (inst.is_identical() and pc.generally_good_bad_items and all_good
-              and not inst.has_nonzero_marginals())
-        return ok, "identical, generally good items, zero marginals present"
-
-    def po_set(inst):
-        po = _allocs(inst, po=True)
-        want = [_alloc(inst, ("a", "b"), ()), _alloc(inst, (), ("a", "b"))]
-        return set(po) == set(want), f"po set = {[_fmt(inst, a) for a in po]}"
-
-    def chen_liu_breaks(inst):
-        for a in _allocs(inst, po=True):
-            verdict = check_chen_liu(inst, a)
-            envier = 1 if a[0] else 0
-            want = Witness(envier, 1 - envier, REMOVED_GOOD, 1, 0, 1)
-            if verdict.satisfied or want not in verdict.violations:
-                return False, f"{_fmt(inst, a)} missing chen-liu witness (b, 0 < 1)"
-        return True, "both po allocations fail chen-liu with witness item b (0 < 1)"
-
-    return Fixture(
-        "FIX-D1",
-        "zero-marginal generally-good instance breaking the chen-liu variant under po",
-        inst,
-        (
-            Claim("d1-base", "instance-predicate",
-                  "identical generally-good valuations with a zero marginal", True,
-                  base_facts),
-            Claim("d1-po-set", "set-equality",
-                  "only the two all-or-nothing allocations are pareto-optimal", True,
-                  po_set),
-            Claim("d1-chen-liu-breaks", "allocation-lacks",
-                  "both po allocations violate chen-liu by removing item b", True,
-                  chen_liu_breaks),
-            Claim("d1-no-chenliu-po", "no-allocation",
-                  "no allocation satisfies chen-liu and po together", True,
-                  _no_allocation(CHEN_LIU, and_po=True)),
-        ),
-    )
-
-
-def _fix_zm() -> Fixture:
-    names = ("a", "b")
-    inst = Instance(names, (AdditiveValuation((0, 1)), AdditiveValuation((0, 1))))
-
-    def base_facts(inst):
-        ok = inst.is_identical() and all(is_additive_consistent(v) for v in inst.valuations)
-        return ok, "identical additive valuations over values {0, 1}"
-
-    def pair_split(inst):
-        a = _alloc(inst, ("b",), ("a",))
-        return satisfies(inst, a, EFXPM), f"{_fmt(inst, a)} satisfies efxpm"
-
-    return Fixture(
-        "FIX-ZM",
-        "zero/one additive pair separating efxpm from its zero-marginal variant",
-        inst,
-        (
-            Claim("zm-base", "instance-predicate",
-                  "identical additive instance with item values 0 and 1", True, base_facts),
-            Claim("zm-no-efxpm0", "no-allocation",
-                  "no allocation satisfies the zero-marginal variant efxpm0", True,
-                  _no_allocation(EFXPM0)),
-            Claim("zm-efxpm-exists", "exists-allocation",
-                  "efxpm allocations exist", True, _exists_allocation(EFXPM)),
-            Claim("zm-pair-split", "allocation-has",
-                  "giving the valued item to agent 1 satisfies efxpm", True, pair_split),
-        ),
-    )
-
-
-_BUILDERS = (_fix_ex1, _fix_ex2, _fix_obs1, _fix_obs3, _fix_t1, _fix_t2, _fix_t4,
-             _fix_d1, _fix_zm)
-_FIXTURES: dict = {}
-
-
+# the splits of items a, b, c, d that give agent 1 one item, or two
+_ONE_THREE = ("a|b,c,d", "b|a,c,d", "c|a,b,d", "d|a,b,c")
+_TWO_TWO = ("a,b|c,d", "a,c|b,d", "a,d|b,c", "b,c|a,d", "b,d|a,c", "c,d|a,b")
+
+# A valuation is a table over named bundles (the empty bundle defaults to 0),
+# ("additive", item values) or ("size", value by bundle size).  A single
+# valuation is held by both agents.
+_SPECS = (
+    ("FIX-EX1", "one ball and one racket, complementary pair", "b r",
+     ({"": 0, "b": -1, "r": -1, "b,r": 2},), (
+        ("ex1-identical", "instance-predicate", "both agents share one valuation",
+         _facts(identical=True)),
+        ("ex1-all-items-mixed", "instance-predicate",
+         "every item is mixed and none is generally good or bad for anyone",
+         _items("b,r", mixed=True, good=(False, False), bad=(False, False))),
+        ("ex1-singles-envy-free", "allocation-has", "the two one-item splits are envy-free",
+         _allocation("b|r", "r|b", holds="ef")),
+        ("ex1-efxpm-set", "set-equality",
+         "efxpm holds on all four allocations, vacuously on the two lopsided ones", _ex1_vacuous),
+        ("ex1-cut-and-choose", "allocation-has",
+         "cut-and-choose gives agent 2 the full pair and is efxpm",
+         _cut_and_choose("|b,r", holds="efxpm")),
+    )),
+    ("FIX-EX2", "seminar plus three lectures, course credits", "s l1 l2 l3",
+     ({"s": 6, "l1": 6, "l2": 6, "l3": 6,
+       "s,l1": 6, "s,l2": 6, "s,l3": 6, "l1,l2": 9, "l1,l3": 9, "l2,l3": 9,
+       "s,l1,l2": 12, "s,l1,l3": 12, "s,l2,l3": 12, "l1,l2,l3": 12, "s,l1,l2,l3": 18},), (
+        ("ex2-seminar-vs-lectures", "allocation-has",
+         "seminar-only split is efxpm and po but not efx",
+         _allocation("s|l1,l2,l3", holds="efxpm&po", fails="efx", utils=(6, 12))),
+        ("ex2-two-two-split", "allocation-has", "seminar+lecture split is efx and efxpm but not po",
+         _allocation("s,l1|l2,l3", holds="efx&efxpm", fails="po", utils=(6, 9))),
+        ("ex2-cut-and-choose", "allocation-has",
+         "cut-and-choose hands the chooser a 12-credit module and is efxpm",
+         _cut_and_choose("s|l1,l2,l3", holds="efxpm", utils=(6, 12))),
+    )),
+    ("FIX-OBS1", "additive two-agent instance with a mixed item", "a b",
+     (("additive", (3, -1)), ("additive", (1, 1))), (
+        ("obs1-additive-not-identical", "instance-predicate",
+         "valuations are additive but not identical", _facts(additive=True, identical=False)),
+        ("obs1-item-b", "instance-predicate",
+         "item b is mixed yet generally classified by each agent",
+         _items("b", mixed=True, good=(False, True), bad=(True, False))),
+        ("obs1-class", "instance-predicate", "generally good/bad items, mixed items present",
+         _facts(generally_good_bad=True, no_mixed=False)),
+    )),
+    ("FIX-OBS3",
+     "identical instance without mixed items where item a resists classification", "a b c d",
+     ({"": 0, "a": 1, "b": 1, "c": 3, "d": 1,
+       "a,b": 2, "a,c": 2, "a,d": 2, "b,c": 2, "b,d": 2, "c,d": 2,
+       "a,b,c": 4, "a,b,d": Fraction(3, 2), "a,c,d": 4, "b,c,d": 4, "a,b,c,d": 5},), (
+        ("obs3-class", "instance-predicate", "no mixed items, yet not a generally good/bad problem",
+         _facts(no_mixed=True, generally_good_bad=False)),
+        ("obs3-item-a-unclassified", "instance-predicate",
+         "item a is not generally good/bad for anyone",
+         _items("a", mixed=False, good=(False, False), bad=(False, False))),
+        ("obs3-item-a-marginals", "instance-predicate",
+         "item a is good in the {a,b}|{c,d} split and bad in the {a,c}|{b,d} split",
+         _marginals("a", {"b": 1, "c,d": 2, "c": -1, "b,d": Fraction(-1, 2)})),
+    )),
+    ("FIX-T1", "identical mixed-manna instance where no allocation is efx", "a b c d",
+     ({"": 0, "a": 5, "b": 5, "c": 5, "d": 5,
+       "a,b": 6, "a,c": 3, "a,d": 6, "b,c": 3, "b,d": 6, "c,d": 3,
+       "a,b,c": 7, "a,b,d": 8, "a,c,d": 7, "b,c,d": 7, "a,b,c,d": 9},), (
+        ("t1-base", "instance-predicate", "identical valuations, non-zero marginals",
+         _facts(identical=True, nonzero_marginals=True)),
+        ("t1-item-a-mixed", "instance-predicate",
+         "item a is mixed; the {c} vs {b,d} bipartition certifies it", _t1_mixed_witness),
+        ("t1-no-efx", "no-allocation", "no allocation satisfies efx", _count("efx", 0)),
+        ("t1-efx-witnesses", "allocation-lacks",
+         "every allocation fails efx with its recorded removed-good witness",
+         _witnesses("efx", REMOVED_GOOD, (
+             ("a,b,c,d|", 1, 0, "c", 0, 8), ("|a,b,c,d", 0, 1, "c", 0, 8),
+             ("b,c,d|a", 1, 0, "c", 5, 6), ("a|b,c,d", 0, 1, "c", 5, 6),
+             ("a,c,d|b", 1, 0, "c", 5, 6), ("b|a,c,d", 0, 1, "c", 5, 6),
+             ("a,b,d|c", 1, 0, "d", 5, 6), ("c|a,b,d", 0, 1, "d", 5, 6),
+             ("a,b,c|d", 1, 0, "c", 5, 6), ("d|a,b,c", 0, 1, "c", 5, 6),
+             ("a,b|c,d", 1, 0, "a", 3, 5), ("c,d|a,b", 0, 1, "a", 3, 5),
+             ("b,d|a,c", 1, 0, "b", 3, 5), ("a,c|b,d", 0, 1, "b", 3, 5),
+             ("a,d|b,c", 1, 0, "d", 3, 5), ("b,c|a,d", 0, 1, "d", 3, 5),
+         ))),
+        ("t1-leximin", "set-equality",
+         "the leximin tie-set is {c}|{a,b,d} and its swap, vector (5, 8)",
+         _leximin(("c|a,b,d", "a,b,d|c"), (5, 8))),
+        ("t1-leximin-efxpm-po", "allocation-has", "both leximin allocations satisfy efxpm and po",
+         _leximin(("c|a,b,d", "a,b,d|c"), (5, 8), holds="efxpm&po")),
+        ("t1-variant-a-portability", "exploratory",
+         "recorded: the efx impossibility carries over to variant-a", _count("variant-a", 0),
+         False),
+    )),
+    ("FIX-T2", "identical generally-bad instance separating efx from efxpm and po", "a b c d",
+     ({"": 0, "a": -4, "b": -4, "c": -4, "d": -6,
+       "a,b": -5, "a,c": -5, "b,c": -5, "a,d": -7, "b,d": -7, "c,d": -7,
+       "a,b,c": -8, "a,b,d": -8, "a,c,d": -8, "b,c,d": -8, "a,b,c,d": -9},), (
+        ("t2-base", "instance-predicate", "identical, non-zero marginals, all items generally bad",
+         _facts(identical=True, nonzero_marginals=True, generally_good_bad=True, all_bad=True)),
+        ("t2-efx-set", "set-equality", "exactly the triple/single splits satisfy efx",
+         _allocs_are(("a,b,c|d", "d|a,b,c"), "efx")),
+        ("t2-no-efx-efxpm", "no-allocation", "no allocation satisfies efx and efxpm together",
+         _count("efx&efxpm", 0)),
+        ("t2-no-efx-po", "no-allocation", "no efx allocation is pareto-optimal",
+         _count("efx&po", 0)),
+        ("t2-efxpm-witness", "allocation-lacks",
+         "the triple/single split fails efxpm by adding item a",
+         _witnesses("efxpm", ADDED_BAD, (("a,b,c|d", 0, 1, "a", -8, -7),))),
+        ("t2-pareto-improvements", "allocation-has",
+         "each efx allocation is pareto-improved by a two-two split",
+         _improves(("a,b|c,d", "d|a,b,c"), ("c,d|a,b", "a,b,c|d"))),
+        ("t2-leximin", "set-equality",
+         "leximin vector is (-7, -5), achieved by all six two-two splits",
+         _leximin(_TWO_TWO, (-7, -5))),
+        ("t2-variant-b-portability", "exploratory",
+         "recorded: the efx/po incompatibility carries over to variant-b",
+         _count("variant-b&po", 0), False),
+    )),
+    ("FIX-T4", "cardinality valuations where ef1 and pareto-optimality clash", "a b c d",
+     (("size", (0, -1, -2, 3, 4)), ("size", (0, 1, 2, 3, 4))), (
+        ("t4-base", "instance-predicate",
+         "non-identical valuations with non-zero marginals and mixed items",
+         _facts(identical=False, nonzero_marginals=True, no_mixed=False)),
+        ("t4-ef1-set", "set-equality", "ef1 holds exactly when agent 1 gets one or two items",
+         _allocs_are(_ONE_THREE + _TWO_TWO, "ef1")),
+        ("t4-ef1pm-equals-ef1", "set-equality", "the ef1pm set coincides with the ef1 set",
+         _allocs_are(_ONE_THREE + _TWO_TWO, "ef1pm", "ef1")),
+        ("t4-no-ef1-po", "no-allocation", "no ef1 allocation is pareto-optimal",
+         _count("ef1&po", 0)),
+        ("t4-no-ef1pm-po", "no-allocation", "no ef1pm allocation is pareto-optimal",
+         _count("ef1pm&po", 0)),
+        ("t4-empty-all-po", "allocation-has",
+         "handing everything to agent 2 is pareto-optimal at utilities (0, 4)",
+         _allocation("|a,b,c,d", holds="po", utils=(0, 4))),
+    )),
+    ("FIX-D1", "zero-marginal generally-good instance breaking the chen-liu variant under po",
+     "a b", ({"": 0, "a": 1, "b": 0, "a,b": 2},), (
+        ("d1-base", "instance-predicate",
+         "identical generally-good valuations with a zero marginal",
+         _facts(identical=True, generally_good_bad=True, all_good=True, nonzero_marginals=False)),
+        ("d1-po-set", "set-equality", "only the two all-or-nothing allocations are pareto-optimal",
+         _allocs_are(("a,b|", "|a,b"), "po")),
+        ("d1-chen-liu-breaks", "allocation-lacks",
+         "both po allocations violate chen-liu by removing item b",
+         _witnesses("chen-liu", REMOVED_GOOD,
+                    (("a,b|", 1, 0, "b", 0, 1), ("|a,b", 0, 1, "b", 0, 1)), covers="po")),
+        ("d1-no-chenliu-po", "no-allocation", "no allocation satisfies chen-liu and po together",
+         _count("chen-liu&po", 0)),
+    )),
+    ("FIX-ZM", "zero/one additive pair separating efxpm from its zero-marginal variant", "a b",
+     (("additive", (0, 1)),), (
+        ("zm-base", "instance-predicate", "identical additive instance with item values 0 and 1",
+         _facts(identical=True, additive=True)),
+        ("zm-no-efxpm0", "no-allocation",
+         "no allocation satisfies the zero-marginal variant efxpm0", _count("efxpm0", 0)),
+        ("zm-efxpm-exists", "exists-allocation", "efxpm allocations exist",
+         _count("efxpm", 1, at_least=True)),
+        ("zm-pair-split", "allocation-has", "giving the valued item to agent 1 satisfies efxpm",
+         _allocation("b|a", holds="efxpm")),
+    )),
+)
+
+
+def _valuation(names, spec):
+    if isinstance(spec, dict):
+        return ExplicitValuation.from_map(
+            len(names), {_bundle(names, key): v for key, v in spec.items()})
+    kind, values = spec
+    if kind == "additive":
+        return AdditiveValuation(values)
+    return ExplicitValuation(tuple(values[bin(x).count("1")] for x in range(1 << len(names))))
+
+
+def _claim(cid, kind, description, check, gating=True):
+    return Claim(cid, kind, description, gating, check)
+
+
+def _build(fid, title, items, valuations, claims) -> Fixture:
+    names = tuple(items.split())
+    vals = tuple(_valuation(names, spec) for spec in valuations)
+    inst = Instance(names, vals * 2 if len(vals) == 1 else vals)
+    return Fixture(fid, title, inst, tuple(_claim(*row) for row in claims))
+
+
+@lru_cache(maxsize=None)
 def _fixtures() -> dict:
-    if not _FIXTURES:
-        for build in _BUILDERS:
-            f = build()
-            _FIXTURES[f.id] = f
-    return _FIXTURES
+    return {spec[0]: _build(*spec) for spec in _SPECS}
 
 
 def list_fixtures() -> tuple:
@@ -686,7 +485,8 @@ def fixture(fixture_id: str) -> Fixture:
     try:
         return _fixtures()[fixture_id]
     except KeyError:
-        raise ValueError(f"unknown fixture {fixture_id!r}; known: {', '.join(list_fixtures())}") from None
+        known = ", ".join(list_fixtures())
+        raise ValueError(f"unknown fixture {fixture_id!r}; known: {known}") from None
 
 
 _OPEN_NOTE = ClaimResult(
@@ -707,18 +507,12 @@ def verify_claims(fixture_id: Optional[str] = None) -> ClaimReport:
     note is appended.  Gating failures are counted on the report; exploratory
     rows never gate.
     """
-    if fixture_id is None:
-        fixtures = list(_fixtures().values())
-    else:
-        fixtures = [fixture(fixture_id)]
+    fixtures = _fixtures().values() if fixture_id is None else [fixture(fixture_id)]
     results = []
     for f in fixtures:
         for claim in f.claims:
             passed, detail = claim.check(f.instance)
-            if passed is None:
-                status = "open"
-            else:
-                status = "pass" if passed else "fail"
+            status = "open" if passed is None else "pass" if passed else "fail"
             results.append(ClaimResult(f.id, claim, status, detail))
     if fixture_id is None:
         results.append(_OPEN_NOTE)

@@ -276,15 +276,16 @@ def cmd_mine(args) -> int:
         predicate = parse_predicate(args.predicate)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
-    hits, skipped = [], []
+    hits, skipped, scanned = [], [], 0
     for seed, hit, reason in mine_seeds(params, predicate, args.count, budget=_budget(args)):
+        scanned += 1
         if hit is not None:
             hits.append(hit)
         if reason is not None:
             skipped.append({"seed": seed, "reason": reason})
     doc = {
         "predicate": predicate.text(),
-        "scanned": args.count,
+        "scanned": scanned,
         "skipped": skipped,
         "hits": [
             {
@@ -311,11 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance=True):
+    def common(p, instance=True, budget=True):
         if instance:
             p.add_argument("instance", help="instance JSON file")
-        p.add_argument("--budget", type=int, default=None,
-                       help="enumeration budget (overrides FAIRKIT_BUDGET)")
+        if budget:
+            p.add_argument("--budget", type=int, default=None,
+                           help="enumeration budget (overrides FAIRKIT_BUDGET)")
         mode = p.add_mutually_exclusive_group()
         mode.add_argument("--json", dest="table", action="store_false", default=False,
                           help="JSON output (default)")
@@ -349,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cut_and_choose)
 
     p = sub.add_parser("verify-paper", help="re-check every recorded catalog claim")
-    common(p, instance=False)
+    common(p, instance=False, budget=False)
     p.add_argument("--fixture", default=None,
                    help="restrict to one fixture id (e.g. FIX-T1)")
     p.add_argument("--export-instances", default=None, metavar="DIR",

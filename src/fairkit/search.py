@@ -402,8 +402,11 @@ def mine_seeds(params: GenParams, predicate: Predicate, count: int,
     :class:`RejectionBudgetError` that ``generate`` raised for it.  Each
     instance's predicate is decided by the smallest scan that settles it
     (:func:`_matches`); the landscape, over ``combos`` plus the predicate's
-    combo, is computed for hits only.
+    combo, is computed for hits only.  A negative ``count`` is rejected with
+    ValueError.
     """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     combos = tuple(combos) if combos is not None else (predicate.combo,)
     if predicate.combo not in combos:
         combos = combos + (predicate.combo,)

@@ -18,21 +18,6 @@ from typing import Optional
 from .core import Instance, Valuation
 
 
-def is_good_wrt(v: Valuation, item: int, bundle: int) -> bool:
-    """Marginal of ``item`` on ``bundle`` is >= 0 (trivially true if already in)."""
-    bit = 1 << item
-    if bundle & bit:
-        return True
-    return v.table[bundle | bit] >= v.table[bundle]
-
-
-def is_bad_wrt(v: Valuation, item: int, bundle: int) -> bool:
-    bit = 1 << item
-    if bundle & bit:
-        return True
-    return v.table[bundle | bit] <= v.table[bundle]
-
-
 def _scan_general(v: Valuation, item: int) -> tuple[bool, bool]:
     """(generally good, generally bad) in one pass over all bundles."""
     bit = 1 << item
@@ -52,14 +37,6 @@ def _scan_general(v: Valuation, item: int) -> tuple[bool, bool]:
             break
         sub = (sub - 1) & rest
     return good, bad
-
-
-def is_generally_good(v: Valuation, item: int) -> bool:
-    return _scan_general(v, item)[0]
-
-
-def is_generally_bad(v: Valuation, item: int) -> bool:
-    return _scan_general(v, item)[1]
 
 
 @dataclass(frozen=True)
@@ -109,10 +86,6 @@ def mixed_witness(inst: Instance, item: int) -> Optional[MixedWitness]:
             break
         sub = ((sub | ~rest) + 1) & rest
     return None
-
-
-def is_mixed(inst: Instance, item: int) -> bool:
-    return mixed_witness(inst, item) is not None
 
 
 @dataclass(frozen=True)

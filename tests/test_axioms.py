@@ -13,7 +13,6 @@ from fairkit import (
     check_ef1pm,
     check_efx,
     check_efxpm,
-    check_variant,
     envies,
     fixture,
     mask_from_names,
@@ -159,19 +158,14 @@ def test_zero_variant_gap_on_zm():
     allocs = list(enumerate_allocations(ZM))
     assert sum(satisfies(ZM, a, EFXPM0) for a in allocs) == 0
     assert sum(satisfies(ZM, a, EFXPM) for a in allocs) == 4
-    assert check_variant(ZM, alloc(ZM, ("b",), ("a",)), EFXPM0).satisfied is False
+    assert check_axiom(ZM, alloc(ZM, ("b",), ("a",)), EFXPM0).satisfied is False
     assert check_efxpm(ZM, alloc(ZM, ("b",), ("a",))).satisfied
 
 
 def test_variant_b_on_t2():
-    v = check_variant(T2, alloc(T2, ("a", "b", "c"), ("d",)), VARIANT_B)
+    v = check_axiom(T2, alloc(T2, ("a", "b", "c"), ("d",)), VARIANT_B)
     assert not v.satisfied
     assert Witness(0, 1, ADDED_BAD, 0, -8, -7) in v.violations
-
-
-def test_variant_requires_variant_axiom():
-    with pytest.raises(ValueError):
-        check_variant(T2, alloc(T2, ("a", "b", "c"), ("d",)), EFX)
 
 
 def test_zero_variants_are_stronger():

@@ -197,6 +197,20 @@ def test_mine_cli_lists_skipped_seeds(capsys):
     assert doc["skipped"] == [] and [h["seed"] for h in doc["hits"]] == [0, 1]
 
 
+def test_mine_cli_rejects_a_negative_count(capsys):
+    code, out, err = run(capsys, ["mine", "--predicate", "efx>=0", "--count", "-5"])
+    assert code == 2 and out == "" and "count must be >= 0" in err
+    code, out, _ = run(capsys, ["mine", "--predicate", "efx>=0", "-m", "2", "--count", "0"])
+    assert code == 0 and json.loads(out)["scanned"] == 0
+
+
+def test_verify_paper_takes_no_budget(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-paper", "--budget", "-1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget" in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, ["leximin", "/nonexistent/instance.json"])
     assert code == 2 and "cannot read" in err

@@ -466,3 +466,12 @@ def test_mine_seeds_reports_skipped_seeds():
     assert mine(params, parse_predicate("efx>=0"), 3) == []
     ok = list(fairkit.search.mine_seeds(replace(params, hi=3), parse_predicate("efx>=0"), 2))
     assert [(seed, hit.seed, reason) for seed, hit, reason in ok] == [(5, 5, None), (6, 6, None)]
+
+
+def test_mine_seeds_rejects_a_negative_count():
+    params, predicate = GenParams(agents=2, items=2), parse_predicate("efx>=0")
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        next(fairkit.search.mine_seeds(params, predicate, -1))
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        mine(params, predicate, -1)
+    assert list(fairkit.search.mine_seeds(params, predicate, 0)) == []

@@ -1,12 +1,10 @@
+import pytest
+
 from fairkit import (
     AdditiveValuation,
+    Instance,
     classify,
     fixture,
-    is_bad_wrt,
-    is_generally_bad,
-    is_generally_good,
-    is_good_wrt,
-    is_mixed,
     mask_from_names,
     mixed_witness,
 )
@@ -28,38 +26,41 @@ def bundle(inst, *names):
 def test_good_wrt_examples():
     v = EX1.valuations[0]
     b = EX1.item_index("b")
-    assert is_good_wrt(v, b, bundle(EX1, "r"))       # 2 >= -1
-    assert not is_good_wrt(v, b, 0)                  # -1 < 0
-    assert is_bad_wrt(v, b, 0)
+    assert v.marginal(bundle(EX1, "r"), b) >= 0      # 2 >= -1: good w.r.t. {r}
+    assert v.marginal(0, b) < 0                      # -1 < 0: not good w.r.t. {}
+    assert v.marginal(0, b) <= 0                     # bad w.r.t. {}
 
 
 def test_zero_marginal_item_is_good_and_bad():
     v = AdditiveValuation((0, 3))
-    assert is_good_wrt(v, 0, 0) and is_bad_wrt(v, 0, 0)
-    assert is_generally_good(v, 0) and is_generally_bad(v, 0)
+    assert v.marginal(0, 0) == 0
+    _, mat = classify(Instance(("a", "b"), (v, v)))
+    assert mat.generally_good[0][0] and mat.generally_bad[0][0]
 
 
-def test_item_inside_bundle_counts_as_good_and_bad():
+def test_item_inside_bundle_has_no_marginal():
     v = EX1.valuations[0]
-    full = EX1.full
-    assert is_good_wrt(v, 0, full) and is_bad_wrt(v, 0, full)
+    with pytest.raises(ValueError):
+        v.marginal(EX1.full, 0)
 
 
 def test_generally_good_bad_examples():
-    assert is_generally_bad(OBS1.valuations[0], OBS1.item_index("b"))
-    assert is_generally_good(OBS1.valuations[1], OBS1.item_index("b"))
+    _, mat = classify(OBS1)
+    assert mat.generally_bad[0][OBS1.item_index("b")]
+    assert mat.generally_good[1][OBS1.item_index("b")]
     b = EX1.item_index("b")
-    for v in EX1.valuations:
-        assert not is_generally_good(v, b) and not is_generally_bad(v, b)
+    _, mat = classify(EX1)
+    for agent in range(EX1.n):
+        assert not mat.generally_good[agent][b] and not mat.generally_bad[agent][b]
 
 
 def test_mixed_examples():
-    assert is_mixed(T1, T1.item_index("a"))
-    assert is_mixed(OBS1, OBS1.item_index("b"))
+    assert mixed_witness(T1, T1.item_index("a")) is not None
+    assert mixed_witness(OBS1, OBS1.item_index("b")) is not None
     for o in range(OBS3.m):
-        assert not is_mixed(OBS3, o)
+        assert mixed_witness(OBS3, o) is None
     for o in range(EX1.m):
-        assert is_mixed(EX1, o)
+        assert mixed_witness(EX1, o) is not None
 
 
 def test_mixed_witness_revalidates():
