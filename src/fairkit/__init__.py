@@ -54,7 +54,7 @@ from .axioms import (
     check_efx,
     check_efxpm,
     envies,
-    kernels,
+    held,
     satisfies,
 )
 from .efficiency import (

@@ -1,11 +1,12 @@
-"""Fairness-axiom checkers with violation witnesses, and boolean kernels.
+"""Fairness-axiom checkers with violation witnesses, and one fused scan.
 
 Envy is strict: agent i envies agent j when v_i(A_i) < v_i(A_j).  Every
 checker evaluates every ordered agent pair and reports all violations, each
-as a :class:`Witness` whose lhs < rhs reproduces the failed inequality.
-:func:`kernels` decides the same axioms without witnesses, for scans that
-only need yes or no; :func:`satisfies` answers yes or no for one allocation
-without building any rows.
+as a :class:`Witness` whose lhs < rhs reproduces the failed inequality;
+:func:`satisfies` is a checker's yes or no for one allocation.  For scans
+over many allocations, :func:`held` decides many axioms at once without
+witnesses: one bit per axiom, from one pass over each envying pair's two
+bundles, and none at all for an envy-free allocation.
 
 The "up to any item" family (EFX and friends) uses universally quantified
 clauses over strictly qualifying items, so an envying pair with no qualifying
@@ -19,6 +20,7 @@ accepts it too, because the qualifying item is the repair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .core import Allocation, Instance
@@ -157,11 +159,8 @@ def _efx_pair(t, a, b, i, j, pm_removal, pm_own, strict, good=None, bad=None):
 def _check_efx_family(inst, alloc, axiom):
     n = inst.n
     if axiom == CHEN_LIU:
-        _require_chen_liu(inst)
-        matrix = _item_classes(inst)[1]
         pm_removal, pm_own, strict = False, True, True
-        goods = _masks(matrix.generally_good)
-        bads = _masks(matrix.generally_bad)
+        goods, bads = _chen_liu_masks(inst)
     else:
         pm_removal, pm_own, strict = _EFX_FAMILY[axiom]
         goods = bads = (None,) * n
@@ -289,12 +288,17 @@ def well_defined(inst: Instance, axiom: str) -> bool:
     return axiom != CHEN_LIU or _item_classes(inst)[0].generally_good_bad_items
 
 
-def _require_chen_liu(inst):
+def _chen_liu_masks(inst):
+    """Per agent, the masks of its generally good and of its generally bad
+    items.  Raises :class:`NotWellDefinedError` outside chen-liu's domain."""
     if not well_defined(inst, CHEN_LIU):
         raise NotWellDefinedError(
             "the chen-liu variant is only well-defined for problems with "
             "generally good/bad items"
         )
+    matrix = _item_classes(inst)[1]
+    return [[sum(1 << o for o, flag in enumerate(row) if flag) for row in flags]
+            for flags in (matrix.generally_good, matrix.generally_bad)]
 
 
 # ---------------------------------------------------------------------------
@@ -337,267 +341,158 @@ def check_axiom(inst: Instance, alloc: Allocation, axiom: str) -> Verdict:
 def satisfies(inst: Instance, alloc: Allocation, axiom: str) -> bool:
     """Boolean form of :func:`check_axiom`, for one allocation.
 
-    A scan over many allocations should build :func:`kernels` once instead:
-    their rows cost O(2**m) to set up, which one call cannot repay.
+    A scan over many allocations should build :func:`held` once instead, and
+    decide all its axioms per allocation in one pass.
     """
     return check_axiom(inst, alloc, axiom).satisfied
 
 
 # ---------------------------------------------------------------------------
-# boolean kernels
+# the fused scan
 #
-# A kernel decides one axiom for one allocation, stops at the first failing
-# envying pair and builds no witness.  The clauses that look at one bundle at
-# a time are read from one-removal rows.  For a table t and a bundle x, with
-# r_o = t[x - o] over the items o of x, the row holds
-#   lo = min r_o,   hi = max r_o,
-#   below = max{r_o < t[x]},   below0 = max{r_o <= t[x]},
-#   above = min{r_o > t[x]},   above0 = min{r_o >= t[x]}.
-# A max over no item is the table's minimum and a min over no item its
-# maximum.  For an envying pair, t[a] < t[b], so an empty set makes an
-# "exists" clause read false and a "for all" clause read true, and every
-# comparison stays exact.  For the envying pair (a, b) of one agent:
-#   EF1            t[a] >= lo[b]  or  hi[a] >= t[b]
-#   EFX removal    t[a] >= below[b]       (EFX0: below0)
-#   EFX own item   above[a] >= t[b]       (EFX0: above0)
-#   EF1-pm         t[a] >= lo[b]  or  an own strict bad o with t[a] >= t[b + o]
-#   chen-liu       t[a] >= the max of r_o over the agent's generally good o in b
-# The pm clauses and chen-liu's added-bad clause depend on both bundles and
-# keep an early-exit scan over the items.
-
-_LO, _HI, _BELOW, _BELOW0, _ABOVE, _ABOVE0 = range(6)
-
-
-def _one_removal_row(t, x, tmin, tmax):
-    """(lo, hi, below, below0, above, above0) of bundle ``x`` under table ``t``."""
-    v = t[x]
-    lo = above = tmax
-    hi = below = tmin
-    tie = False
-    s = x
-    while s:
-        bit = s & -s
-        s ^= bit
-        r = t[x ^ bit]
-        if r < lo:
-            lo = r
-        if r > hi:
-            hi = r
-        if r < v:
-            if r > below:
-                below = r
-        elif r > v:
-            if r < above:
-                above = r
-        else:
-            tie = True
-    return lo, hi, below, v if tie else below, above, v if tie else above
+# One scan decides every requested axiom for one allocation and builds no
+# witness; each axiom owns one bit.  An envying pair (own bundle a, envied
+# bundle b, va = t[a] < vb = t[b] through the envier's table t) gets one pass
+# over the items o of b and one over those of a.  Each item outcome fails the
+# axioms of one clause group, or repairs EF1 or EF1-pm:
+#   over b, rb = t[b - o]: va >= rb repairs EF1 and EF1-pm; if va < rb,
+#     rb < vb           _X_LT  the EFX-style removal clause
+#     rb == vb          _X_EQ  the same, zero variants only
+#     t[a + o] > va     _P_GT  the "pm" removal clause
+#     t[a + o] == va    _P_EQ  the same, zero variants only
+#     o generally good  _CL    chen-liu
+#   over a, ra = t[a - o], ab = t[b + o]: ra >= vb repairs EF1, and ra > va
+#   with va >= ab repairs EF1-pm;
+#     va < ra < vb      _OX_GT the EFX-style own-item clause
+#     ra == va          _OX_EQ the same, zero variants only
+#     ra > va, va < ab  _OP_GT the "pm" own-item clause
+#     ra == va, va < ab _OP_EQ the same, zero variants only
+#     o generally bad, va < ab  _CL  chen-liu
+# EF (_EF) fails on every envying pair, EF1 and EF1-pm unless repaired.  A
+# pair's passes stop as soon as its outcome is settled.
+_EF, _EF1, _EF1PM, _CL, _X_LT, _X_EQ, _P_GT, _P_EQ, _OX_GT, _OX_EQ, _OP_GT, _OP_EQ = range(12)
 
 
-class _Rows:
-    """One table's rows for one scan, each filled on first use.
-
-    ``cols`` holds the six one-removal columns.  For chen-liu, ``good`` and
-    ``bad`` are the masks of the agent's generally good and bad items and
-    ``good_max[x]`` is the max of ``t[x - o]`` over the good items o of x.
-    """
-
-    __slots__ = ("t", "tmin", "tmax", "cols", "good", "bad", "good_max")
-
-    def __init__(self, t, good=None, bad=None):
-        empty = [None] * len(t)
-        self.t = t
-        self.tmin = min(t)
-        self.tmax = max(t)
-        self.cols = (empty, empty[:], empty[:], empty[:], empty[:], empty[:])
-        self.good = good
-        self.bad = bad
-        self.good_max = None if good is None else empty[:]
-
-    def fill(self, x):
-        row = _one_removal_row(self.t, x, self.tmin, self.tmax)
-        lo, hi, below, below0, above, above0 = self.cols
-        lo[x], hi[x], below[x], below0[x], above[x], above0[x] = row
-        return row
-
-    def fill_good(self, x):
-        t = self.t
-        best = self.tmin
-        s = x & self.good
-        while s:
-            bit = s & -s
-            s ^= bit
-            r = t[x ^ bit]
-            if r > best:
-                best = r
-        self.good_max[x] = best
-        return best
+def _family_groups(pm_removal, pm_own, strict):
+    """The groups of an EFX-family axiom: a zero axiom's items also qualify
+    on ties, so it is in the equality groups too."""
+    removal = (_P_GT, _P_EQ) if pm_removal else (_X_LT, _X_EQ)
+    own = (_OP_GT, _OP_EQ) if pm_own else (_OX_GT, _OX_EQ)
+    return (removal[0], own[0]) if strict else removal + own
 
 
-# Pair tests ok(rows, t, a, b, va, vb): one envying pair of an agent with
-# table t and rows ``rows``, own bundle a, envied bundle b, va = t[a] < vb = t[b].
-
-def _never(rows, t, a, b, va, vb):
-    return False
+_GROUPS_OF = {EF: (_EF,), EF1: (_EF1,), EF1PM: (_EF1PM,), CHEN_LIU: (_CL,),
+              **{ax: _family_groups(*spec) for ax, spec in _EFX_FAMILY.items()}}
 
 
-def _both(first, second):
-    return lambda rows, t, a, b, va, vb: (first(rows, t, a, b, va, vb)
-                                          and second(rows, t, a, b, va, vb))
+@lru_cache(maxsize=64)
+def _pair_pass(axiom_ids):
+    """``fails(t, a, b, va, vb, good, bad)``: the bits that one envying pair
+    fails, the k-th of the (distinct) ``axiom_ids`` owning ``1 << k``, with
+    ``good``/``bad`` the envier's chen-liu masks.  Cached: a scan's setup is
+    a noticeable share of a scan of a small instance."""
+    groups = [0] * (_OP_EQ + 1)
+    for k, ax in enumerate(axiom_ids):
+        for g in _GROUPS_OF[ax]:
+            groups[g] |= 1 << k
+    ef, ef1, ef1pm, cl, x_lt, x_eq, p_gt, p_eq, ox_gt, ox_eq, op_gt, op_eq = groups
+    unrepaired = ef | ef1 | ef1pm
+    keep_ef1 = ~ef1
+    keep_ef1pm = ~ef1pm
+    keep_removal = keep_ef1 & keep_ef1pm
+    added = op_gt | ef1pm
+    # failures only set bits and repairs only clear EF1 and EF1-pm bits, so
+    # once every other bit has failed and those two are repaired, the pair's
+    # outcome can no longer change
+    settled = ((1 << len(axiom_ids)) - 1) & keep_removal
 
-
-def _either(first, second):
-    return lambda rows, t, a, b, va, vb: (first(rows, t, a, b, va, vb)
-                                          or second(rows, t, a, b, va, vb))
-
-
-def _removal_col(k):
-    """va >= column k of the envied bundle's row."""
-    def ok(rows, t, a, b, va, vb):
-        x = rows.cols[k][b]
-        if x is None:
-            x = rows.fill(b)[k]
-        return va >= x
-    return ok
-
-
-def _own_col(k):
-    """Column k of the own bundle's row >= vb."""
-    def ok(rows, t, a, b, va, vb):
-        x = rows.cols[k][a]
-        if x is None:
-            x = rows.fill(a)[k]
-        return x >= vb
-    return ok
-
-
-def _good_removal(rows, t, a, b, va, vb):
-    """chen-liu's removal clause: va >= the max of t[b - o] over good o."""
-    x = rows.good_max[b]
-    if x is None:
-        x = rows.fill_good(b)
-    return va >= x
-
-
-def _pm_removal(strict):
-    """Every o in b that is a good at a (t[a + o] > va, or >=) has va >= t[b - o]."""
-    def ok(rows, t, a, b, va, vb):
+    def fails(t, a, b, va, vb, good, bad):
+        out = unrepaired
         s = b
         while s:
+            if out == settled:
+                return out
             bit = s & -s
             s ^= bit
-            g = t[a | bit]
-            if ((g > va) if strict else (g >= va)) and va < t[b ^ bit]:
-                return False
-        return True
-    return ok
-
-
-def _pm_own(strict):
-    """Every own o that is a bad at a (t[a - o] > va, or >=) has va >= t[b + o]."""
-    def ok(rows, t, a, b, va, vb):
+            rb = t[b ^ bit]
+            if va >= rb:
+                out &= keep_removal
+                continue
+            if rb < vb:
+                out |= x_lt
+            elif rb == vb:
+                out |= x_eq
+            if p_gt:
+                g = t[a | bit]
+                if g > va:
+                    out |= p_gt
+                elif g == va:
+                    out |= p_eq
+            if good & bit:
+                out |= cl
         s = a
         while s:
+            if out == settled:
+                return out
             bit = s & -s
             s ^= bit
-            r = t[a ^ bit]
-            if ((r > va) if strict else (r >= va)) and va < t[b | bit]:
-                return False
-        return True
-    return ok
+            ra = t[a ^ bit]
+            if ra > va:
+                if ra >= vb:
+                    out &= keep_ef1
+                else:
+                    out |= ox_gt
+                if added:
+                    if va < t[b | bit]:
+                        out |= op_gt
+                    else:
+                        out &= keep_ef1pm
+            elif ra == va:
+                out |= ox_eq
+                if op_eq and va < t[b | bit]:
+                    out |= op_eq
+            if bad & bit and va < t[b | bit]:
+                out |= cl
+        return out
+    return fails
 
 
-def _ef1pm_own(rows, t, a, b, va, vb):
-    """Some own strict bad o has va >= t[b + o]."""
-    s = a
-    while s:
-        bit = s & -s
-        s ^= bit
-        if t[a ^ bit] > va and va >= t[b | bit]:
-            return True
-    return False
+def held(inst: Instance, axiom_ids) -> tuple:
+    """``(bit_of, scan)`` deciding the axioms ``axiom_ids`` for one scan.
 
-
-def _chen_liu_own(rows, t, a, b, va, vb):
-    """Every own generally bad o has va >= t[b + o]."""
-    s = a & rows.bad
-    while s:
-        bit = s & -s
-        s ^= bit
-        if va < t[b | bit]:
-            return False
-    return True
-
-
-def _efx_pair_test(pm_removal, pm_own, strict):
-    removal = _pm_removal(strict) if pm_removal else _removal_col(_BELOW if strict else _BELOW0)
-    own = _pm_own(strict) if pm_own else _own_col(_ABOVE if strict else _ABOVE0)
-    return _both(removal, own)
-
-
-_PAIR_TESTS = {
-    EF: _never,
-    EF1: _either(_removal_col(_LO), _own_col(_HI)),
-    EF1PM: _either(_removal_col(_LO), _ef1pm_own),
-    CHEN_LIU: _both(_good_removal, _chen_liu_own),
-    **{ax: _efx_pair_test(*spec) for ax, spec in _EFX_FAMILY.items()},
-}
-
-# the axioms whose pair tests read no rows
-_ROWLESS = frozenset([EF, EFXPM, EFXPM0])
-
-
-def _masks(flags):
-    """Per-agent item flags -> per-agent item masks."""
-    return [sum(1 << o for o, flag in enumerate(row) if flag) for row in flags]
-
-
-def kernels(inst: Instance, axiom_ids) -> dict:
-    """Boolean kernels ``alloc -> bool``, one per axiom id, for one scan.
-
-    Each kernel agrees with ``check_axiom(...).satisfied`` but stops at the
-    first failing envying pair and builds no witness.  The kernels share
-    their rows, and agents holding the same table object share its rows.
-    Build them once per scan and drop them with it: the rows are not kept on
-    the instance.  Raises ``ValueError`` for an unknown axiom and
-    :class:`NotWellDefinedError` for chen-liu outside its domain.
+    ``bit_of`` maps each distinct axiom id, in order, to ``1 << k``.
+    ``scan(alloc, want)`` returns the bits of ``want`` whose axioms the
+    allocation satisfies, each agreeing with ``check_axiom(...).satisfied``.
+    It reads each ordered pair's two bundle values once; an allocation with
+    no envying pair returns ``want`` untouched, and the pass over an envying
+    pair drops the bits it fails from ``want``, returning 0 once none is
+    left.  Nothing is kept on the instance.  Raises ``ValueError`` for an
+    unknown axiom and :class:`NotWellDefinedError` for chen-liu outside its
+    domain.
     """
-    tests = {}
-    for ax in axiom_ids:
-        test = _PAIR_TESTS.get(ax)
-        if test is None:
+    bit_of = {ax: 1 << k for k, ax in enumerate(dict.fromkeys(axiom_ids))}
+    for ax in bit_of:
+        if ax not in _GROUPS_OF:
             raise ValueError(f"unknown axiom {ax!r}")
-        tests[ax] = test
-    tabs = tuple(v.table for v in inst.valuations)
-    n = len(tabs)
-    rows: list = [None] * n
-    if not _ROWLESS.issuperset(tests):
-        goods = bads = (None,) * n
-        if CHEN_LIU in tests:
-            _require_chen_liu(inst)
-            matrix = _item_classes(inst)[1]
-            goods = _masks(matrix.generally_good)
-            bads = _masks(matrix.generally_bad)
-        shared: dict = {}
-        for i, t in enumerate(tabs):
-            r = shared.get(id(t))
-            if r is None:
-                r = shared[id(t)] = _Rows(t, goods[i], bads[i])
-            rows[i] = r
-    pairs = tuple((i, j) for i in range(n) for j in range(n) if i != j)
-    return {ax: _over_envying_pairs(pairs, tabs, rows, test) for ax, test in tests.items()}
+    n = inst.n
+    goods = bads = (0,) * n
+    if CHEN_LIU in bit_of:
+        goods, bads = _chen_liu_masks(inst)
+    tabs = [v.table for v in inst.valuations]
+    pairs = [(i, j, tabs[i], goods[i], bads[i]) for i in range(n) for j in range(n) if i != j]
+    fails = _pair_pass(tuple(bit_of))
 
-
-def _over_envying_pairs(pairs, tabs, rows, ok):
-    """The kernel: every envying ordered pair passes ``ok``."""
-    def holds(alloc):
-        for i, j in pairs:
-            t = tabs[i]
+    def scan(alloc, want):
+        if not want:
+            return 0
+        for i, j, t, good, bad in pairs:
             a = alloc[i]
             b = alloc[j]
             va = t[a]
             vb = t[b]
-            if va < vb and not ok(rows[i], t, a, b, va, vb):
-                return False
-        return True
-    return holds
+            if va < vb:
+                want &= ~fails(t, a, b, va, vb, good, bad)
+                if not want:
+                    return 0
+        return want
+    return bit_of, scan

@@ -26,7 +26,7 @@ from .axioms import (
     Witness,
     _item_classes,
     check_axiom,
-    kernels,
+    held,
     satisfies,
 )
 from .core import (
@@ -111,8 +111,9 @@ def _fmt(inst, *allocs):
 def _allocs(inst, *axiom_ids, po=False):
     """Allocations satisfying every listed axiom (and po), in enumeration order."""
     allocs = pareto_optimal_allocations(inst) if po else enumerate_allocations(inst)
-    holds = kernels(inst, axiom_ids).values()
-    return [a for a in allocs if all(kernel(a) for kernel in holds)]
+    bit_of, scan = held(inst, axiom_ids)
+    want = sum(bit_of.values())
+    return [a for a in allocs if scan(a, want) == want]
 
 
 def _scan(inst, combo):

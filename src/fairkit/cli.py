@@ -150,7 +150,8 @@ def cmd_enumerate(args) -> int:
     budget = _budget(args)
     front = pareto_front(inst, budget) if "po" in requested else None
     allocs = enumerate_allocations(inst, budget)  # the budget is checked before any work
-    holds = axioms.kernels(inst, [ax for ax in requested if ax != "po"])
+    bit_of, scan = axioms.held(inst, [ax for ax in requested if ax != "po"])
+    want = sum(bit_of.values())
     for k, alloc in enumerate(allocs):
         utils = utilities(inst, alloc)
         row = {
@@ -159,11 +160,12 @@ def cmd_enumerate(args) -> int:
             "utilities": [format_value(u) for u in utils],
             "axioms": {},
         }
+        got = scan(alloc, want)
         for ax in requested:
             if ax == "po":
                 row["axioms"]["po"] = utils in front
             else:
-                row["axioms"][ax] = holds[ax](alloc)
+                row["axioms"][ax] = bool(got & bit_of[ax])
         print(json.dumps(row))
     return 0
 

@@ -296,6 +296,14 @@ def enumerate_allocations(inst: Instance, budget: Optional[int] = None) -> Itera
     return chain.from_iterable(allocs for allocs, _ in allocation_blocks(inst, budget))
 
 
+def check_budget(n: int, m: int, budget: Optional[int] = None) -> None:
+    """Raise :class:`BudgetExceededError` when the ``n**m`` allocations of n
+    agents and m items exceed the budget (default ``DEFAULT_BUDGET``)."""
+    budget = DEFAULT_BUDGET if budget is None else budget
+    if n ** m > budget:
+        raise BudgetExceededError(n ** m, budget)
+
+
 def allocation_blocks(inst: Instance, budget: Optional[int] = None) -> Iterator[tuple]:
     """The allocations of :func:`enumerate_allocations`, block by block.
 
@@ -312,11 +320,8 @@ def allocation_blocks(inst: Instance, budget: Optional[int] = None) -> Iterator[
     blocks of fresh masks are alive while the next one is built.  The budget
     is checked as in :func:`enumerate_allocations`.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
     n, m = inst.n, inst.m
-    total = n ** m
-    if total > budget:
-        raise BudgetExceededError(total, budget)
+    check_budget(n, m, budget)
     low = 0
     while low < min(m, 8) and n ** (low + 1) <= _BLOCK_CAP:
         low += 1

@@ -20,10 +20,11 @@ from .core import (
     ExplicitValuation,
     Instance,
     allocation_blocks,
+    check_budget,
     enumerate_allocations,
     nonzero_marginals,
 )
-from .axioms import satisfies  # noqa: F401  (still importable from here; landscape uses kernels)
+from .axioms import satisfies  # noqa: F401  (still importable from here; landscape uses held)
 from .efficiency import pareto_front, pareto_optimal_allocations
 from .taxonomy import classify
 
@@ -272,10 +273,11 @@ def landscape(inst: Instance, combos: Optional[Sequence[tuple]] = None,
     instance.  Each row's example is its first satisfying allocation in
     enumeration order.
 
-    Pareto optimality is decided first, by :func:`pareto_front`; one pass over
-    the allocations then evaluates each axiom at most once per allocation,
-    and an axiom that occurs only in combos with ``"po"`` only on
-    Pareto-optimal allocations.
+    Pareto optimality is decided first, by :func:`pareto_front`.  One walk
+    over the allocations then makes one fused scan (:func:`axioms.held`) per
+    allocation, which decides all the combos' axioms at once; an axiom that
+    occurs only in combos with ``"po"`` is requested on Pareto-optimal
+    allocations only.
     """
     combos = tuple(DEFAULT_COMBOS if combos is None else combos)
     blocks = allocation_blocks(inst, budget)  # the budget is checked before any work
@@ -283,13 +285,12 @@ def landscape(inst: Instance, combos: Optional[Sequence[tuple]] = None,
     need_po = any("po" in combo for combo in combos)
 
     names = sorted({ax for combo in combos for ax in combo} - {"po"})
-    holds = axioms.kernels(inst, names)
-    bits = {ax: 1 << k for k, ax in enumerate(names)}
-    bits["po"] = po_bit = 1 << len(names)
+    bit_of, scan = axioms.held(inst, names)
+    bit_of["po"] = po_bit = 1 << len(names)
     anywhere = {ax for combo in combos if "po" not in combo for ax in combo}
-    everywhere = [(holds[ax], bits[ax]) for ax in names if ax in anywhere]
-    front_only = [(holds[ax], bits[ax]) for ax in names if ax not in anywhere]
-    needs = [sum(bits[ax] for ax in set(combo)) for combo in combos]
+    everywhere = sum(bit_of[ax] for ax in names if ax in anywhere)
+    on_front = sum(bit_of[ax] for ax in names)
+    needs = [sum(bit_of[ax] for ax in set(combo)) for combo in combos]
     tally: dict = {}  # set of held axioms (as bits) -> allocations holding exactly it
     first: dict = {}  # set of held axioms -> (index, allocation) of its first allocation
 
@@ -297,15 +298,7 @@ def landscape(inst: Instance, combos: Optional[Sequence[tuple]] = None,
     flagged = chain.from_iterable(zip(allocs, map(front.__contains__, profiles))
                                   for allocs, profiles in blocks)  # (allocation, is it PO)
     for k, (alloc, po) in enumerate(flagged):
-        held = 0
-        for kernel, bit in everywhere:
-            if kernel(alloc):
-                held |= bit
-        if po:
-            held |= po_bit
-            for kernel, bit in front_only:
-                if kernel(alloc):
-                    held |= bit
+        held = scan(alloc, on_front) | po_bit if po else scan(alloc, everywhere)
         if held in tally:
             tally[held] += 1
         else:
@@ -402,14 +395,21 @@ def mine_seeds(params: GenParams, predicate: Predicate, count: int,
     :class:`RejectionBudgetError` that ``generate`` raised for it.  Each
     instance's predicate is decided by the smallest scan that settles it
     (:func:`_matches`); the landscape, over ``combos`` plus the predicate's
-    combo, is computed for hits only.  A negative ``count`` is rejected with
-    ValueError.
+    combo, is computed for hits only.  A negative ``count`` (ValueError) and
+    an allocation space over the budget (:class:`BudgetExceededError`) are
+    rejected at the call, before any instance is generated.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    check_budget(params.agents, params.items, budget)
     combos = tuple(combos) if combos is not None else (predicate.combo,)
     if predicate.combo not in combos:
         combos = combos + (predicate.combo,)
+    return _mine_seeds(params, predicate, count, combos, budget, max_attempts)
+
+
+def _mine_seeds(params, predicate, count, combos, budget, max_attempts):
+    """The per-seed generator of :func:`mine_seeds`, over checked arguments."""
     for k in range(count):
         seed = params.seed + k
         try:
@@ -437,14 +437,15 @@ def _matches(inst: Instance, predicate: Predicate, budget: Optional[int]) -> boo
         return False  # landscape has no row for the combo
     if "po" in combo:
         allocs = pareto_optimal_allocations(inst, budget)
-    holds = tuple(axioms.kernels(inst, [ax for ax in combo if ax != "po"]).values())
+    bit_of, scan = axioms.held(inst, [ax for ax in combo if ax != "po"])
+    want = sum(bit_of.values())
     total = inst.n ** inst.m
     lo, hi = 0, total
     for alloc in allocs:
         verdict = predicate.settled(lo, hi, total)
         if verdict is not None:
             return verdict
-        if all(kernel(alloc) for kernel in holds):
+        if scan(alloc, want) == want:
             lo += 1
         else:
             hi -= 1

@@ -167,7 +167,8 @@ def test_verify_paper_single_fixture_and_export(tmp_path, capsys):
     exported = os.path.join(out_dir, "FIX-ZM.json")
     assert os.path.exists(exported)
     from fairkit import loads_instance
-    assert loads_instance(open(exported).read()) == fixture("FIX-ZM").instance
+    with open(exported, encoding="utf-8") as f:
+        assert loads_instance(f.read()) == fixture("FIX-ZM").instance
 
 
 def test_mine_cli(capsys):

@@ -1,4 +1,4 @@
-"""The boolean axiom kernels against the witness checkers and the naive oracles."""
+"""The fused axiom scan (``held``) against the witness checkers and the naive oracles."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -15,7 +15,7 @@ from fairkit import (
     check_axiom,
     enumerate_allocations,
     fixture,
-    kernels,
+    held,
     landscape,
 )
 from fairkit.axioms import (
@@ -28,6 +28,7 @@ from fairkit.axioms import (
     NotWellDefinedError,
     well_defined,
 )
+from fairkit.efficiency import pareto_front, utilities
 from fairkit.search import GenParams, generate
 
 from reference import (
@@ -58,18 +59,36 @@ REFS = {
 
 
 def _assert_three_way_agreement(inst):
-    """Kernel, ``check_axiom(...).satisfied`` and the oracle agree everywhere.
+    """Each scan bit, ``check_axiom(...).satisfied`` and the oracle agree everywhere,
+    and narrower scans give the same answers.
 
-    Returns the axioms that were defined on ``inst``.
+    The narrower scans are the same scan asked for fewer bits (every single
+    bit, two halves of the axioms as a landscape splits them into everywhere
+    and front-only bits, their union, and a mask that changes with the
+    allocation), and scans built over fewer axioms (each alone, each run of
+    three, and all of them in reverse order), whose pair passes stop early at
+    other points.  Returns the axioms that were defined on ``inst``.
     """
     axioms = [ax for ax in ALL_AXIOMS if well_defined(inst, ax)]
-    holds = kernels(inst, axioms)
+    bit_of, scan = held(inst, axioms)
+    every = sum(bit_of.values())
+    everywhere = sum(bit_of[ax] for ax in axioms[::2])
+    front_only = every ^ everywhere
+    subsets = [[ax] for ax in axioms] + [axioms[k:k + 3] for k in range(len(axioms) - 2)]
+    narrower = [held(inst, subset) for subset in subsets + [axioms[::-1]]]
     vm = value_maps(inst)
-    for a in enumerate_allocations(inst):
+    for k, a in enumerate(enumerate_allocations(inst)):
+        got = scan(a, every)
         sets = to_sets(a)
         for ax in axioms:
             want = REFS[ax](vm, sets, inst.m)
-            assert holds[ax](a) == check_axiom(inst, a, ax).satisfied == want, (ax, inst, a)
+            assert bool(got & bit_of[ax]) == check_axiom(inst, a, ax).satisfied == want, (
+                ax, inst, a)
+        for w in [*bit_of.values(), everywhere, front_only, every, (k * 0x9E37) & every]:
+            assert scan(a, w) == w & got, (w, inst, a)
+        for sub_bits, sub_scan in narrower:
+            expected = sum(bit for ax, bit in sub_bits.items() if got & bit_of[ax])
+            assert sub_scan(a, sum(sub_bits.values())) == expected, (list(sub_bits), inst, a)
     return axioms
 
 
@@ -116,20 +135,21 @@ def test_kernels_match_reference_property(inst):
 def test_kernels_on_the_up_to_any_vs_up_to_some_boundary_instance():
     table = [0, -1, -1, 5, -1, 5, 5, 4]
     inst = Instance(("a", "b", "c"), (ExplicitValuation(tuple(table)),) * 2)
-    holds = kernels(inst, (EFX, EFXPM, EF1, EF1PM))
+    bit_of, scan = held(inst, (EFX, EFXPM, EF1, EF1PM))
     a = (0, inst.full)
-    assert holds[EFX](a) and holds[EFXPM](a)
-    assert not holds[EF1](a) and not holds[EF1PM](a)
+    assert scan(a, sum(bit_of.values())) == bit_of[EFX] | bit_of[EFXPM]
     _assert_three_way_agreement(inst)
 
 
 def test_kernels_reject_unknown_and_undefined_axioms():
     ex1 = fixture("FIX-EX1").instance
     with pytest.raises(ValueError, match="unknown axiom 'po'"):
-        kernels(ex1, ("efx", "po"))
+        held(ex1, ("efx", "po"))
     with pytest.raises(NotWellDefinedError):
-        kernels(ex1, (CHEN_LIU,))
-    assert kernels(ex1, ()) == {}
+        held(ex1, (CHEN_LIU,))
+    bit_of, scan = held(ex1, ())
+    assert bit_of == {} and scan((0, ex1.full), 0) == 0
+    assert held(ex1, (EFX, EF1, EFX))[0] == {EFX: 1, EF1: 2}
 
 
 def test_scans_keep_nothing_on_the_instance():
@@ -143,28 +163,40 @@ def test_scans_keep_nothing_on_the_instance():
         assert set(inst.__dict__) - before <= {"_item_classes"}
 
 
-def test_a_scan_fills_each_row_at_most_once(monkeypatch):
-    filled = []
-    real_row = fairkit.axioms._one_removal_row
-    real_good = fairkit.axioms._Rows.fill_good
+def test_landscape_builds_one_scan_and_skips_envy_free_allocations(monkeypatch):
+    """One scan per landscape, over exactly the axioms its combos name; each
+    allocation is scanned once, for the front-only bits only when it is PO;
+    and no envy-free allocation reaches a pair pass."""
+    builds, scanned, passed = [], [], []
+    real_held = fairkit.axioms.held
+    real_pass = fairkit.axioms._pair_pass
 
-    def counting_row(t, x, tmin, tmax):
-        filled.append(("one-removal", id(t), x))
-        return real_row(t, x, tmin, tmax)
+    def counting_pass(axiom_ids):
+        fails = real_pass(axiom_ids)
+        return lambda *args: passed.append(scanned[-1][0]) or fails(*args)
 
-    def counting_good(rows, x):
-        filled.append(("good", id(rows.t), x))
-        return real_good(rows, x)
+    def recording_held(inst, axiom_ids):
+        builds.append(tuple(axiom_ids))
+        bit_of, scan = real_held(inst, axiom_ids)
+        return bit_of, lambda alloc, want: scanned.append((alloc, want)) or scan(alloc, want)
 
-    monkeypatch.setattr(fairkit.axioms, "_one_removal_row", counting_row)
-    monkeypatch.setattr(fairkit.axioms._Rows, "fill_good", counting_good)
-    combos = [(ax,) for ax in ALL_AXIOMS] + [("chen-liu", "efx", "po")]
+    monkeypatch.setattr(fairkit.axioms, "_pair_pass", counting_pass)
+    monkeypatch.setattr(fairkit.axioms, "held", recording_held)
+    combos = [("ef1",), ("efx", "efx0"), ("chen-liu", "efx", "po"), ("efxpm", "po"), ("po",)]
     for inst in (generate(GenParams(agents=2, items=6, item_class="generallyGoodBad",
                                     seed=12_600)),
                  generate(GenParams(agents=3, items=4, item_class="generallyGoodBad",
                                     identical=True, seed=12_601))):
-        filled.clear()
+        builds.clear()
+        scanned.clear()
+        passed.clear()
         landscape(inst, combos)
-        assert filled and len(filled) == len(set(filled))
-        tables = {id(v.table) for v in inst.valuations}
-        assert {key for _, key, _ in filled} <= tables
+        assert builds == [("chen-liu", "ef1", "efx", "efx0", "efxpm")]
+        allocs = list(enumerate_allocations(inst))
+        assert [a for a, _ in scanned] == allocs
+        front = pareto_front(inst)
+        everywhere, on_front = 0b01110, 0b11111  # ef1, efx, efx0 | chen-liu, efxpm
+        assert [want for _, want in scanned] == [
+            on_front if utilities(inst, a) in front else everywhere for a in allocs]
+        envious = {a for a in allocs if not check_axiom(inst, a, "ef").satisfied}
+        assert envious and set(passed) == envious

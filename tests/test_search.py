@@ -280,33 +280,33 @@ def test_landscape_chen_liu_rows_match_naive_oracle():
 
 def test_landscape_checks_each_axiom_once_and_po_only_axioms_on_the_front(monkeypatch):
     inst = generate(GenParams(agents=3, items=4, item_class="generallyGoodBad", seed=9700))
-    calls = []
+    scanned = []
     builds = []
-    real = fairkit.axioms.kernels
+    real = fairkit.axioms.held
 
     def counting(inst, axiom_ids):
-        builds.append(tuple(axiom_ids))
-        return {ax: lambda alloc, ax=ax, kernel=kernel: calls.append((alloc, ax)) or kernel(alloc)
-                for ax, kernel in real(inst, axiom_ids).items()}
+        bit_of, scan = real(inst, axiom_ids)
+        builds.append((tuple(axiom_ids), bit_of))
+        return bit_of, lambda alloc, want: scanned.append((alloc, want)) or scan(alloc, want)
 
-    monkeypatch.setattr(fairkit.axioms, "kernels", counting)
+    monkeypatch.setattr(fairkit.axioms, "held", counting)
     front = pareto_front(inst)
-    on_front = [a for a in fairkit.search.enumerate_allocations(inst)
-                if utilities(inst, a) in front]
+    allocs = list(fairkit.search.enumerate_allocations(inst))
+    on_front = [a for a in allocs if utilities(inst, a) in front]
     landscape(inst, (("efx",), ("efx", "po"), ("efxpm", "po"), ("chen-liu", "efxpm", "po")))
-    assert builds == [("chen-liu", "efx", "efxpm")]
-    assert len(calls) == len(set(calls))
-    assert sorted(a for a, ax in calls if ax == "efx") == sorted(
-        fairkit.search.enumerate_allocations(inst))
-    for ax in ("efxpm", "chen-liu"):
-        assert sorted(a for a, x in calls if x == ax) == sorted(on_front)
+    [(names, bit_of)] = builds
+    assert names == ("chen-liu", "efx", "efxpm")
+    assert [a for a, _ in scanned] == allocs
+    for ax in ("efx", "efxpm", "chen-liu"):
+        checked = [a for a, want in scanned if want & bit_of[ax]]
+        assert checked == (allocs if ax == "efx" else on_front)
 
 
 def test_landscape_checks_the_budget_before_any_work(monkeypatch):
     def forbidden(*args):
         raise AssertionError("work done before the budget check")
 
-    monkeypatch.setattr(fairkit.axioms, "kernels", forbidden)
+    monkeypatch.setattr(fairkit.axioms, "held", forbidden)
     monkeypatch.setattr(fairkit.axioms, "classify", forbidden)
     ex1 = fixture("FIX-EX1").instance
     for combos in (None, [("chen-liu",)], [("efxpm", "po")]):
@@ -415,13 +415,18 @@ def test_mine_builds_a_landscape_for_hits_only(monkeypatch):
 
 def test_mine_po_scan_tests_front_allocations_only(monkeypatch):
     tested = []
-    real = fairkit.axioms.kernels
+    real = fairkit.axioms.held
 
     def recording(inst, axiom_ids):
-        return {ax: lambda alloc, kernel=kernel, inst=inst: tested.append((inst, alloc))
-                or kernel(alloc) for ax, kernel in real(inst, axiom_ids).items()}
+        bit_of, scan = real(inst, axiom_ids)
 
-    monkeypatch.setattr(fairkit.axioms, "kernels", recording)
+        def scan_and_record(alloc, want):
+            if want:  # a scan asked for no bit tests no axiom
+                tested.append((inst, alloc))
+            return scan(alloc, want)
+        return bit_of, scan_and_record
+
+    monkeypatch.setattr(fairkit.axioms, "held", recording)
     params = GenParams(agents=3, items=3, lo=-3, hi=3, seed=975)
     mine(params, parse_predicate("efxpm&po>=5"), 10)
     assert tested
@@ -436,7 +441,7 @@ def test_mine_checks_the_budget_before_any_work(monkeypatch):
     def forbidden(*args):
         raise AssertionError("work done before the budget check")
 
-    for module, name in ((fairkit.axioms, "kernels"), (fairkit.axioms, "classify"),
+    for module, name in ((fairkit.axioms, "held"), (fairkit.axioms, "classify"),
                          (fairkit.search, "pareto_optimal_allocations"),
                          (fairkit.search, "landscape"), (fairkit.core, "_low_columns")):
         monkeypatch.setattr(module, name, forbidden)
@@ -444,6 +449,19 @@ def test_mine_checks_the_budget_before_any_work(monkeypatch):
     for text in ("efxpm&po=0", "efx>=1", "chen-liu=0"):
         with pytest.raises(BudgetExceededError):
             mine(params, parse_predicate(text), 2, budget=15)
+
+
+def test_mine_seeds_checks_its_arguments_at_the_call(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an instance was generated")
+
+    monkeypatch.setattr(fairkit.search, "generate", forbidden)
+    params, predicate = GenParams(agents=2, items=4), parse_predicate("efx>=0")
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        fairkit.search.mine_seeds(params, predicate, -1)
+    with pytest.raises(BudgetExceededError):
+        fairkit.search.mine_seeds(params, predicate, 3, budget=15)
+    fairkit.search.mine_seeds(params, predicate, 3, budget=16)  # generates only when iterated
 
 
 def test_predicate_settles_only_when_every_count_in_range_agrees():
