@@ -46,22 +46,11 @@ class PoVerdict:
 
 
 def check_po(inst: Instance, alloc: Allocation, budget: Optional[int] = None) -> PoVerdict:
-    """Scan the full allocation space for a Pareto improvement."""
-    tables = [v.table for v in inst.valuations]
-    base = [t[b] for t, b in zip(tables, alloc)]
-    n = inst.n
-    for other in enumerate_allocations(inst, budget):
-        strict = False
-        for i in range(n):
-            w = tables[i][other[i]]
-            if w < base[i]:
-                break
-            if w > base[i]:
-                strict = True
-        else:
-            if strict:
-                return PoVerdict(False, other)
-    return PoVerdict(True)
+    """Scan the full allocation space for a Pareto improvement; the verdict
+    carries the first improver in enumeration order."""
+    improver = next((o for o in enumerate_allocations(inst, budget)
+                     if pareto_improves(inst, o, alloc)), None)
+    return PoVerdict(improver is None, improver)
 
 
 def pareto_front(inst: Instance, budget: Optional[int] = None) -> frozenset:

@@ -22,11 +22,10 @@ from .core import (
     allocation_blocks,
     check_budget,
     enumerate_allocations,
-    nonzero_marginals,
 )
 from .axioms import satisfies  # noqa: F401  (still importable from here; landscape uses held)
 from .efficiency import pareto_front, pareto_optimal_allocations
-from .taxonomy import classify
+from .taxonomy import classify  # noqa: F401  (importable from here for bench/spans.py)
 
 ITEM_CLASSES = ("any", "generallyGoodBad", "noMixed")
 
@@ -61,9 +60,12 @@ class GenParams:
     """Constraints for one family of random instances.
 
     ``item_class`` is one of ``any``, ``generallyGoodBad`` or ``noMixed``.
-    Identical/additive/disjointly-normalised are enforced by construction,
-    non-zero marginals by rejection, and the item classes by a structured
-    construction that is re-verified before an instance is returned.
+    Every constraint is met by construction: identical agents share one
+    drawn table, disjointly normalised tables draw half their entries and
+    pair the rest with them, non-zero marginals come from entries that avoid
+    their neighbours' values, and the item classes compose monotone tables.
+    An item class combines with neither ``additive`` nor
+    ``disjointly_normalised``.
     """
 
     agents: int = 2
@@ -90,16 +92,34 @@ class GenParams:
             raise ValueError("empty value range")
         if self.item_class not in ITEM_CLASSES:
             raise ValueError(f"item_class must be one of {ITEM_CLASSES}")
+        if self.item_class != "any" and (self.additive or self.disjointly_normalised):
+            raise ValueError(f"item_class {self.item_class!r} takes neither additive nor "
+                             "disjointly_normalised (an additive instance already has "
+                             "generally good/bad items)")
 
 
 class RejectionBudgetError(Exception):
-    """The requested constraint combination kept failing re-verification."""
+    """No value in [lo, hi] keeps the marginals non-zero (only if hi - lo + 1 <= m)."""
 
 
 def _item_names(m: int) -> tuple:
     if m <= 26:
         return tuple(chr(ord("a") + i) for i in range(m))
     return tuple(f"o{i}" for i in range(m))
+
+
+def _draw(rng, p, avoid=()) -> int:
+    """Uniform draw from [p.lo, p.hi] minus ``avoid``; with nothing to avoid, ``rng.randint``."""
+    skip = sorted({a for a in avoid if p.lo <= a <= p.hi})
+    size = p.hi - p.lo + 1 - len(skip)
+    if size < 1:
+        raise RejectionBudgetError(
+            f"no value in [{p.lo}, {p.hi}] keeps non-zero marginals for {p}")
+    v = p.lo + rng.next_u64() % size
+    for a in skip:  # the (v - lo)-th value of the range that is not skipped
+        if a <= v:
+            v += 1
+    return v
 
 
 def _monotone_table(rng, members: int, m: int, lo: int, hi: int, increasing: bool,
@@ -139,111 +159,83 @@ def _monotone_table(rng, members: int, m: int, lo: int, hi: int, increasing: boo
     return table
 
 
-def _draw_item_class_tables(rng, p) -> list:
+def _item_class_table(rng, p, shared_split) -> ExplicitValuation:
     """Goods/bads composition: every item generally good or generally bad.
 
-    Each agent splits the items into goods and bads (a shared split under
-    ``noMixed`` so all agents agree on directions) and values a bundle as a
+    The agent splits the items into goods and bads (``shared_split`` under
+    ``noMixed``, so all agents agree on directions) and values a bundle as a
     monotone-increasing function of its goods plus a monotone-decreasing
-    function of its bads.
+    function of its bads, strictly monotone under ``nonzero_marginals``.
     """
     m = p.items
-    full = (1 << m) - 1
-    agents = 1 if p.identical else p.agents
-    shared_split = None
-    if p.item_class == "noMixed":
-        shared_split = sum(rng.bit() << i for i in range(m))
-    tables = []
-    for _ in range(agents):
-        goods = shared_split if shared_split is not None else sum(rng.bit() << i for i in range(m))
-        bads = full ^ goods
-        up = _monotone_table(rng, goods, m, p.lo, p.hi, True, p.nonzero_marginals)
-        down = _monotone_table(rng, bads, m, p.lo, p.hi, False, p.nonzero_marginals)
-        tables.append(ExplicitValuation(tuple(
-            up[mask & goods] + down[mask & bads] for mask in range(1 << m)
-        )))
-    return tables
+    goods = shared_split if shared_split is not None else sum(rng.bit() << i for i in range(m))
+    bads = ((1 << m) - 1) ^ goods
+    up = _monotone_table(rng, goods, m, p.lo, p.hi, True, p.nonzero_marginals)
+    down = _monotone_table(rng, bads, m, p.lo, p.hi, False, p.nonzero_marginals)
+    return ExplicitValuation(tuple(up[mask & goods] + down[mask & bads] for mask in range(1 << m)))
 
 
-def _retry_agent(rng, p, draw, max_attempts):
-    """Per-agent rejection loop, used for the non-zero marginal constraint."""
-    for _ in range(max_attempts):
-        v = draw()
-        if not p.nonzero_marginals or nonzero_marginals(v):
-            return v
-    raise RejectionBudgetError(
-        f"no valuation with non-zero marginals for {p} within {max_attempts} attempts"
-    )
-
-
-def _draw_tables(rng, p, max_attempts) -> list:
+def _additive_table(rng, p, c) -> AdditiveValuation:
+    """Item values from [lo, hi]; with a constant ``c`` the last item makes the
+    sum c.  Under ``nonzero_marginals`` every drawn value avoids 0, and the
+    last drawn one also avoids making the last item 0."""
     m = p.items
+    items: list = []
+    for o in range(m if c is None else m - 1):
+        avoid = ()
+        if p.nonzero_marginals:
+            avoid = (0, c - sum(items)) if o == m - 2 and c is not None else (0,)
+        items.append(_draw(rng, p, avoid))
+    if c is not None:
+        items.append(c - sum(items))
+    return AdditiveValuation(tuple(items))
+
+
+def _explicit_table(rng, p, c) -> ExplicitValuation:
+    """Table entries drawn in ascending mask order.
+
+    With a constant ``c`` only the masks below their complement are drawn,
+    and each sets its complement to c minus it.  Under ``nonzero_marginals``
+    an entry avoids the value of every set one-item neighbour.  That covers
+    the complements too: a complement's marginals are the entry's, negated.
+    """
+    m = p.items
+    if c is None and not p.nonzero_marginals:
+        return ExplicitValuation(tuple(rng.randint(p.lo, p.hi) for _ in range(1 << m)))
     full = (1 << m) - 1
+    t: list = [None] * (1 << m)
+    for x in range(1 << m if c is None else 1 << (m - 1)):
+        avoid: list = []
+        if p.nonzero_marginals:
+            avoid = [t[x ^ (1 << o)] for o in range(m) if t[x ^ (1 << o)] is not None]
+            if c is not None and m == 1 and c % 2 == 0:
+                avoid.append(c // 2)  # the one item's neighbour is x's own complement
+        t[x] = _draw(rng, p, avoid)
+        if c is not None:
+            t[full ^ x] = c - t[x]
+    return ExplicitValuation(tuple(t))
+
+
+def generate(params: GenParams) -> Instance:
+    """Deterministically generate one instance that meets the constraints.
+
+    All draws come from one SplitMix64 stream seeded with ``params.seed``,
+    and every constraint holds by construction (see :class:`GenParams`).
+    Raises :class:`RejectionBudgetError` when ``nonzero_marginals`` meets a
+    value range too small to leave a choice.
+    """
+    p = params
+    rng = SplitMix64(p.seed)
     agents = 1 if p.identical else p.agents
     if p.item_class != "any":
-        vals = _draw_item_class_tables(rng, p)
-    elif p.additive:
-        c = rng.randint(p.lo, p.hi) if p.disjointly_normalised else None
-
-        def draw_additive():
-            items = [rng.randint(p.lo, p.hi) for _ in range(m - 1)]
-            items.append(rng.randint(p.lo, p.hi) if c is None else c - sum(items))
-            return AdditiveValuation(tuple(items))
-
-        vals = [_retry_agent(rng, p, draw_additive, max_attempts) for _ in range(agents)]
-    elif p.disjointly_normalised:
-        c = rng.randint(p.lo, p.hi)
-
-        def draw_dn():
-            table: list = [None] * (1 << m)
-            for mask in range(1 << m):
-                comp = full ^ mask
-                table[mask] = rng.randint(p.lo, p.hi) if mask < comp else c - table[comp]
-            return ExplicitValuation(tuple(table))
-
-        vals = [_retry_agent(rng, p, draw_dn, max_attempts) for _ in range(agents)]
+        shared = sum(rng.bit() << i for i in range(p.items)) if p.item_class == "noMixed" else None
+        vals = [_item_class_table(rng, p, shared) for _ in range(agents)]
     else:
-        def draw_plain():
-            return ExplicitValuation(tuple(rng.randint(p.lo, p.hi) for _ in range(1 << m)))
-
-        vals = [_retry_agent(rng, p, draw_plain, max_attempts) for _ in range(agents)]
-    if p.identical:
-        vals = vals * p.agents
-    return vals
-
-
-def _meets_constraints(inst: Instance, p: GenParams) -> bool:
-    if p.identical and not inst.is_identical():
-        return False
-    if p.nonzero_marginals and not inst.has_nonzero_marginals():
-        return False
-    if p.disjointly_normalised and inst.disjoint_normalisation_constant() is None:
-        return False
-    if p.item_class != "any":
-        problem, _ = classify(inst)
-        if p.item_class == "generallyGoodBad" and not problem.generally_good_bad_items:
-            return False
-        if p.item_class == "noMixed" and not problem.no_mixed_items:
-            return False
-    return True
-
-
-def generate(params: GenParams, max_attempts: int = 1000) -> Instance:
-    """Deterministically generate one instance satisfying the constraints.
-
-    All draws come from one SplitMix64 stream seeded with ``params.seed``; a
-    rejected attempt continues the stream.  Constraints are re-verified with
-    the core/taxonomy predicates rather than trusted from construction.
-    """
-    rng = SplitMix64(params.seed)
-    names = _item_names(params.items)
-    for _ in range(max_attempts):
-        inst = Instance(names, tuple(_draw_tables(rng, params, max_attempts)))
-        if _meets_constraints(inst, params):
-            return inst
-    raise RejectionBudgetError(
-        f"no instance satisfying {params} within {max_attempts} attempts"
-    )
+        lone_item = p.additive and p.nonzero_marginals and p.items == 1  # its value is c
+        c = _draw(rng, p, (0,) if lone_item else ()) if p.disjointly_normalised else None
+        table = _additive_table if p.additive else _explicit_table
+        vals = [table(rng, p, c) for _ in range(agents)]
+    return Instance(_item_names(p.items), tuple(vals * (p.agents // agents)))
 
 
 # ---------------------------------------------------------------------------
@@ -372,22 +364,20 @@ class MineHit:
 
 def mine(params: GenParams, predicate: Predicate, count: int,
          combos: Optional[Sequence[tuple]] = None,
-         budget: Optional[int] = None,
-         max_attempts: int = 1000) -> list:
+         budget: Optional[int] = None) -> list:
     """Scan ``count`` seeded instances and keep those matching the predicate.
 
     Instance k is generated from ``params.seed + k``, so a run is fully
     reproducible from (params, count).  Every hit carries its landscape so it
     can be re-validated independently.  See :func:`mine_seeds`.
     """
-    return [hit for _, hit, _ in mine_seeds(params, predicate, count, combos, budget, max_attempts)
+    return [hit for _, hit, _ in mine_seeds(params, predicate, count, combos, budget)
             if hit is not None]
 
 
 def mine_seeds(params: GenParams, predicate: Predicate, count: int,
                combos: Optional[Sequence[tuple]] = None,
-               budget: Optional[int] = None,
-               max_attempts: int = 1000) -> Iterator[tuple]:
+               budget: Optional[int] = None) -> Iterator[tuple]:
     """:func:`mine`, one ``(seed, hit, skipped)`` triple per seed.
 
     ``hit`` is the seed's :class:`MineHit` or None.  ``skipped`` is None, or
@@ -405,15 +395,15 @@ def mine_seeds(params: GenParams, predicate: Predicate, count: int,
     combos = tuple(combos) if combos is not None else (predicate.combo,)
     if predicate.combo not in combos:
         combos = combos + (predicate.combo,)
-    return _mine_seeds(params, predicate, count, combos, budget, max_attempts)
+    return _mine_seeds(params, predicate, count, combos, budget)
 
 
-def _mine_seeds(params, predicate, count, combos, budget, max_attempts):
+def _mine_seeds(params, predicate, count, combos, budget):
     """The per-seed generator of :func:`mine_seeds`, over checked arguments."""
     for k in range(count):
         seed = params.seed + k
         try:
-            inst = generate(replace(params, seed=seed), max_attempts=max_attempts)
+            inst = generate(replace(params, seed=seed))
         except RejectionBudgetError as exc:
             yield seed, None, str(exc)
             continue

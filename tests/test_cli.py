@@ -10,6 +10,7 @@ from fairkit import (
     dumps_instance,
     enumerate_allocations,
     fixture,
+    loads_instance,
     mask_from_names,
 )
 from fairkit.cli import main
@@ -166,7 +167,6 @@ def test_verify_paper_single_fixture_and_export(tmp_path, capsys):
     assert {r["fixture"] for r in doc["rows"]} == {"FIX-ZM"}
     exported = os.path.join(out_dir, "FIX-ZM.json")
     assert os.path.exists(exported)
-    from fairkit import loads_instance
     with open(exported, encoding="utf-8") as f:
         assert loads_instance(f.read()) == fixture("FIX-ZM").instance
 
@@ -183,9 +183,9 @@ def test_mine_cli(capsys):
 
 
 def test_mine_cli_lists_skipped_seeds(capsys):
-    # non-zero marginals at 2x6 exhaust generate's rejection budget on every seed
+    # a value range of one value cannot give any item a non-zero marginal
     code, out, _ = run(capsys, ["mine", "--predicate", "efx>=0", "-n", "2", "-m", "6",
-                                "--nonzero-marginals", "--count", "2"])
+                                "--lo", "1", "--hi", "1", "--nonzero-marginals", "--count", "2"])
     assert code == 0
     doc = json.loads(out)
     assert list(doc) == ["predicate", "scanned", "skipped", "hits"]
@@ -196,6 +196,22 @@ def test_mine_cli_lists_skipped_seeds(capsys):
                                 "--count", "2"])
     doc = json.loads(out)
     assert doc["skipped"] == [] and [h["seed"] for h in doc["hits"]] == [0, 1]
+
+
+def test_mine_cli_nonzero_marginals_at_six_items_scans_every_seed(capsys):
+    code, out, _ = run(capsys, ["mine", "--predicate", "efx>=0", "-n", "2", "-m", "6",
+                                "--nonzero-marginals", "--count", "3"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["skipped"] == [] and [h["seed"] for h in doc["hits"]] == [0, 1, 2]
+    for h in doc["hits"]:
+        assert loads_instance(json.dumps(h["instance"])).has_nonzero_marginals()
+
+
+def test_mine_cli_rejects_an_item_class_with_additive(capsys):
+    code, out, err = run(capsys, ["mine", "--predicate", "efx>=0", "--item-class",
+                                  "generallyGoodBad", "--additive"])
+    assert code == 2 and out == "" and "already has generally good/bad items" in err
 
 
 def test_mine_cli_rejects_a_negative_count(capsys):

@@ -56,10 +56,12 @@ def _canonical_exports(draw):
     m = draw(st.integers(1, 3))
     if draw(st.booleans()):
         lo = draw(st.integers(-4, 0))
+        item_class = draw(st.sampled_from(ITEM_CLASSES))
         return dumps_instance(generate(GenParams(
             agents=n, items=m, lo=lo, hi=draw(st.integers(lo, 4)),
-            identical=draw(st.booleans()), additive=draw(st.booleans()),
-            item_class=draw(st.sampled_from(ITEM_CLASSES)), seed=draw(st.integers(0, 2 ** 64)))))
+            identical=draw(st.booleans()),
+            additive=item_class == "any" and draw(st.booleans()),  # item classes take no additive
+            item_class=item_class, seed=draw(st.integers(0, 2 ** 64)))))
 
     def valuation():
         if draw(st.booleans()):
