@@ -17,9 +17,7 @@ from .core import (
     Instance,
     Valuation,
     enumerate_allocations,
-    indices_of,
     is_additive_consistent,
-    mask_from_indices,
     mask_from_names,
     names_of,
     validate_allocation,
@@ -47,12 +45,6 @@ from .axioms import (
     Verdict,
     Witness,
     check_axiom,
-    check_chen_liu,
-    check_ef,
-    check_ef1,
-    check_ef1pm,
-    check_efx,
-    check_efxpm,
     envies,
     held,
     satisfies,

@@ -1,9 +1,10 @@
 """Fairness-axiom checkers with violation witnesses, and one fused scan.
 
-Envy is strict: agent i envies agent j when v_i(A_i) < v_i(A_j).  Every
-checker evaluates every ordered agent pair and reports all violations, each
-as a :class:`Witness` whose lhs < rhs reproduces the failed inequality;
-:func:`satisfies` is a checker's yes or no for one allocation.  For scans
+Envy is strict: agent i envies agent j when v_i(A_i) < v_i(A_j).
+:func:`check_axiom` is the one witness checker: it walks every ordered
+envying pair once, through the axiom family's pair function, and reports all
+violations, each as a :class:`Witness` whose lhs < rhs reproduces the failed
+inequality; :func:`satisfies` is its yes or no for one allocation.  For scans
 over many allocations, :func:`held` decides many axioms at once without
 witnesses: one bit per axiom, from one pass over each envying pair's two
 bundles, and none at all for an envy-free allocation.
@@ -108,15 +109,15 @@ _EFX_FAMILY = {
 }
 
 
-def _efx_pair(t, a, b, i, j, pm_removal, pm_own, strict, good=None, bad=None):
+def _efx_pair(t, a, b, va, vb, i, j, spec):
     """(violations, saw_qualifying) for one envying pair.
 
-    ``good`` and ``bad`` (chen-liu) are item masks that replace the
-    qualifying comparisons of the removal and own-item clauses; chen-liu
-    lists its own-item violations first.
+    ``spec`` is ``(pm_removal, pm_own, strict, good, bad)``; ``good`` and
+    ``bad`` (chen-liu) are item masks that replace the qualifying comparisons
+    of the removal and own-item clauses, None otherwise; chen-liu lists its
+    own-item violations first.
     """
-    va = t[a]
-    vb = t[b]
+    pm_removal, pm_own, strict, good, bad = spec
     removed = []
     own = []
     saw = False
@@ -156,35 +157,11 @@ def _efx_pair(t, a, b, i, j, pm_removal, pm_own, strict, good=None, bad=None):
     return (own + removed if good is not None else removed + own), saw
 
 
-def _check_efx_family(inst, alloc, axiom):
-    n = inst.n
-    if axiom == CHEN_LIU:
-        pm_removal, pm_own, strict = False, True, True
-        goods, bads = _chen_liu_masks(inst)
-    else:
-        pm_removal, pm_own, strict = _EFX_FAMILY[axiom]
-        goods = bads = (None,) * n
-    violations = []
-    vacuous = []
-    for i in range(n):
-        t = inst.valuations[i].table
-        va = t[alloc[i]]
-        for j in range(n):
-            if i == j or va >= t[alloc[j]]:
-                continue
-            viol, saw = _efx_pair(t, alloc[i], alloc[j], i, j, pm_removal, pm_own, strict,
-                                  goods[i], bads[i])
-            violations.extend(viol)
-            if not saw:
-                vacuous.append(Witness(i, j, VACUOUS_ENVY, None, va, t[alloc[j]]))
-    return Verdict(axiom, not violations, tuple(violations), tuple(vacuous))
-
-
 # ---------------------------------------------------------------------------
-# the "up to some item" family
+# the "up to some item" family, and EF
 
-def _ef1_pair(t, a, b, i, j, pm):
-    """Violation witnesses for one envying pair, or [] when repaired.
+def _ef1_pair(t, a, b, va, vb, i, j, pm):
+    """(violations, True) for one envying pair, violations [] when repaired.
 
     EF1 repairs by removing some item from either bundle.  The pm variant
     repairs by removing some item from the envied bundle or by adding some
@@ -192,8 +169,6 @@ def _ef1_pair(t, a, b, i, j, pm):
     violation the closest single-item repair of each clause is reported; if a
     clause has no candidate items it contributes no witness.
     """
-    va = t[a]
-    vb = t[b]
     best_removed = None
     s = b
     while s:
@@ -201,7 +176,7 @@ def _ef1_pair(t, a, b, i, j, pm):
         s ^= bit
         rb = t[b ^ bit]
         if va >= rb:
-            return []
+            return [], True
         if best_removed is None or rb < best_removed[1]:
             best_removed = (bit.bit_length() - 1, rb)
     best_second = None
@@ -214,12 +189,12 @@ def _ef1_pair(t, a, b, i, j, pm):
             if ra > va:  # only strict bads may move over
                 ab = t[b | bit]
                 if va >= ab:
-                    return []
+                    return [], True
                 if best_second is None or ab < best_second[1]:
                     best_second = (bit.bit_length() - 1, ab)
         else:
             if ra >= vb:
-                return []
+                return [], True
             if best_second is None or ra > best_second[1]:
                 best_second = (bit.bit_length() - 1, ra)
     viol = []
@@ -233,36 +208,11 @@ def _ef1_pair(t, a, b, i, j, pm):
             viol.append(Witness(i, j, REMOVED_BAD, o, val, vb))
     if not viol:
         viol.append(Witness(i, j, VACUOUS_ENVY, None, va, vb))
-    return viol
+    return viol, True
 
 
-def _check_ef1_family(inst, alloc, axiom):
-    pm = axiom == EF1PM
-    violations = []
-    n = inst.n
-    for i in range(n):
-        t = inst.valuations[i].table
-        va = t[alloc[i]]
-        for j in range(n):
-            if i == j or va >= t[alloc[j]]:
-                continue
-            violations.extend(_ef1_pair(t, alloc[i], alloc[j], i, j, pm))
-    return Verdict(axiom, not violations, tuple(violations))
-
-
-def _check_ef(inst, alloc):
-    violations = []
-    n = inst.n
-    for i in range(n):
-        t = inst.valuations[i].table
-        va = t[alloc[i]]
-        for j in range(n):
-            if i == j:
-                continue
-            vb = t[alloc[j]]
-            if va < vb:
-                violations.append(Witness(i, j, VACUOUS_ENVY, None, va, vb))
-    return Verdict(EF, not violations, tuple(violations))
+def _ef_pair(t, a, b, va, vb, i, j, spec):
+    return [Witness(i, j, VACUOUS_ENVY, None, va, vb)], True
 
 
 # ---------------------------------------------------------------------------
@@ -302,40 +252,48 @@ def _chen_liu_masks(inst):
 
 
 # ---------------------------------------------------------------------------
-# public entry points
+# the witness checker
 
-def check_ef(inst: Instance, alloc: Allocation) -> Verdict:
-    return _check_ef(inst, alloc)
-
-
-def check_ef1(inst: Instance, alloc: Allocation) -> Verdict:
-    return _check_ef1_family(inst, alloc, EF1)
-
-
-def check_ef1pm(inst: Instance, alloc: Allocation) -> Verdict:
-    return _check_ef1_family(inst, alloc, EF1PM)
-
-
-def check_efx(inst: Instance, alloc: Allocation) -> Verdict:
-    return _check_efx_family(inst, alloc, EFX)
-
-
-def check_efxpm(inst: Instance, alloc: Allocation) -> Verdict:
-    return _check_efx_family(inst, alloc, EFXPM)
-
-
-def check_chen_liu(inst: Instance, alloc: Allocation) -> Verdict:
-    return _check_efx_family(inst, alloc, CHEN_LIU)
+def _pair_specs(inst, axiom):
+    """``(pair, specs)``: the pair function of ``axiom``'s family and, per
+    envier, its last argument.  Raises ``ValueError`` for an unknown axiom
+    and :class:`NotWellDefinedError` for chen-liu outside its domain."""
+    n = inst.n
+    if axiom == EF:
+        return _ef_pair, (None,) * n
+    if axiom == EF1 or axiom == EF1PM:
+        return _ef1_pair, (axiom == EF1PM,) * n
+    if axiom == CHEN_LIU:
+        goods, bads = _chen_liu_masks(inst)
+        return _efx_pair, [(False, True, True, g, b) for g, b in zip(goods, bads)]
+    if axiom in _EFX_FAMILY:
+        return _efx_pair, (_EFX_FAMILY[axiom] + (None, None),) * n
+    raise ValueError(f"unknown axiom {axiom!r}")
 
 
 def check_axiom(inst: Instance, alloc: Allocation, axiom: str) -> Verdict:
-    if axiom == EF:
-        return _check_ef(inst, alloc)
-    if axiom in (EF1, EF1PM):
-        return _check_ef1_family(inst, alloc, axiom)
-    if axiom in _EFX_FAMILY or axiom == CHEN_LIU:
-        return _check_efx_family(inst, alloc, axiom)
-    raise ValueError(f"unknown axiom {axiom!r}")
+    """The verdict of ``axiom`` on one allocation, with every witness.
+
+    One pass over the ordered pairs (i, j) in which i envies j calls the
+    axiom family's pair function once per pair; an envying pair in which no
+    item qualifies (EFX family and chen-liu) is listed as vacuous.
+    """
+    pair, specs = _pair_specs(inst, axiom)
+    violations = []
+    vacuous = []
+    for i, v in enumerate(inst.valuations):
+        t = v.table
+        a = alloc[i]
+        va = t[a]
+        spec = specs[i]
+        for j, b in enumerate(alloc):
+            vb = t[b]
+            if va < vb:  # never true for j == i
+                viol, saw = pair(t, a, b, va, vb, i, j, spec)
+                violations += viol
+                if not saw:
+                    vacuous.append(Witness(i, j, VACUOUS_ENVY, None, va, vb))
+    return Verdict(axiom, not violations, tuple(violations), tuple(vacuous))
 
 
 def satisfies(inst: Instance, alloc: Allocation, axiom: str) -> bool:

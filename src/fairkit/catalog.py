@@ -36,6 +36,7 @@ from .core import (
     enumerate_allocations,
     is_additive_consistent,
     mask_from_names,
+    names_of,
 )
 from .efficiency import (
     check_po,
@@ -103,9 +104,8 @@ def _parse(inst, text):
 
 def _fmt(inst, *allocs):
     """Allocations in ``"a,b|c"`` notation, separated by spaces."""
-    names = tuple(enumerate(inst.item_names))
-    return " ".join("|".join(",".join(n for i, n in names if b >> i & 1) for b in alloc)
-                    for alloc in allocs)
+    names = inst.item_names
+    return " ".join("|".join(",".join(names_of(names, b)) for b in alloc) for alloc in allocs)
 
 
 def _allocs(inst, *axiom_ids, po=False):

@@ -1,10 +1,12 @@
 """Command-line frontend.
 
 Subcommands: check, enumerate, leximin, taxonomy, cut-and-choose,
-verify-paper, mine.  Reports are JSON by default (--table renders a plain
-text view).  Exit codes: 0 all requested checks passed, 1 an axiom or gating
-claim failed, 2 input error, 3 enumeration budget exceeded.  The environment
-variable FAIRKIT_BUDGET overrides the default enumeration budget.
+verify-paper, mine.  Reports are indented JSON; ``enumerate`` streams one
+compact JSON line per allocation, and ``check`` and ``verify-paper`` take
+--table for a plain text view instead.  Exit codes: 0 all requested checks
+passed, 1 an axiom or gating claim failed, 2 input error, 3 enumeration
+budget exceeded.  The environment variable FAIRKIT_BUDGET overrides the
+default enumeration budget.
 """
 
 from __future__ import annotations
@@ -101,8 +103,8 @@ def _verdict_doc(inst: Instance, v: Verdict) -> dict:
     }
 
 
-def _emit(args, doc) -> None:
-    print(json.dumps(doc, indent=None if getattr(args, "table", False) else 2))
+def _emit(doc) -> None:
+    print(json.dumps(doc, indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +142,7 @@ def cmd_check(args) -> int:
                 print(f"           agent {w['envier']} vs {w['envied']}: "
                       f"{w['condition']} item={w['item']} {w['lhs']} < {w['rhs']}")
     else:
-        print(json.dumps(report, indent=2))
+        _emit(report)
     return 0 if all_ok else 1
 
 
@@ -180,7 +182,7 @@ def cmd_leximin(args) -> int:
             [list(names_of(inst.item_names, b)) for b in alloc] for alloc in allocations
         ],
     }
-    _emit(args, doc)
+    _emit(doc)
     return 0
 
 
@@ -209,7 +211,7 @@ def cmd_taxonomy(args) -> int:
                 "negativeBundle": list(names_of(inst.item_names, w.negative_bundle)),
             }
         items.append(entry)
-    _emit(args, {
+    _emit({
         "generallyGoodBadItems": problem.generally_good_bad_items,
         "noMixedItems": problem.no_mixed_items,
         "items": items,
@@ -221,7 +223,7 @@ def cmd_cut_and_choose(args) -> int:
     inst = _load_instance(args)
     alloc = cut_and_choose(inst, cutter=args.cutter - 1, budget=_budget(args))
     verdict = check_axiom(inst, alloc, axioms.EFXPM)
-    _emit(args, {
+    _emit({
         "bundles": [list(names_of(inst.item_names, b)) for b in alloc],
         "cutter": args.cutter,
         "utilities": [format_value(u) for u in utilities(inst, alloc)],
@@ -257,7 +259,7 @@ def cmd_verify_paper(args) -> int:
             print(f"{r['status'].upper():5} {r['fixture']:9} {r['claim']:30}{tag} {r['detail']}")
         print(f"gating failures: {report.gating_failures}")
     else:
-        print(json.dumps({"rows": rows, "gatingFailures": report.gating_failures}, indent=2))
+        _emit({"rows": rows, "gatingFailures": report.gating_failures})
     return 0 if report.ok else 1
 
 
@@ -300,7 +302,7 @@ def cmd_mine(args) -> int:
             for h in hits
         ],
     }
-    _emit(args, doc)
+    _emit(doc)
     return 0
 
 
@@ -314,20 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance=True, budget=True):
+    def common(p, instance=True):
         if instance:
             p.add_argument("instance", help="instance JSON file")
-        if budget:
-            p.add_argument("--budget", type=int, default=None,
-                           help="enumeration budget (overrides FAIRKIT_BUDGET)")
-        mode = p.add_mutually_exclusive_group()
-        mode.add_argument("--json", dest="table", action="store_false", default=False,
-                          help="JSON output (default)")
-        mode.add_argument("--table", dest="table", action="store_true",
-                          help="human-readable output")
+        p.add_argument("--budget", type=int, default=None,
+                       help="enumeration budget (overrides FAIRKIT_BUDGET)")
 
     p = sub.add_parser("check", help="check axioms on one allocation")
     common(p)
+    p.add_argument("--table", action="store_true", help="plain text instead of JSON")
     p.add_argument("allocation", help="allocation JSON file")
     p.add_argument("--axioms", default=CHECK_DEFAULT_AXIOMS,
                    help=f"comma-separated axiom list (default {CHECK_DEFAULT_AXIOMS})")
@@ -353,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cut_and_choose)
 
     p = sub.add_parser("verify-paper", help="re-check every recorded catalog claim")
-    common(p, instance=False, budget=False)
+    p.add_argument("--table", action="store_true", help="plain text instead of JSON")
     p.add_argument("--fixture", default=None,
                    help="restrict to one fixture id (e.g. FIX-T1)")
     p.add_argument("--export-instances", default=None, metavar="DIR",

@@ -36,26 +36,6 @@ class BudgetExceededError(Exception):
 # ---------------------------------------------------------------------------
 # bundle masks
 
-def mask_from_indices(indices: Iterable[int], m: int) -> int:
-    mask = 0
-    for i in indices:
-        if not 0 <= i < m:
-            raise ValueError(f"item index {i} out of range for {m} items")
-        mask |= 1 << i
-    return mask
-
-
-def indices_of(mask: int) -> tuple[int, ...]:
-    out = []
-    o = 0
-    while mask:
-        if mask & 1:
-            out.append(o)
-        mask >>= 1
-        o += 1
-    return tuple(out)
-
-
 def mask_from_names(item_names: Sequence[str], names: Iterable[str]) -> int:
     mask = 0
     for name in names:
@@ -71,7 +51,13 @@ def mask_from_names(item_names: Sequence[str], names: Iterable[str]) -> int:
 
 
 def names_of(item_names: Sequence[str], mask: int) -> tuple[str, ...]:
-    return tuple(item_names[i] for i in indices_of(mask))
+    """The names of the items in ``mask``, in item order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(item_names[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -25,16 +25,15 @@ def utility_vector(inst: Instance, alloc: Allocation) -> tuple:
 
 
 def pareto_improves(inst: Instance, b: Allocation, a: Allocation) -> bool:
-    """True iff ``b`` makes every agent weakly and some agent strictly better."""
-    strict = False
-    for v, bb, ba in zip(inst.valuations, b, a):
-        wb = v.table[bb]
-        wa = v.table[ba]
-        if wb < wa:
-            return False
-        if wb > wa:
-            strict = True
-    return strict
+    """True iff ``b`` makes every agent weakly and some agent strictly better.
+
+    On profiles p of ``b`` and q of ``a``: ``p > q and all(map(ge, p, q))``.
+    Under weak dominance, p > q (lexicographic) is the same as p != q, and on
+    its own it is a cheap first test that most non-improvers fail.
+    """
+    p = utilities(inst, b)
+    q = utilities(inst, a)
+    return p > q and all(map(ge, p, q))
 
 
 @dataclass(frozen=True)
@@ -47,9 +46,12 @@ class PoVerdict:
 
 def check_po(inst: Instance, alloc: Allocation, budget: Optional[int] = None) -> PoVerdict:
     """Scan the full allocation space for a Pareto improvement; the verdict
-    carries the first improver in enumeration order."""
-    improver = next((o for o in enumerate_allocations(inst, budget)
-                     if pareto_improves(inst, o, alloc)), None)
+    carries the first improver in enumeration order.  Each candidate's
+    profile is tested against the allocation's as in :func:`pareto_improves`."""
+    base = utilities(inst, alloc)
+    improver = next((o for allocs, profiles in allocation_blocks(inst, budget)
+                     for o, p in zip(allocs, profiles)
+                     if p > base and all(map(ge, p, base))), None)
     return PoVerdict(improver is None, improver)
 
 

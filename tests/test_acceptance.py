@@ -10,10 +10,6 @@ from itertools import permutations
 
 from fairkit import (
     check_axiom,
-    check_chen_liu,
-    check_ef,
-    check_efx,
-    check_efxpm,
     check_po,
     cut_and_choose,
     dumps_instance,
@@ -29,6 +25,8 @@ from fairkit import (
     verify_claims,
 )
 from fairkit.axioms import (
+    CHEN_LIU,
+    EF,
     EF1,
     EF1PM,
     EFX,
@@ -75,7 +73,7 @@ def _artifact(inst, allocation=None, note=""):
 
 def test_criterion_01_t1_no_efx_with_witnesses():
     allocs = list(enumerate_allocations(T1))
-    count = sum(check_efx(T1, a).satisfied for a in allocs)
+    count = sum(check_axiom(T1, a, EFX).satisfied for a in allocs)
     rows = (  # envied bundle, removed item, lhs < rhs
         (("a", "b", "c", "d"), "c", 0, 8),
         (("b", "c", "d"), "c", 5, 6),
@@ -93,7 +91,7 @@ def test_criterion_01_t1_no_efx_with_witnesses():
         for envied_pos in (0, 1):  # stated agent-swap symmetry
             a = (envied, T1.full ^ envied) if envied_pos == 0 else (T1.full ^ envied, envied)
             want = Witness(1 - envied_pos, envied_pos, REMOVED_GOOD, o, lhs, rhs)
-            verdict = check_efx(T1, a)
+            verdict = check_axiom(T1, a, EFX)
             witnesses_ok &= (not verdict.satisfied) and want in verdict.violations
     _report(1, "FIX-T1: efx count 0 and all recorded removed-good witnesses present",
             count == 0 and len(allocs) == 16 and witnesses_ok)
@@ -104,7 +102,7 @@ def test_criterion_02_t1_leximin():
     want = {alloc(T1, ("c",), ("a", "b", "d")), alloc(T1, ("a", "b", "d"), ("c",))}
     ok = (set(lm) == want
           and utility_vector(T1, lm[0]) == (5, 8)
-          and all(check_efxpm(T1, a).satisfied and check_po(T1, a).satisfied for a in lm))
+          and all(check_axiom(T1, a, EFXPM).satisfied and check_po(T1, a).satisfied for a in lm))
     _report(2, "FIX-T1: leximin set is {c}|{a,b,d} and swap at (5,8), both efxpm and po", ok)
 
 
@@ -124,9 +122,9 @@ def test_criterion_03_t1_marginals_and_mixed_item():
 
 def test_criterion_04_t2_efx_landscape():
     allocs = list(enumerate_allocations(T2))
-    efx_set = {a for a in allocs if check_efx(T2, a).satisfied}
+    efx_set = {a for a in allocs if check_axiom(T2, a, EFX).satisfied}
     want = {alloc(T2, ("a", "b", "c"), ("d",)), alloc(T2, ("d",), ("a", "b", "c"))}
-    both = sum(1 for a in efx_set if check_efxpm(T2, a).satisfied)
+    both = sum(1 for a in efx_set if check_axiom(T2, a, EFXPM).satisfied)
     efx_po = sum(1 for a in efx_set if check_po(T2, a).satisfied)
     improves = pareto_improves(
         T2, alloc(T2, ("a", "b"), ("c", "d")), alloc(T2, ("d",), ("a", "b", "c")))
@@ -151,9 +149,9 @@ def test_criterion_05_t4_ef1_sets_and_po():
 def test_criterion_06_ex2_profiles():
     a1 = alloc(EX2, ("s",), ("l1", "l2", "l3"))
     a2 = alloc(EX2, ("s", "l1"), ("l2", "l3"))
-    ok = (check_efxpm(EX2, a1).satisfied and check_po(EX2, a1).satisfied
-          and not check_efx(EX2, a1).satisfied
-          and check_efx(EX2, a2).satisfied and check_efxpm(EX2, a2).satisfied
+    ok = (check_axiom(EX2, a1, EFXPM).satisfied and check_po(EX2, a1).satisfied
+          and not check_axiom(EX2, a1, EFX).satisfied
+          and check_axiom(EX2, a2, EFX).satisfied and check_axiom(EX2, a2, EFXPM).satisfied
           and not check_po(EX2, a2).satisfied)
     _report(6, "FIX-EX2: ({s}|rest) efxpm+po not efx; ({s,l1}|rest) efx+efxpm not po", ok)
 
@@ -184,11 +182,11 @@ def test_criterion_08_d1_chen_liu_vs_po():
     witnesses_ok = True
     for a in want:
         envier = 1 if a[0] else 0
-        verdict = check_chen_liu(D1, a)
+        verdict = check_axiom(D1, a, CHEN_LIU)
         expected = Witness(envier, 1 - envier, REMOVED_GOOD, D1.item_index("b"), 0, 1)
         witnesses_ok &= (not verdict.satisfied) and expected in verdict.violations
     combined = sum(1 for a in allocs
-                   if check_po(D1, a).satisfied and check_chen_liu(D1, a).satisfied)
+                   if check_po(D1, a).satisfied and check_axiom(D1, a, CHEN_LIU).satisfied)
     _report(8, "FIX-D1: po set exact, both violate chen-liu with (0 < 1 = v({a})), chen-liu&po=0",
             po_set == want and witnesses_ok and combined == 0)
 
@@ -196,15 +194,15 @@ def test_criterion_08_d1_chen_liu_vs_po():
 def test_criterion_09_ex1_protocol_and_profiles():
     out = cut_and_choose(EX1)
     br = mask_from_names(EX1.item_names, ("b", "r"))
-    protocol_ok = out == (0, br) and check_efxpm(EX1, out).satisfied
+    protocol_ok = out == (0, br) and check_axiom(EX1, out, EFXPM).satisfied
     profiles_ok = True
     for a in enumerate_allocations(EX1):
-        verdict = check_efxpm(EX1, a)
+        verdict = check_axiom(EX1, a, EFXPM)
         profiles_ok &= verdict.satisfied
         if a in ((br, 0), (0, br)):
             profiles_ok &= bool(verdict.vacuous)
         else:
-            profiles_ok &= check_ef(EX1, a).satisfied
+            profiles_ok &= check_axiom(EX1, a, EF).satisfied
     _report(9, "FIX-EX1: cut-and-choose gives agent 2 {b,r}; vacuous efxpm twice, envy-free twice",
             protocol_ok and profiles_ok)
 
@@ -306,7 +304,7 @@ def test_criterion_11c_leximin_is_po():
 def test_criterion_11d_identical_leximin_is_efxpm():
     for inst in _instances(140_000, identical=True):
         for a in leximin_set(inst):
-            if not check_efxpm(inst, a).satisfied:
+            if not check_axiom(inst, a, EFXPM).satisfied:
                 _report("11d", "identical instances: every leximin allocation is efxpm",
                         False, _artifact(inst, a))
     _report("11d", "identical instances: every leximin allocation is efxpm", True)
@@ -315,7 +313,7 @@ def test_criterion_11d_identical_leximin_is_efxpm():
 def test_criterion_11e_disjointly_normalised_leximin():
     for inst in _instances(150_000, grid=GRID2, disjointly_normalised=True):
         for a in leximin_set(inst):
-            if not (check_efxpm(inst, a).satisfied and check_po(inst, a).satisfied):
+            if not (check_axiom(inst, a, EFXPM).satisfied and check_po(inst, a).satisfied):
                 _report("11e", "2-agent disjointly normalised: leximin is efxpm and po",
                         False, _artifact(inst, a))
     _report("11e", "2-agent disjointly normalised: every leximin allocation is efxpm and po", True)
@@ -324,7 +322,7 @@ def test_criterion_11e_disjointly_normalised_leximin():
 def test_criterion_11f_cut_and_choose_is_efxpm():
     for inst in _instances(160_000, grid=GRID2):
         out = cut_and_choose(inst)
-        if not check_efxpm(inst, out).satisfied or envies(inst, out, 1, 0):
+        if not check_axiom(inst, out, EFXPM).satisfied or envies(inst, out, 1, 0):
             _report("11f", "2-agent instances: cut-and-choose output is efxpm",
                     False, _artifact(inst, out))
     _report("11f", "2-agent instances: cut-and-choose output is efxpm, chooser envy-free", True)

@@ -7,12 +7,6 @@ from fairkit import (
     ExplicitValuation,
     Instance,
     check_axiom,
-    check_chen_liu,
-    check_ef,
-    check_ef1,
-    check_ef1pm,
-    check_efx,
-    check_efxpm,
     envies,
     fixture,
     mask_from_names,
@@ -88,8 +82,8 @@ def test_envies_rejects_self():
 # EF1
 
 def test_ef1_examples():
-    assert check_ef1(T4, alloc(T4, ("a",), ("b", "c", "d"))).satisfied
-    v = check_ef1(T4, alloc(T4, (), ("a", "b", "c", "d")))
+    assert check_axiom(T4, alloc(T4, ("a",), ("b", "c", "d")), EF1).satisfied
+    v = check_axiom(T4, alloc(T4, (), ("a", "b", "c", "d")), EF1)
     assert not v.satisfied
     for ax in (EF1, EF1PM):
         for a in enumerate_allocations(T4):
@@ -98,10 +92,10 @@ def test_ef1_examples():
 
 
 def test_ef1_violation_reports_best_repairs():
-    v = check_ef1(T4, alloc(T4, (), ("a", "b", "c", "d")))
+    v = check_axiom(T4, alloc(T4, (), ("a", "b", "c", "d")), EF1)
     (w,) = v.violations
     assert w.condition == REMOVED_GOOD and w.lhs == 0 and w.rhs == 3
-    v2 = check_ef1(T4, alloc(T4, ("a", "b", "c"), ("d",)))
+    v2 = check_axiom(T4, alloc(T4, ("a", "b", "c"), ("d",)), EF1)
     conds = {w.condition for w in v2.violations}
     assert conds == {REMOVED_GOOD, REMOVED_BAD}
 
@@ -110,32 +104,32 @@ def test_ef1_violation_reports_best_repairs():
 # EFX
 
 def test_efx_examples():
-    v = check_efx(T1, alloc(T1, ("a", "b"), ("c", "d")))
+    v = check_axiom(T1, alloc(T1, ("a", "b"), ("c", "d")), EFX)
     assert not v.satisfied
     assert Witness(1, 0, REMOVED_GOOD, 0, 3, 5) in v.violations
-    assert check_efx(T2, alloc(T2, ("a", "b", "c"), ("d",))).satisfied
-    assert check_efx(EX2, alloc(EX2, ("s", "l1"), ("l2", "l3"))).satisfied
+    assert check_axiom(T2, alloc(T2, ("a", "b", "c"), ("d",)), EFX).satisfied
+    assert check_axiom(EX2, alloc(EX2, ("s", "l1"), ("l2", "l3")), EFX).satisfied
 
 
 # ---------------------------------------------------------------------------
 # EFX-pm
 
 def test_efxpm_examples():
-    v = check_efxpm(T2, alloc(T2, ("a", "b", "c"), ("d",)))
+    v = check_axiom(T2, alloc(T2, ("a", "b", "c"), ("d",)), EFXPM)
     assert not v.satisfied
     assert Witness(0, 1, ADDED_BAD, 0, -8, -7) in v.violations
-    ok = check_efxpm(T1, alloc(T1, ("c",), ("a", "b", "d")))
+    ok = check_axiom(T1, alloc(T1, ("c",), ("a", "b", "d")), EFXPM)
     assert ok.satisfied
     assert len(ok.vacuous) == 1 and ok.vacuous[0].condition == VACUOUS_ENVY
-    assert check_efxpm(EX2, alloc(EX2, ("s",), ("l1", "l2", "l3"))).satisfied
+    assert check_axiom(EX2, alloc(EX2, ("s",), ("l1", "l2", "l3")), EFXPM).satisfied
 
 
 # ---------------------------------------------------------------------------
 # EF1-pm
 
 def test_ef1pm_examples():
-    assert check_ef1pm(T4, alloc(T4, ("a",), ("b", "c", "d"))).satisfied
-    assert not check_ef1pm(T4, alloc(T4, (), ("a", "b", "c", "d"))).satisfied
+    assert check_axiom(T4, alloc(T4, ("a",), ("b", "c", "d")), EF1PM).satisfied
+    assert not check_axiom(T4, alloc(T4, (), ("a", "b", "c", "d")), EF1PM).satisfied
     for a in enumerate_allocations(T2):
         if satisfies(T2, a, EFXPM):
             assert satisfies(T2, a, EF1PM)
@@ -148,7 +142,7 @@ def test_t4_pins_the_efxpm_vs_ef1pm_gap():
     a = (0, T4.full)
     verdict = check_axiom(T4, a, EFXPM)
     assert verdict.satisfied and verdict.vacuous
-    assert not check_ef1pm(T4, a).satisfied
+    assert not check_axiom(T4, a, EF1PM).satisfied
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +153,7 @@ def test_zero_variant_gap_on_zm():
     assert sum(satisfies(ZM, a, EFXPM0) for a in allocs) == 0
     assert sum(satisfies(ZM, a, EFXPM) for a in allocs) == 4
     assert check_axiom(ZM, alloc(ZM, ("b",), ("a",)), EFXPM0).satisfied is False
-    assert check_efxpm(ZM, alloc(ZM, ("b",), ("a",))).satisfied
+    assert check_axiom(ZM, alloc(ZM, ("b",), ("a",)), EFXPM).satisfied
 
 
 def test_variant_b_on_t2():
@@ -182,23 +176,35 @@ def test_zero_variants_are_stronger():
 # chen-liu
 
 def test_chen_liu_examples():
-    v = check_chen_liu(D1, alloc(D1, ("a", "b"), ()))
+    v = check_axiom(D1, alloc(D1, ("a", "b"), ()), CHEN_LIU)
     assert not v.satisfied
     assert Witness(1, 0, REMOVED_GOOD, 1, 0, 1) in v.violations
     with pytest.raises(NotWellDefinedError):
-        check_chen_liu(EX1, alloc(EX1, ("b",), ("r",)))
+        check_axiom(EX1, alloc(EX1, ("b",), ("r",)), CHEN_LIU)
+
+
+def test_check_axiom_rejects_at_the_call():
+    # on an envy-free allocation no pair function runs, so these errors
+    # cannot come from the walk over the envying pairs
+    ef = alloc(EX1, ("r",), ("b",))
+    assert check_axiom(EX1, ef, EF).satisfied
+    for axiom in ("bogus", "po"):
+        with pytest.raises(ValueError):
+            check_axiom(EX1, ef, axiom)
+    with pytest.raises(NotWellDefinedError):
+        check_axiom(EX1, ef, CHEN_LIU)
 
 
 def test_chen_liu_envy_free_allocations_pass():
     inst = Instance(("a", "b"), (AdditiveValuation((2, 2)),) * 2)
     for a in enumerate_allocations(inst):
-        if check_ef(inst, a).satisfied:
-            assert check_chen_liu(inst, a).satisfied
+        if check_axiom(inst, a, EF).satisfied:
+            assert check_axiom(inst, a, CHEN_LIU).satisfied
 
 
 def test_chen_liu_added_bad_clause():
     inst = Instance(("a", "b"), (AdditiveValuation((-1, 3)),) * 2)
-    v = check_chen_liu(inst, alloc(inst, ("a",), ("b",)))
+    v = check_axiom(inst, alloc(inst, ("a",), ("b",)), CHEN_LIU)
     assert not v.satisfied
     assert Witness(0, 1, ADDED_BAD, 0, -1, 2) in v.violations
     assert Witness(0, 1, REMOVED_GOOD, 1, -1, 0) in v.violations
@@ -304,7 +310,7 @@ def test_up_to_any_vs_up_to_some_boundary_instance():
     a = (0, inst.full)
     assert satisfies(inst, a, EFX)
     assert satisfies(inst, a, EFXPM)
-    for verdict in (check_efx(inst, a), check_efxpm(inst, a)):
+    for verdict in (check_axiom(inst, a, EFX), check_axiom(inst, a, EFXPM)):
         assert [(w.envier, w.envied, w.condition) for w in verdict.vacuous] == [
             (0, 1, VACUOUS_ENVY)]
     assert not satisfies(inst, a, EF1)
@@ -331,6 +337,6 @@ def test_witness_output_is_unchanged():
 
 def test_chen_liu_lists_added_bad_violations_first():
     inst = Instance(("a", "b"), (AdditiveValuation((-1, 3)),) * 2)
-    v = check_chen_liu(inst, alloc(inst, ("a",), ("b",)))
+    v = check_axiom(inst, alloc(inst, ("a",), ("b",)), CHEN_LIU)
     assert v.violations == (Witness(0, 1, ADDED_BAD, 0, -1, 2),
                             Witness(0, 1, REMOVED_GOOD, 1, -1, 0))

@@ -228,6 +228,19 @@ def test_verify_paper_takes_no_budget(capsys):
     assert "unrecognized arguments: --budget" in capsys.readouterr().err
 
 
+def test_table_is_only_for_check_and_verify_paper(files, capsys):
+    inst = files("t2.json", dumps_instance(fixture("FIX-T2").instance))
+    for argv in (["leximin", inst, "--table"], ["taxonomy", inst, "--table"],
+                 ["check", inst, inst, "--json"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    alloc = files("alloc.json", {"bundles": [["a", "b", "c"], ["d"]]})
+    code, out, _ = run(capsys, ["check", inst, alloc, "--axioms", "efx", "--table"])
+    assert code == 0 and out == "efx        satisfied\n"
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, ["leximin", "/nonexistent/instance.json"])
     assert code == 2 and "cannot read" in err

@@ -8,6 +8,7 @@ from fairkit import (
     BudgetExceededError,
     ExplicitValuation,
     Instance,
+    PoVerdict,
     check_po,
     enumerate_allocations,
     fixture,
@@ -70,6 +71,23 @@ def test_check_po_examples():
     assert not v.satisfied
     assert pareto_improves(EX2, v.improver, alloc(EX2, ("s", "l1"), ("l2", "l3")))
     assert check_po(D1, alloc(D1, ("a", "b"), ())).satisfied
+
+
+def test_check_po_reports_the_first_improver_in_enumeration_order():
+    # values in [-2, 2] give tied profiles; agent 0's values are thirds
+    for k in range(12):
+        base = generate(GenParams(agents=2 + k % 2, items=4 - k % 2, lo=-2, hi=2,
+                                  seed=7100 + k))
+        thirds = ExplicitValuation(tuple(Fraction(x, 3) for x in base.valuations[0].table))
+        inst = Instance(base.item_names, (thirds,) + base.valuations[1:])
+        vm = value_maps(inst)
+        allocs = list(enumerate_allocations(inst))
+        profile = {a: tuple(vm[i][s] for i, s in enumerate(to_sets(a))) for a in allocs}
+        for a in allocs:
+            p = profile[a]
+            first = next((b for b in allocs if profile[b] != p
+                          and all(x >= y for x, y in zip(profile[b], p))), None)
+            assert check_po(inst, a) == PoVerdict(first is None, first)
 
 
 def test_leximin_set_examples():

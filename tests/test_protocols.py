@@ -3,8 +3,7 @@ import pytest
 from fairkit import (
     AdditiveValuation,
     Instance,
-    check_ef,
-    check_efxpm,
+    check_axiom,
     cut_and_choose,
     envies,
     fixture,
@@ -18,19 +17,19 @@ EX2 = fixture("FIX-EX2").instance
 def test_ex1_protocol():
     out = cut_and_choose(EX1)
     assert out == (0, 3)  # agent 2 takes {b,r}
-    assert check_efxpm(EX1, out).satisfied
+    assert check_axiom(EX1, out, "efxpm").satisfied
 
 
 def test_ex2_protocol_gives_chooser_a_triple():
     out = cut_and_choose(EX2)
     assert EX2.valuations[1].value(out[1]) == 12
-    assert check_efxpm(EX2, out).satisfied
+    assert check_axiom(EX2, out, "efxpm").satisfied
 
 
 def test_symmetric_two_items_is_envy_free():
     inst = Instance(("a", "b"), (AdditiveValuation((1, 1)),) * 2)
     out = cut_and_choose(inst)
-    assert check_ef(inst, out).satisfied
+    assert check_axiom(inst, out, "ef").satisfied
 
 
 def test_requires_two_agents():
@@ -46,7 +45,7 @@ def test_cutter_swap():
                     (AdditiveValuation((5, 1)), AdditiveValuation((1, 5))))
     for cutter in (0, 1):
         out = cut_and_choose(inst, cutter=cutter)
-        assert check_efxpm(inst, out).satisfied
+        assert check_axiom(inst, out, "efxpm").satisfied
         chooser = 1 - cutter
         assert not envies(inst, out, chooser, cutter)
 
@@ -74,5 +73,5 @@ def test_random_instances_end_efxpm_with_envy_free_chooser():
                            identical=bool(k % 4 == 0), seed=8600 + k)
         inst = generate(params)
         out = cut_and_choose(inst)
-        assert check_efxpm(inst, out).satisfied
+        assert check_axiom(inst, out, "efxpm").satisfied
         assert not envies(inst, out, 1, 0)

@@ -404,7 +404,7 @@ def test_chen_liu_classifies_each_instance_once(monkeypatch):
     ex1 = fixture("FIX-EX1").instance
     for a in fairkit.search.enumerate_allocations(ex1):
         with pytest.raises(fairkit.axioms.NotWellDefinedError):
-            fairkit.axioms.check_chen_liu(ex1, a)
+            fairkit.axioms.check_axiom(ex1, a, "chen-liu")
 
 
 def test_gen_params_reject_items_over_the_cap():
