@@ -5,8 +5,9 @@ verify-paper, mine.  Reports are indented JSON; ``enumerate`` streams one
 compact JSON line per allocation, and ``check`` and ``verify-paper`` take
 --table for a plain text view instead.  Exit codes: 0 all requested checks
 passed, 1 an axiom or gating claim failed, 2 input error, 3 enumeration
-budget exceeded.  The environment variable FAIRKIT_BUDGET overrides the
-default enumeration budget.
+budget exceeded.  The commands that enumerate (check, enumerate, leximin,
+cut-and-choose, mine) take --budget; without it, the environment variable
+FAIRKIT_BUDGET overrides the default enumeration budget.
 """
 
 from __future__ import annotations
@@ -20,7 +21,14 @@ from typing import Optional
 from . import axioms
 from .axioms import NotWellDefinedError, Verdict, Witness, check_axiom
 from .catalog import fixture, list_fixtures, verify_claims
-from .core import BudgetExceededError, Instance, enumerate_allocations, names_of
+from .core import (  # enumerate_allocations: no longer called here, but benchmark spans wrap it
+    BudgetExceededError,
+    Instance,
+    allocation_blocks,
+    enumerate_allocations,
+    joined_by_mask,
+    names_of,
+)
 from .efficiency import check_po, leximin_set, pareto_front, utilities, utility_vector
 from .protocols import cut_and_choose
 from .search import (
@@ -148,27 +156,35 @@ def cmd_check(args) -> int:
 
 def cmd_enumerate(args) -> int:
     inst = _load_instance(args)
-    requested = _axiom_list(args.axioms)
+    requested = list(dict.fromkeys(_axiom_list(args.axioms)))
     budget = _budget(args)
-    front = pareto_front(inst, budget) if "po" in requested else None
-    allocs = enumerate_allocations(inst, budget)  # the budget is checked before any work
+    front = pareto_front(inst, budget) if "po" in requested else frozenset()
+    blocks = allocation_blocks(inst, budget)  # the budget is checked before any work
     bit_of, scan = axioms.held(inst, [ax for ax in requested if ax != "po"])
     want = sum(bit_of.values())
-    for k, alloc in enumerate(allocs):
-        utils = utilities(inst, alloc)
-        row = {
-            "index": k,
-            "bundles": [list(names_of(inst.item_names, b)) for b in alloc],
-            "utilities": [format_value(u) for u in utils],
-            "axioms": {},
-        }
-        got = scan(alloc, want)
-        for ax in requested:
-            if ax == "po":
-                row["axioms"]["po"] = utils in front
-            else:
-                row["axioms"][ax] = bool(got & bit_of[ax])
-        print(json.dumps(row))
+    po = bit_of["po"] = 1 << len(bit_of)
+    # Each row is printed as json.dumps would print it, from fragments encoded
+    # once per scan: every bundle's name array, every utility, every axiom key.
+    bundle = [f"[{names}]" for names in joined_by_mask(map(json.dumps, inst.item_names), ", ")]
+    utility = {u: json.dumps(format_value(u))
+               for u in set().union(*(v.table for v in inst.valuations))}
+    keys = [(json.dumps(ax) + ": ", bit_of[ax]) for ax in requested]
+    flags: dict = {}  # the bits of an allocation's satisfied axioms -> its "axioms" object
+    k = 0
+    for allocs, profiles in blocks:
+        lines = []
+        for alloc, prof in zip(allocs, profiles):
+            got = scan(alloc, want) | (po if prof in front else 0)
+            text = flags.get(got)
+            if text is None:
+                text = flags[got] = ", ".join(
+                    key + ("true" if got & bit else "false") for key, bit in keys)
+            bundles = ", ".join(map(bundle.__getitem__, alloc))
+            utils = ", ".join(map(utility.__getitem__, prof))
+            lines.append(f'{{"index": {k}, "bundles": [{bundles}], "utilities": [{utils}], '
+                         f'"axioms": {{{text}}}}}')
+            k += 1
+        print("\n".join(lines))
     return 0
 
 
@@ -316,11 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance=True):
+    def common(p, instance=True, budget=True):
         if instance:
             p.add_argument("instance", help="instance JSON file")
-        p.add_argument("--budget", type=int, default=None,
-                       help="enumeration budget (overrides FAIRKIT_BUDGET)")
+        if budget:  # only for the commands that enumerate
+            p.add_argument("--budget", type=int, default=None,
+                           help="enumeration budget (overrides FAIRKIT_BUDGET)")
 
     p = sub.add_parser("check", help="check axioms on one allocation")
     common(p)
@@ -340,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_leximin)
 
     p = sub.add_parser("taxonomy", help="classify items and the problem")
-    common(p)
+    common(p, budget=False)
     p.set_defaults(func=cmd_taxonomy)
 
     p = sub.add_parser("cut-and-choose", help="run the two-agent protocol")

@@ -60,6 +60,16 @@ def names_of(item_names: Sequence[str], mask: int) -> tuple[str, ...]:
     return tuple(out)
 
 
+def joined_by_mask(parts: Iterable[str], sep: str) -> list:
+    """For every mask, its items' ``parts`` joined by ``sep`` in item order,
+    indexed by mask ("" for the empty bundle)."""
+    out = [""]
+    for part in parts:  # the masks whose highest item is this one
+        tail = sep + part
+        out += [part] + [s + tail for s in out[1:]]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # valuations
 
@@ -115,11 +125,23 @@ class ExplicitValuation(Valuation):
     table: tuple
 
     def __init__(self, table: Iterable[object]):
-        vals = tuple(as_value(v) for v in table)
-        size = len(vals)
+        self._set_table(tuple(as_value(v) for v in table))
+
+    def _set_table(self, table: tuple) -> None:
+        size = len(table)
         if size == 0 or size & (size - 1):
             raise ValueError(f"explicit table length {size} is not a power of two")
-        object.__setattr__(self, "table", vals)
+        object.__setattr__(self, "table", table)
+
+    @classmethod
+    def _exact(cls, table: tuple) -> "ExplicitValuation":
+        """A valuation over ``table``, whose entries are already exact and
+        normalised (``int``, or ``Fraction`` with a denominator above 1), as
+        :func:`~fairkit.values.as_value` would return them.  Only the length
+        is checked."""
+        self = object.__new__(cls)
+        self._set_table(table)
+        return self
 
     @property
     def m(self) -> int:
@@ -139,12 +161,18 @@ class ExplicitValuation(Valuation):
             if table[mask] is not None:
                 raise ValueError(f"duplicate entry for bundle mask {mask}")
             table[mask] = v
-        if table[0] is None:
-            table[0] = 0
-        missing = [mask for mask, v in enumerate(table) if v is None]
-        if missing:
-            raise ValueError(f"explicit table is missing {len(missing)} bundles, e.g. mask {missing[0]}")
-        return cls(table)
+        return cls(_complete(table))
+
+
+def _complete(table: list) -> list:
+    """``table`` with the empty bundle defaulted to 0; ``None`` marks a
+    missing bundle, and any other missing one is a ``ValueError``."""
+    if table[0] is None:
+        table[0] = 0
+    if None in table:
+        raise ValueError(f"explicit table is missing {table.count(None)} bundles, "
+                         f"e.g. mask {table.index(None)}")
+    return table
 
 
 def nonzero_marginals(v: Valuation) -> bool:

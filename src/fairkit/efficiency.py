@@ -11,7 +11,12 @@ from itertools import chain, compress
 from operator import ge
 from typing import Iterator, Optional
 
-from .core import Allocation, Instance, allocation_blocks, enumerate_allocations
+from .core import (  # enumerate_allocations: no longer called here, but benchmark spans wrap it
+    Allocation,
+    Instance,
+    allocation_blocks,
+    enumerate_allocations,
+)
 
 
 def utilities(inst: Instance, alloc: Allocation) -> tuple:
@@ -92,16 +97,17 @@ def leximin_set(inst: Instance, budget: Optional[int] = None) -> list:
     """All leximin-maximal allocations, in enumeration order.
 
     Ties are all returned; callers wanting a single representative take the
-    first element, which is deterministic.
+    first element, which is deterministic.  Each block's profiles are sorted
+    into leximin vectors, and the block's best vector is compared with the
+    best so far.
     """
-    tables = [v.table for v in inst.valuations]
     best_vec = None
     best: list = []
-    for alloc in enumerate_allocations(inst, budget):
-        vec = sorted(tables[i][alloc[i]] for i in range(inst.n))
-        if best_vec is None or vec > best_vec:
-            best_vec = vec
-            best = [alloc]
-        elif vec == best_vec:
-            best.append(alloc)
+    for allocs, profiles in allocation_blocks(inst, budget):
+        vecs = list(map(sorted, profiles))
+        top = max(vecs)
+        if best_vec is None or top > best_vec:
+            best_vec, best = top, []
+        if top == best_vec:
+            best += compress(allocs, map(top.__eq__, vecs))
     return best

@@ -172,7 +172,8 @@ def _item_class_table(rng, p, shared_split) -> ExplicitValuation:
     bads = ((1 << m) - 1) ^ goods
     up = _monotone_table(rng, goods, m, p.lo, p.hi, True, p.nonzero_marginals)
     down = _monotone_table(rng, bads, m, p.lo, p.hi, False, p.nonzero_marginals)
-    return ExplicitValuation(tuple(up[mask & goods] + down[mask & bads] for mask in range(1 << m)))
+    return ExplicitValuation._exact(tuple(up[mask & goods] + down[mask & bads]
+                                          for mask in range(1 << m)))
 
 
 def _additive_table(rng, p, c) -> AdditiveValuation:
@@ -201,7 +202,7 @@ def _explicit_table(rng, p, c) -> ExplicitValuation:
     """
     m = p.items
     if c is None and not p.nonzero_marginals:
-        return ExplicitValuation(tuple(rng.randint(p.lo, p.hi) for _ in range(1 << m)))
+        return ExplicitValuation._exact(tuple(rng.randint(p.lo, p.hi) for _ in range(1 << m)))
     full = (1 << m) - 1
     t: list = [None] * (1 << m)
     for x in range(1 << m if c is None else 1 << (m - 1)):
@@ -213,7 +214,7 @@ def _explicit_table(rng, p, c) -> ExplicitValuation:
         t[x] = _draw(rng, p, avoid)
         if c is not None:
             t[full ^ x] = c - t[x]
-    return ExplicitValuation(tuple(t))
+    return ExplicitValuation._exact(tuple(t))
 
 
 def generate(params: GenParams) -> Instance:

@@ -21,6 +21,8 @@ from .core import (
     ExplicitValuation,
     Instance,
     Valuation,
+    _complete,
+    joined_by_mask,
     names_of,
     validate_allocation,
 )
@@ -34,8 +36,9 @@ class DocumentError(Exception):
 # ---------------------------------------------------------------------------
 # bundle keys
 
-def bundle_key(item_names: Sequence[str], mask: int) -> str:
-    return ",".join(names_of(item_names, mask))
+def bundle_keys(item_names: Sequence[str]) -> list:
+    """The canonical key of every bundle, indexed by mask."""
+    return joined_by_mask(item_names, ",")
 
 
 def mask_from_key(item_names: Sequence[str], key: str) -> int:
@@ -58,17 +61,41 @@ def mask_from_key(item_names: Sequence[str], key: str) -> int:
     return mask
 
 
-def _value_in(raw: object, where: str) -> Value:
+def _value_in(raw: object, where: str, name: str) -> Value:
+    """The value ``raw`` of the entry ``name`` in ``where``; the error message
+    is formatted only when there is an error."""
     if isinstance(raw, bool):
-        raise DocumentError(f"{where}: boolean is not a value")
-    if isinstance(raw, int):
+        reason = "boolean is not a value"
+    elif isinstance(raw, int):
         return raw
-    if isinstance(raw, str):
+    elif isinstance(raw, str):
         try:
             return as_value(raw)
         except ValueError as exc:
-            raise DocumentError(f"{where}: {exc}") from None
-    raise DocumentError(f"{where}: values must be strings or integers, got {type(raw).__name__}")
+            reason = str(exc)
+    else:
+        reason = f"values must be strings or integers, got {type(raw).__name__}"
+    raise DocumentError(f"{where}[{name!r}]: {reason}")
+
+
+def _unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook`` for :func:`json.loads`: a JSON object as a dict,
+    rejecting a key given twice."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DocumentError(f"duplicate key {key!r} in a JSON object")
+            seen.add(key)
+    return obj
+
+
+def _parse(text: str) -> object:
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"invalid JSON: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -114,14 +141,7 @@ def instance_from_document(doc: dict) -> Instance:
         raise DocumentError(f"agent count {agents} exceeds the cap of {DEFAULT_AGENT_CAP}")
 
     parsed: dict = {}  # value string -> value; each distinct string is parsed once
-
-    def value_in(raw, where) -> Value:
-        if not isinstance(raw, str):
-            return _value_in(raw, where)
-        found = parsed.get(raw)
-        if found is None:
-            found = parsed[raw] = _value_in(raw, where)
-        return found
+    mask_of: dict = {}  # canonical bundle key -> mask, built at the first explicit table
 
     def build(raw, idx) -> Valuation:
         where = f"valuations[{idx}]"
@@ -136,20 +156,29 @@ def instance_from_document(doc: dict) -> Instance:
             for name, v in values.items():
                 if name not in item_names:
                     raise DocumentError(f"{where}: unknown item {name!r}")
-                per_item[name] = value_in(v, f"{where}[{name!r}]")
+                per_item[name] = _value_in(v, where, name)
             missing = [n for n in item_names if n not in per_item]
             if missing:
                 raise DocumentError(f"{where}: missing item value for {missing[0]!r}")
             return AdditiveValuation(tuple(per_item[n] for n in item_names))
         if kind == "explicit":
-            entries = {}
-            for key, v in values.items():
-                mask = mask_from_key(item_names, key)
-                if mask in entries:
-                    raise DocumentError(f"{where}: duplicate bundle key {key!r}")
-                entries[mask] = value_in(v, f"{where}[{key!r}]")
+            if not mask_of and not any("," in name for name in item_names):
+                # with a "," in a name, keys are ambiguous: mask_from_key reads each one
+                mask_of.update((key, mask) for mask, key in enumerate(bundle_keys(item_names)))
+            table: list = [None] * (1 << m)
+            for key, v in values.items():  # in document order: the first bad entry is reported
+                mask = mask_of.get(key)
+                if mask is None:
+                    mask = mask_from_key(item_names, key)  # raises: canonical keys are all known
+                if type(v) is str:
+                    value = parsed.get(v)
+                    if value is None:
+                        value = parsed[v] = _value_in(v, where, key)
+                else:
+                    value = _value_in(v, where, key)
+                table[mask] = value
             try:
-                return ExplicitValuation.from_map(m, entries)
+                return ExplicitValuation._exact(tuple(_complete(table)))
             except ValueError as exc:
                 raise DocumentError(f"{where}: {exc}") from None
         raise DocumentError(f"{where}: 'kind' must be 'explicit' or 'additive'")
@@ -163,17 +192,15 @@ def instance_from_document(doc: dict) -> Instance:
         raise DocumentError(str(exc)) from None
 
 
-def _valuation_to_document(item_names, v: Valuation) -> dict:
+def _valuation_to_document(item_names, keys, v: Valuation) -> dict:
     if isinstance(v, AdditiveValuation):
         return {
             "kind": "additive",
             "values": {name: format_value(x) for name, x in zip(item_names, v.item_values)},
         }
-    values = {}
-    if v.table[0] != 0:
-        values[""] = format_value(v.table[0])
-    for mask in range(1, len(v.table)):
-        values[bundle_key(item_names, mask)] = format_value(v.table[mask])
+    values = dict(zip(keys, map(format_value, v.table)))
+    if v.table[0] == 0:
+        del values[""]
     return {"kind": "explicit", "values": values}
 
 
@@ -182,11 +209,13 @@ def instance_to_document(inst: Instance, identical: Optional[bool] = None) -> di
     if identical is None:
         identical = inst.is_identical()
     vals = inst.valuations[:1] if identical else inst.valuations
+    explicit = not all(isinstance(v, AdditiveValuation) for v in vals)
+    keys = bundle_keys(inst.item_names) if explicit else None
     return {
         "items": list(inst.item_names),
         "agents": inst.n,
         "identical": identical,
-        "valuations": [_valuation_to_document(inst.item_names, v) for v in vals],
+        "valuations": [_valuation_to_document(inst.item_names, keys, v) for v in vals],
     }
 
 
@@ -195,11 +224,7 @@ def dumps_instance(inst: Instance, identical: Optional[bool] = None) -> str:
 
 
 def loads_instance(text: str) -> Instance:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON: {exc}") from None
-    return instance_from_document(doc)
+    return instance_from_document(_parse(text))
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +264,7 @@ def allocation_to_document(inst: Instance, alloc: Allocation) -> dict:
 
 
 def loads_allocation(inst: Instance, text: str) -> Allocation:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON: {exc}") from None
-    return allocation_from_document(inst, doc)
+    return allocation_from_document(inst, _parse(text))
 
 
 def dumps_allocation(inst: Instance, alloc: Allocation) -> str:

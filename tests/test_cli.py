@@ -4,14 +4,23 @@ import os
 
 import pytest
 
+from fractions import Fraction
+
 from fairkit import (
+    AdditiveValuation,
+    ExplicitValuation,
+    Instance,
     check_axiom,
     check_po,
     dumps_instance,
     enumerate_allocations,
     fixture,
+    format_value,
     loads_instance,
     mask_from_names,
+    names_of,
+    pareto_front,
+    utilities,
 )
 from fairkit.cli import main
 from fairkit.search import GenParams, generate
@@ -69,6 +78,14 @@ def test_malformed_bundle_key_exits_2(files, capsys):
     code, _, err = run(capsys, ["leximin", inst])
     assert code == 2
     assert "canonical" in err
+
+
+def test_duplicate_json_key_exits_2(files, capsys):
+    inst = files("dup.json", '{"items": ["a", "b"], "agents": 2, "identical": true, "valuations":'
+                             ' [{"kind": "explicit", "values": {"a": "1", "a": "7", "b": "1",'
+                             ' "a,b": "2"}}]}')
+    code, out, err = run(capsys, ["enumerate", inst])
+    assert code == 2 and out == "" and "duplicate key 'a'" in err
 
 
 def test_unknown_axiom_exits_2(files, capsys):
@@ -228,6 +245,20 @@ def test_verify_paper_takes_no_budget(capsys):
     assert "unrecognized arguments: --budget" in capsys.readouterr().err
 
 
+def test_only_enumerating_commands_take_a_budget(files, capsys):
+    inst = files("t1.json", dumps_instance(fixture("FIX-T1").instance))
+    with pytest.raises(SystemExit) as exc:
+        main(["taxonomy", inst, "--budget", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget" in capsys.readouterr().err
+    alloc = files("alloc.json", {"bundles": [["a", "b"], ["c", "d"]]})
+    for argv in (["check", inst, alloc, "--axioms", "po"], ["enumerate", inst],
+                 ["leximin", inst], ["cut-and-choose", inst],
+                 ["mine", "--predicate", "efx>=0", "-m", "4", "--count", "1"]):
+        code, _, err = run(capsys, argv + ["--budget", "15"])
+        assert code == 3 and "exceeding budget 15" in err, argv
+
+
 def test_table_is_only_for_check_and_verify_paper(files, capsys):
     inst = files("t2.json", dumps_instance(fixture("FIX-T2").instance))
     for argv in (["leximin", inst, "--table"], ["taxonomy", inst, "--table"],
@@ -303,3 +334,41 @@ def test_agents_over_the_cap_exit_2(files, capsys):
            "valuations": [{"kind": "additive", "values": {"a": "1", "b": "2"}}]}
     code, out, err = run(capsys, ["taxonomy", files("many.json", doc)])
     assert code == 2 and out == "" and "agent count 1000000000000" in err
+
+
+def _reference_rows(inst, axioms):
+    """The enumerate rows, one json.dumps each, from check_axiom and pareto_front."""
+    requested = [ax.strip().lower() for ax in axioms.split(",") if ax.strip()]
+    front = pareto_front(inst)
+    for k, alloc in enumerate(enumerate_allocations(inst)):
+        utils = utilities(inst, alloc)
+        row = {"index": k,
+               "bundles": [list(names_of(inst.item_names, b)) for b in alloc],
+               "utilities": [format_value(u) for u in utils],
+               "axioms": {}}
+        for ax in requested:
+            row["axioms"][ax] = (utils in front if ax == "po"
+                                 else check_axiom(inst, alloc, ax).satisfied)
+        yield json.dumps(row)
+
+
+def _thirds(inst):
+    """The instance with every value divided by 3, the last agent additive over halves."""
+    vals = [ExplicitValuation(tuple(Fraction(x, 3) for x in v.table)) for v in inst.valuations]
+    vals[-1] = AdditiveValuation([Fraction(k - 1, 2) for k in range(inst.m)])
+    return Instance(inst.item_names, vals)
+
+
+@pytest.mark.parametrize("n, m", [(2, 4), (3, 3), (4, 2)])
+def test_enumerate_rows_equal_json_dumps_of_the_reference_rows(files, capsys, n, m):
+    plain = generate(GenParams(agents=n, items=m, lo=-3, hi=3, seed=700 + n))
+    ggb = generate(GenParams(agents=n, items=m, item_class="generallyGoodBad", seed=710 + n))
+    cases = [(plain, "PO,ef,EFX,ef,efxpm"), (_thirds(plain), "ef1, efx0,ef1pm,Ef1,po"),
+             (_thirds(plain), "efxpm0,po,variant-a,variant-b"),
+             (ggb, "chen-liu,efxpm,po,chen-liu"), (ggb, "po,chen-liu")]
+    for k, (inst, axioms) in enumerate(cases):
+        path = files(f"inst{k}.json", dumps_instance(inst))
+        code, out, err = run(capsys, ["enumerate", path, "--axioms", axioms])
+        assert code == 0 and err == ""
+        assert out.splitlines() == list(_reference_rows(loads_instance(dumps_instance(inst)),
+                                                        axioms)), axioms

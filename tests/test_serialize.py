@@ -161,6 +161,72 @@ def test_non_canonical_bundle_keys_rejected():
     assert mask_from_key(("a", "b"), "a,b") == 3
 
 
+def _explicit(values, items=("a", "b")):
+    return json.dumps({"items": list(items), "agents": 2, "identical": True,
+                       "valuations": [{"kind": "explicit", "values": values}]})
+
+
+# each message as the loader printed it when every key went through mask_from_key
+@pytest.mark.parametrize("text, message", [
+    (_explicit({"a": "1", "b": "1", "a,z": "2"}), "unknown item 'z' in bundle key 'a,z'"),
+    (_explicit({"z": "1", "a": "1", "b": "1"}), "unknown item 'z' in bundle key 'z'"),
+    (_explicit({"a": "1", "b": "1", "b,a": "2"}),
+     "bundle key 'b,a' is not canonical (items must follow the items array order)"),
+    (_explicit({"a": "1", "b": "1", "a,a": "2"}),
+     "bundle key 'a,a' is not canonical (items must follow the items array order)"),
+    (_explicit({",a": "1", "b": "1", "a,b": "2"}), "unknown item '' in bundle key ',a'"),
+    (_explicit({"a": "1", "b": "1", "a, b": "2"}), "unknown item ' b' in bundle key 'a, b'"),
+    (_explicit({"a": "1"}, items=("a", "b", "c")),
+     "valuations[0]: explicit table is missing 6 bundles, e.g. mask 2"),
+    (_explicit({"a": "1", "b": "2", "a,b": "3"}, items=("a", "b", "c")),
+     "valuations[0]: explicit table is missing 4 bundles, e.g. mask 4"),
+    (_explicit({"a": "1", "b": "x", "a,b": "y"}),
+     "valuations[0]['b']: cannot parse exact value from 'x'"),
+    (_explicit({"a": True, "b": "x", "a,b": "2"}), "valuations[0]['a']: boolean is not a value"),
+    (_explicit({"a": "1", "b": 1, "a,b": False}),
+     "valuations[0]['a,b']: boolean is not a value"),
+    (_explicit({"a": "1", "b": 1.5, "a,b": "2"}),
+     "valuations[0]['b']: values must be strings or integers, got float"),
+    (_explicit({"": "x", "a": "1", "b": "1", "a,b": "2"}),
+     "valuations[0]['']: cannot parse exact value from 'x'"),
+    # a bad value and a bad key are reported in document order
+    (_explicit({"a": "x", "q": "1", "a,b": "2"}),
+     "valuations[0]['a']: cannot parse exact value from 'x'"),
+    (_explicit({"q": "1", "a": "x", "a,b": "2"}), "unknown item 'q' in bundle key 'q'"),
+    # a "," in an item name makes keys ambiguous; such keys are read item by item
+    (_explicit({"x,y": "1", "z": "1", "x,y,z": "2"}, items=("x,y", "z")),
+     "unknown item 'x' in bundle key 'x,y'"),
+], ids=["unknown-item", "unknown-first", "out-of-order", "repeated-item", "leading-comma",
+        "space", "missing-6", "missing-4", "bad-value", "boolean", "boolean-last", "float",
+        "bad-empty-value", "value-before-key", "key-before-value", "comma-in-name"])
+def test_malformed_explicit_tables_keep_their_messages(text, message):
+    with pytest.raises(DocumentError) as exc:
+        loads_instance(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text", [
+    '{"items": ["a"], "items": ["a", "b"], "agents": 2, "identical": true,'
+    ' "valuations": [{"kind": "additive", "values": {"a": "1", "b": "1"}}]}',
+    '{"items": ["a", "b"], "agents": 2, "identical": true, "valuations":'
+    ' [{"kind": "explicit", "values": {"a": "1", "a": "7", "b": "1", "a,b": "2"}}]}',
+    '{"items": ["a", "b"], "agents": 2, "identical": true, "valuations":'
+    ' [{"kind": "additive", "kind": "explicit", "values": {"a": "1", "b": "1", "a,b": "2"}}]}',
+    '{"items": ["a"], "valuations": [{"kind": "additive", "values": {"a": "1", "a": "2"}},'
+    ' {"kind": "additive", "values": {"a": "1"}}]}',
+], ids=["items", "bundle-key", "kind", "additive-item"])
+def test_duplicate_json_keys_are_rejected(text):
+    with pytest.raises(DocumentError, match="duplicate key"):
+        loads_instance(text)
+
+
+def test_duplicate_json_keys_in_allocations_are_rejected():
+    with pytest.raises(DocumentError, match="duplicate key 'bundles'"):
+        loads_allocation(T1, '{"bundles": [["a"], ["b", "c", "d"]],'
+                             ' "bundles": [["a", "b"], ["c", "d"]]}')
+    assert loads_allocation(T1, '{"bundles": [["a"], ["b", "c", "d"]]}') == (0b0001, 0b1110)
+
+
 def test_allocation_documents():
     doc = {"bundles": [["a", "c"], ["b", "d"]]}
     alloc = allocation_from_document(T1, doc)
