@@ -26,7 +26,6 @@ from .axioms import (
     Witness,
     _item_classes,
     check_axiom,
-    held,
     satisfies,
 )
 from .core import (
@@ -42,11 +41,11 @@ from .efficiency import (
     check_po,
     leximin_set,
     pareto_improves,
-    pareto_optimal_allocations,
     utilities,
     utility_vector,
 )
 from .protocols import cut_and_choose
+from .search import held_walk
 from .values import format_value
 
 
@@ -108,18 +107,12 @@ def _fmt(inst, *allocs):
     return " ".join("|".join(",".join(names_of(names, b)) for b in alloc) for alloc in allocs)
 
 
-def _allocs(inst, *axiom_ids, po=False):
-    """Allocations satisfying every listed axiom (and po), in enumeration order."""
-    allocs = pareto_optimal_allocations(inst) if po else enumerate_allocations(inst)
-    bit_of, scan = held(inst, axiom_ids)
-    want = sum(bit_of.values())
-    return [a for a in allocs if scan(a, want) == want]
-
-
 def _scan(inst, combo):
-    """The allocations satisfying ``combo``, e.g. ``"efx&po"``."""
+    """The allocations satisfying ``combo``, e.g. ``"efx&po"``, in enumeration order."""
     parts = combo.split("&")
-    return _allocs(inst, *[ax for ax in parts if ax != "po"], po="po" in parts)
+    bit_of, walk = held_walk(inst, [parts])
+    want = sum(bit_of[ax] for ax in set(parts))
+    return [alloc for alloc, held in walk if held == want]
 
 
 def _meets(inst, alloc, holds, fails, utils):

@@ -89,7 +89,7 @@ def _axiom_list(text: str) -> list:
         out.append(ax)
     if not out:
         raise DocumentError("no axioms requested")
-    return out
+    return list(dict.fromkeys(out))  # each axiom once, in first-seen order
 
 
 def _witness_doc(inst: Instance, w: Witness) -> dict:
@@ -156,7 +156,7 @@ def cmd_check(args) -> int:
 
 def cmd_enumerate(args) -> int:
     inst = _load_instance(args)
-    requested = list(dict.fromkeys(_axiom_list(args.axioms)))
+    requested = _axiom_list(args.axioms)
     budget = _budget(args)
     front = pareto_front(inst, budget) if "po" in requested else frozenset()
     blocks = allocation_blocks(inst, budget)  # the budget is checked before any work
@@ -251,12 +251,16 @@ def cmd_cut_and_choose(args) -> int:
 def cmd_verify_paper(args) -> int:
     report = verify_claims(args.fixture)
     if args.export_instances:
-        os.makedirs(args.export_instances, exist_ok=True)
         ids = [args.fixture] if args.fixture else list_fixtures()
-        for fid in ids:
-            path = os.path.join(args.export_instances, f"{fid}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(dumps_instance(fixture(fid).instance) + "\n")
+        path = args.export_instances
+        try:
+            os.makedirs(path, exist_ok=True)
+            for fid in ids:
+                path = os.path.join(args.export_instances, f"{fid}.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(dumps_instance(fixture(fid).instance) + "\n")
+        except OSError as exc:
+            raise DocumentError(f"cannot write {path}: {exc}") from None
     rows = [
         {
             "fixture": r.fixture_id,

@@ -9,7 +9,7 @@ use is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .values import Value, as_value
@@ -370,23 +370,9 @@ def _low_columns(n: int, low: int) -> list:
 
 
 def _high_parts(n: int, low: int, m: int) -> Iterator[tuple]:
-    """Per-agent masks of items ``low..m-1``, as a base-n odometer over them."""
-    digits = [0] * (m - low)
-    masks = [0] * n
-    masks[0] = ((1 << m) - 1) ^ ((1 << low) - 1)
-    yield tuple(masks)
-    last = n - 1
-    for _ in range(n ** (m - low) - 1):
-        o = 0
-        while digits[o] == last:
-            digits[o] = 0
-            bit = 1 << (low + o)
-            masks[last] ^= bit
-            masks[0] |= bit
-            o += 1
-        d = digits[o]
-        digits[o] = d + 1
-        bit = 1 << (low + o)
-        masks[d] ^= bit
-        masks[d + 1] |= bit
+    """Per-agent masks of items ``low..m-1``, item ``low`` the least significant digit."""
+    for digits in product(range(n), repeat=m - low):  # the last digit varies fastest
+        masks = [0] * n
+        for o, agent in enumerate(reversed(digits), low):
+            masks[agent] |= 1 << o
         yield tuple(masks)

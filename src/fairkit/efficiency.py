@@ -7,9 +7,9 @@ over the complete allocation space, guarded by the enumeration budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from operator import ge
-from typing import Iterator, Optional
+from typing import Optional
 
 from .core import (  # enumerate_allocations: no longer called here, but benchmark spans wrap it
     Allocation,
@@ -79,18 +79,6 @@ def pareto_front(inst: Instance, budget: Optional[int] = None) -> frozenset:
         if not any(all(map(ge, kept, prof)) for kept in front):
             front.append(prof)
     return frozenset(front)
-
-
-def pareto_optimal_allocations(inst: Instance,
-                               budget: Optional[int] = None) -> Iterator[Allocation]:
-    """The Pareto-optimal allocations, lazily, in enumeration order.
-
-    The front is computed at the call, so the budget is checked there; each
-    block's allocations are then picked by their profiles' membership in it.
-    """
-    front = pareto_front(inst, budget)
-    return chain.from_iterable(compress(allocs, map(front.__contains__, profiles))
-                               for allocs, profiles in allocation_blocks(inst, budget))
 
 
 def leximin_set(inst: Instance, budget: Optional[int] = None) -> list:

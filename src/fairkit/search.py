@@ -9,8 +9,8 @@ instance) and keeps those whose axiom landscape matches a predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import chain, compress
+from typing import Iterator, Optional, Sequence
 
 from . import axioms
 from .core import (
@@ -21,10 +21,10 @@ from .core import (
     Instance,
     allocation_blocks,
     check_budget,
-    enumerate_allocations,
+    enumerate_allocations,  # noqa: F401  (no longer called here, but benchmark spans wrap it)
 )
 from .axioms import satisfies  # noqa: F401  (still importable from here; landscape uses held)
-from .efficiency import pareto_front, pareto_optimal_allocations
+from .efficiency import pareto_front
 from .taxonomy import classify  # noqa: F401  (importable from here for bench/spans.py)
 
 ITEM_CLASSES = ("any", "generallyGoodBad", "noMixed")
@@ -257,6 +257,40 @@ class LandscapeRow:
     example: Optional[tuple]
 
 
+def held_walk(inst: Instance, combos: Sequence[tuple],
+              budget: Optional[int] = None) -> tuple:
+    """``(bit_of, walk)``: the one walk that decides axiom and PO combos.
+
+    ``walk`` yields ``(allocation, held)`` in enumeration order and covers at
+    least every allocation that satisfies one of the combos.  ``held`` has
+    ``bit_of[ax]`` for each of the combos' axioms the allocation satisfies,
+    and ``bit_of["po"]`` when it is Pareto-optimal.  PO is membership of the
+    allocation's profile in :func:`pareto_front`, and the axioms come from one
+    fused scan (:func:`axioms.held`) per allocation; an axiom that occurs
+    only in combos with ``"po"`` is decided on Pareto-optimal allocations
+    only.  When every combo has ``"po"``, only the Pareto-optimal allocations
+    are walked, picked out of each block at C level.  The combos must be
+    well-defined for the instance.  The budget is checked, and the front
+    computed, at the call.
+    """
+    blocks = allocation_blocks(inst, budget)  # the budget is checked before any work
+    names = sorted({ax for combo in combos for ax in combo} - {"po"})
+    bit_of, scan = axioms.held(inst, names)
+    bit_of["po"] = po_bit = 1 << len(names)
+    on_front = po_bit - 1
+    with_po = ["po" in combo for combo in combos]
+    front = pareto_front(inst, budget) if any(with_po) else frozenset()
+    if all(with_po):
+        picked = chain.from_iterable(compress(allocs, map(front.__contains__, profiles))
+                                     for allocs, profiles in blocks)
+        return bit_of, ((alloc, scan(alloc, on_front) | po_bit) for alloc in picked)
+    everywhere = sum({bit_of[ax] for combo in combos if "po" not in combo for ax in combo})
+    flagged = chain.from_iterable(zip(allocs, map(front.__contains__, profiles))
+                                  for allocs, profiles in blocks)  # (allocation, is it PO)
+    return bit_of, ((alloc, scan(alloc, on_front) | po_bit if po else scan(alloc, everywhere))
+                    for alloc, po in flagged)
+
+
 def landscape(inst: Instance, combos: Optional[Sequence[tuple]] = None,
               budget: Optional[int] = None) -> list:
     """Count satisfying allocations per axiom combination over the full space.
@@ -264,43 +298,26 @@ def landscape(inst: Instance, combos: Optional[Sequence[tuple]] = None,
     Combos are tuples of axiom ids, optionally including ``"po"``.  Rows for
     the chen-liu axiom are skipped when it is not well-defined for the
     instance.  Each row's example is its first satisfying allocation in
-    enumeration order.
-
-    Pareto optimality is decided first, by :func:`pareto_front`.  One walk
-    over the allocations then makes one fused scan (:func:`axioms.held`) per
-    allocation, which decides all the combos' axioms at once; an axiom that
-    occurs only in combos with ``"po"`` is requested on Pareto-optimal
-    allocations only.
+    enumeration order.  The combos are decided by :func:`held_walk`, which
+    the allocations' held sets are tallied from.
     """
     combos = tuple(DEFAULT_COMBOS if combos is None else combos)
-    blocks = allocation_blocks(inst, budget)  # the budget is checked before any work
+    check_budget(inst.n, inst.m, budget)  # before any work
     combos = tuple(c for c in combos if all(axioms.well_defined(inst, ax) for ax in c))
-    need_po = any("po" in combo for combo in combos)
-
-    names = sorted({ax for combo in combos for ax in combo} - {"po"})
-    bit_of, scan = axioms.held(inst, names)
-    bit_of["po"] = po_bit = 1 << len(names)
-    anywhere = {ax for combo in combos if "po" not in combo for ax in combo}
-    everywhere = sum(bit_of[ax] for ax in names if ax in anywhere)
-    on_front = sum(bit_of[ax] for ax in names)
-    needs = [sum(bit_of[ax] for ax in set(combo)) for combo in combos]
+    bit_of, walk = held_walk(inst, combos, budget)
     tally: dict = {}  # set of held axioms (as bits) -> allocations holding exactly it
-    first: dict = {}  # set of held axioms -> (index, allocation) of its first allocation
-
-    front = pareto_front(inst, budget) if need_po else frozenset()
-    flagged = chain.from_iterable(zip(allocs, map(front.__contains__, profiles))
-                                  for allocs, profiles in blocks)  # (allocation, is it PO)
-    for k, (alloc, po) in enumerate(flagged):
-        held = scan(alloc, on_front) | po_bit if po else scan(alloc, everywhere)
+    first: dict = {}  # set of held axioms -> its first allocation, in order of first sight
+    for alloc, held in walk:
         if held in tally:
             tally[held] += 1
         else:
             tally[held] = 1
-            first[held] = (k, alloc)
+            first[held] = alloc
     rows = []
-    for combo, need in zip(combos, needs):
-        sets = [held for held in tally if held & need == need]
-        example = min((first[held] for held in sets), default=(None, None))[1]
+    for combo in combos:
+        need = sum(bit_of[ax] for ax in set(combo))
+        sets = [held for held in first if held & need == need]
+        example = first[sets[0]] if sets else None
         rows.append(LandscapeRow(tuple(combo), sum(tally[held] for held in sets), example))
     return rows
 
@@ -318,12 +335,6 @@ class Predicate:
     combo: tuple
     op: str
     target: object  # int or "all"
-
-    def __call__(self, rows: Iterable[LandscapeRow], total: int) -> bool:
-        for row in rows:
-            if row.combo == self.combo:
-                return self.settled(row.count, row.count, total)
-        return False
 
     def settled(self, lo: int, hi: int, total: int) -> Optional[bool]:
         """The predicate's value if it is the same for every count in
@@ -415,28 +426,26 @@ def _mine_seeds(params, predicate, count, combos, budget):
 
 
 def _matches(inst: Instance, predicate: Predicate, budget: Optional[int]) -> bool:
-    """``predicate(landscape(inst, [predicate.combo]), n**m)``, without the landscape.
+    """Whether the predicate holds on ``landscape(inst, [predicate.combo])``,
+    without the landscape.
 
-    The combo's count is kept within lo <= count <= hi, and the scan stops
-    as soon as the predicate has one value on that whole range.  A combo
-    with ``po`` scans the Pareto-optimal allocations only, since no other
-    allocation can satisfy it; when they run out, the count is lo.
+    The combo's count is kept within lo <= count <= hi over
+    :func:`held_walk`, and the walk stops as soon as the predicate has one
+    value on that whole range.  A combo with ``po`` walks the Pareto-optimal
+    allocations only, so when they run out, the count is lo.
     """
     combo = predicate.combo
-    allocs = enumerate_allocations(inst, budget)  # the budget is checked before any work
     if not all(axioms.well_defined(inst, ax) for ax in combo):
         return False  # landscape has no row for the combo
-    if "po" in combo:
-        allocs = pareto_optimal_allocations(inst, budget)
-    bit_of, scan = axioms.held(inst, [ax for ax in combo if ax != "po"])
-    want = sum(bit_of.values())
+    bit_of, walk = held_walk(inst, [combo], budget)
+    want = sum(bit_of[ax] for ax in set(combo))
     total = inst.n ** inst.m
     lo, hi = 0, total
-    for alloc in allocs:
+    for _, held in walk:
         verdict = predicate.settled(lo, hi, total)
         if verdict is not None:
             return verdict
-        if scan(alloc, want) == want:
+        if held & want == want:
             lo += 1
         else:
             hi -= 1

@@ -205,9 +205,15 @@ def _valuation_to_document(item_names, keys, v: Valuation) -> dict:
 
 
 def instance_to_document(inst: Instance, identical: Optional[bool] = None) -> dict:
-    """Canonical document; collapses to one valuation when agents agree."""
+    """Canonical document; collapses to one valuation when agents agree.
+
+    ``identical=True`` raises ``ValueError`` when the agents' valuations
+    differ, since the one valuation written would stand for all of them.
+    """
     if identical is None:
         identical = inst.is_identical()
+    elif identical and not inst.is_identical():
+        raise ValueError("identical=True, but the agents' valuations differ")
     vals = inst.valuations[:1] if identical else inst.valuations
     explicit = not all(isinstance(v, AdditiveValuation) for v in vals)
     keys = bundle_keys(inst.item_names) if explicit else None

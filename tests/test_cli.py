@@ -6,6 +6,8 @@ import pytest
 
 from fractions import Fraction
 
+import fairkit.cli
+
 from fairkit import (
     AdditiveValuation,
     ExplicitValuation,
@@ -188,6 +190,13 @@ def test_verify_paper_single_fixture_and_export(tmp_path, capsys):
         assert loads_instance(f.read()) == fixture("FIX-ZM").instance
 
 
+def test_verify_paper_export_to_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, out, err = run(capsys, ["verify-paper", "--export-instances", str(taken)])
+    assert code == 2 and out == "" and err.startswith("error: cannot write")
+
+
 def test_mine_cli(capsys):
     code, out, _ = run(capsys, [
         "mine", "--predicate", "efxpm0=0", "-n", "2", "-m", "2",
@@ -270,6 +279,20 @@ def test_table_is_only_for_check_and_verify_paper(files, capsys):
     alloc = files("alloc.json", {"bundles": [["a", "b", "c"], ["d"]]})
     code, out, _ = run(capsys, ["check", inst, alloc, "--axioms", "efx", "--table"])
     assert code == 0 and out == "efx        satisfied\n"
+
+
+def test_check_repeated_axioms_are_decided_and_printed_once(files, capsys, monkeypatch):
+    inst = files("t2.json", dumps_instance(fixture("FIX-T2").instance))
+    alloc = files("alloc.json", {"bundles": [["a", "b", "c"], ["d"]]})
+    _, once, _ = run(capsys, ["check", inst, alloc, "--axioms", "efx,po"])
+    calls = []
+    monkeypatch.setattr(fairkit.cli, "check_po",
+                        lambda *args: calls.append(args) or check_po(*args))
+    _, twice, _ = run(capsys, ["check", inst, alloc, "--axioms", "efx,EFX,po,po"])
+    assert twice == once and len(calls) == 1
+    _, table, _ = run(capsys, ["check", inst, alloc, "--axioms", "efx,EFX,po,po", "--table"])
+    assert [line.split()[0] for line in table.splitlines()] == ["efx", "po"]
+    assert len(calls) == 2
 
 
 def test_missing_file_exits_2(capsys):

@@ -158,8 +158,8 @@ def test_scans_keep_nothing_on_the_instance():
                                     seed=12_501))):
         before = set(inst.__dict__)
         landscape(inst, [(ax,) for ax in ALL_AXIOMS if well_defined(inst, ax)] + [("po",)])
-        fairkit.catalog._allocs(inst, *[ax for ax in ALL_AXIOMS if well_defined(inst, ax)],
-                                po=True)
+        fairkit.catalog._scan(inst, "&".join([ax for ax in ALL_AXIOMS if well_defined(inst, ax)]
+                                             + ["po"]))
         assert set(inst.__dict__) - before <= {"_item_classes"}
 
 

@@ -1,12 +1,13 @@
 import hashlib
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fairkit.axioms
 import fairkit.search
-from fairkit import BudgetExceededError, dumps_instance, fixture
+from fairkit import BudgetExceededError, ExplicitValuation, Instance, dumps_instance, fixture
 from fairkit.core import is_additive_consistent
 from fairkit.efficiency import pareto_front, utilities
 from fairkit.search import (
@@ -16,6 +17,7 @@ from fairkit.search import (
     RejectionBudgetError,
     SplitMix64,
     generate,
+    held_walk,
     landscape,
     mine,
     parse_predicate,
@@ -30,6 +32,7 @@ from reference import (
     ref_efx,
     ref_efxpm,
     ref_po,
+    to_sets,
     value_maps,
 )
 
@@ -300,11 +303,12 @@ def test_mine_seeds_are_consecutive_offsets():
     assert [h.seed for h in hits] == [40, 41, 42, 43, 44]
 
 
-def _oracle_landscape(inst, combos):
-    """(combo, count, example) per combo from the naive reference checkers.
+def _oracle_flags(inst, axes):
+    """The allocations in enumeration order, as frozenset bundles, and each
+    axiom's (or po's) verdicts on them from the naive reference checkers.
 
     Allocation k gives item o to agent (k // n**o) % n, the documented
-    enumeration order, so the example is the first satisfying k.
+    enumeration order.
     """
     n, m = inst.n, inst.m
     vm = value_maps(inst)
@@ -317,8 +321,13 @@ def _oracle_landscape(inst, combos):
         "chen-liu": lambda vm, s: ref_chen_liu(vm, s, m),
         "po": lambda vm, s: ref_po(vm, s, n, m),
     }
-    flags = {ax: [ref[ax](vm, s) for s in order]
-             for ax in {ax for combo in combos for ax in combo}}
+    return order, {ax: [ref[ax](vm, s) for s in order] for ax in axes}
+
+
+def _oracle_landscape(inst, combos):
+    """(combo, count, example) per combo from the naive reference checkers;
+    the example is the first satisfying allocation in enumeration order."""
+    order, flags = _oracle_flags(inst, {ax for combo in combos for ax in combo})
     rows = []
     for combo in combos:
         hits = [k for k in range(len(order)) if all(flags[ax][k] for ax in combo)]
@@ -353,6 +362,49 @@ def test_landscape_chen_liu_rows_match_naive_oracle():
         inst = generate(GenParams(agents=2 + k % 2, items=3, item_class="generallyGoodBad",
                                   seed=9600 + k))
         assert _rows_as_sets(landscape(inst, combos)) == _oracle_landscape(inst, combos)
+
+
+_WALK_COMBO_SETS = (
+    (("po",),),
+    (("efx", "po"), ("efxpm", "po"), ("ef1pm", "efx0", "po")),  # every combo has po
+    (("ef1",), ("efx", "po"), ("po",)),
+    ((), ("efxpm0",), ("efx0", "po")),
+)
+
+
+def _thirds(inst):
+    """``inst`` with every value divided by 3: Fraction tables with the same ties."""
+    return Instance(inst.item_names, tuple(ExplicitValuation([Fraction(x, 3) for x in v.table])
+                                           for v in inst.valuations))
+
+
+def test_held_walk_matches_the_reference_in_enumeration_order():
+    grids = (GenParams(agents=2, items=4, lo=-1, hi=1, seed=9900),
+             GenParams(agents=3, items=3, lo=-2, hi=2, item_class="generallyGoodBad", seed=9910),
+             GenParams(agents=2, items=3, lo=0, hi=1, identical=True, seed=9920),
+             GenParams(agents=4, items=2, lo=-1, hi=1, additive=True, seed=9930))
+    axes = {ax for combos in _WALK_COMBO_SETS for combo in combos for ax in combo}
+    front_only = 0
+    for params in grids:
+        for k in range(3):
+            seeded = generate(replace(params, seed=params.seed + k))
+            for inst in (seeded, _thirds(seeded)):
+                order, flags = _oracle_flags(inst, axes)
+                for combos in _WALK_COMBO_SETS:
+                    bit_of, walk = held_walk(inst, combos)
+                    walked = [(to_sets(alloc), held) for alloc, held in walk]
+                    if all("po" in combo for combo in combos):
+                        front_only += 1
+                        po = {s for s, is_po in zip(order, flags["po"]) if is_po}
+                        assert all(s in po and held & bit_of["po"] for s, held in walked)
+                    else:
+                        assert [s for s, _ in walked] == order
+                    for combo in combos:
+                        need = sum(bit_of[ax] for ax in combo)
+                        want = [s for i, s in enumerate(order)
+                                if all(flags[ax][i] for ax in combo)]
+                        assert [s for s, held in walked if held & need == need] == want, combo
+    assert front_only == 2 * 2 * 3 * len(grids)
 
 
 def test_landscape_checks_each_axiom_once_and_po_only_axioms_on_the_front(monkeypatch):
@@ -443,7 +495,9 @@ def _full_landscape_mine(params, predicate, count, combos):
     for k in range(count):
         inst = generate(replace(params, seed=params.seed + k))
         rows = tuple(landscape(inst, combos))
-        if predicate(rows, inst.n ** inst.m):
+        counts = {row.combo: row.count for row in rows}
+        held = counts.get(predicate.combo)
+        if held is not None and predicate.settled(held, held, inst.n ** inst.m):
             hits.append((params.seed + k, inst, rows))
     return hits
 
@@ -463,7 +517,8 @@ def test_mine_decides_every_predicate_like_a_full_landscape():
                 for target in _MINE_TARGETS:
                     pred = parse_predicate("&".join(combo) + op + str(target))
                     want = [(seed, inst, (rows[combo],)) for seed, inst, rows in seen
-                            if combo in rows and pred([rows[combo]], total)]
+                            if combo in rows
+                            and pred.settled(rows[combo].count, rows[combo].count, total)]
                     got = [(h.seed, h.instance, h.rows) for h in mine(params, pred, _MINE_SEEDS)]
                     assert got == want, (params, pred.text())
                     boundary += sum(target != "all" and rows[combo].count in (target - 1, target)
@@ -519,7 +574,7 @@ def test_mine_checks_the_budget_before_any_work(monkeypatch):
         raise AssertionError("work done before the budget check")
 
     for module, name in ((fairkit.axioms, "held"), (fairkit.axioms, "classify"),
-                         (fairkit.search, "pareto_optimal_allocations"),
+                         (fairkit.search, "pareto_front"),
                          (fairkit.search, "landscape"), (fairkit.core, "_low_columns")):
         monkeypatch.setattr(module, name, forbidden)
     params = GenParams(agents=2, items=4, seed=3)

@@ -123,6 +123,14 @@ def test_identical_collapse_controls_export_shape():
     assert instance_from_document(expanded) == T1
 
 
+def test_identical_collapse_refuses_agents_that_differ():
+    assert not OBS1.is_identical()
+    for write in (instance_to_document, dumps_instance):
+        with pytest.raises(ValueError, match="valuations differ"):
+            write(OBS1, identical=True)
+    assert loads_instance(dumps_instance(OBS1, identical=False)) == OBS1
+
+
 def test_bad_documents_raise():
     bad_docs = [
         {"items": [], "valuations": []},
