@@ -110,8 +110,7 @@ def _fmt(inst, *allocs):
 def _scan(inst, combo):
     """The allocations satisfying ``combo``, e.g. ``"efx&po"``, in enumeration order."""
     parts = combo.split("&")
-    bit_of, walk = held_walk(inst, [parts])
-    want = sum(bit_of[ax] for ax in set(parts))
+    [want], walk = held_walk(inst, [parts])
     return [alloc for alloc, held in walk if held == want]
 
 

@@ -13,9 +13,11 @@ FAIRKIT_BUDGET overrides the default enumeration budget.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+from itertools import islice
 from typing import Optional
 
 from . import axioms
@@ -24,17 +26,17 @@ from .catalog import fixture, list_fixtures, verify_claims
 from .core import (  # enumerate_allocations: no longer called here, but benchmark spans wrap it
     BudgetExceededError,
     Instance,
-    allocation_blocks,
     enumerate_allocations,
     joined_by_mask,
     names_of,
 )
-from .efficiency import check_po, leximin_set, pareto_front, utilities, utility_vector
+from .efficiency import check_po, leximin_set, utilities, utility_vector
 from .protocols import cut_and_choose
 from .search import (
     GenParams,
     ITEM_CLASSES,
     RejectionBudgetError,
+    held_walk,
     mine_seeds,
     parse_predicate,
 )
@@ -50,6 +52,7 @@ from .taxonomy import classify
 from .values import format_value
 
 CHECK_DEFAULT_AXIOMS = "ef,ef1,efx,ef1pm,efxpm"
+_ROWS_PER_PRINT = 1024  # enumerate prints its rows as one string per run of this many
 
 
 def _read(path: str) -> str:
@@ -157,35 +160,30 @@ def cmd_check(args) -> int:
 def cmd_enumerate(args) -> int:
     inst = _load_instance(args)
     requested = _axiom_list(args.axioms)
-    budget = _budget(args)
-    front = pareto_front(inst, budget) if "po" in requested else frozenset()
-    blocks = allocation_blocks(inst, budget)  # the budget is checked before any work
-    bit_of, scan = axioms.held(inst, [ax for ax in requested if ax != "po"])
-    want = sum(bit_of.values())
-    po = bit_of["po"] = 1 << len(bit_of)
+    # the empty combo holds everywhere, so the walk covers every allocation
+    needs, walk = held_walk(inst, [(ax,) for ax in requested] + [()], _budget(args))
     # Each row is printed as json.dumps would print it, from fragments encoded
     # once per scan: every bundle's name array, every utility, every axiom key.
     bundle = [f"[{names}]" for names in joined_by_mask(map(json.dumps, inst.item_names), ", ")]
-    utility = {u: json.dumps(format_value(u))
-               for u in set().union(*(v.table for v in inst.valuations))}
-    keys = [(json.dumps(ax) + ": ", bit_of[ax]) for ax in requested]
+    tables = [v.table for v in inst.valuations]
+    utility = {u: json.dumps(format_value(u)) for u in set().union(*tables)}
+    keys = [(json.dumps(ax) + ": ", need) for ax, need in zip(requested, needs)]
     flags: dict = {}  # the bits of an allocation's satisfied axioms -> its "axioms" object
-    k = 0
-    for allocs, profiles in blocks:
+    rows = enumerate(walk)
+    while True:
         lines = []
-        for alloc, prof in zip(allocs, profiles):
-            got = scan(alloc, want) | (po if prof in front else 0)
-            text = flags.get(got)
+        for k, (alloc, held) in islice(rows, _ROWS_PER_PRINT):
+            text = flags.get(held)
             if text is None:
-                text = flags[got] = ", ".join(
-                    key + ("true" if got & bit else "false") for key, bit in keys)
+                text = flags[held] = ", ".join(
+                    key + ("true" if held & bit else "false") for key, bit in keys)
             bundles = ", ".join(map(bundle.__getitem__, alloc))
-            utils = ", ".join(map(utility.__getitem__, prof))
+            utils = ", ".join(map(utility.__getitem__, map(tuple.__getitem__, tables, alloc)))
             lines.append(f'{{"index": {k}, "bundles": [{bundles}], "utilities": [{utils}], '
                          f'"axioms": {{{text}}}}}')
-            k += 1
+        if not lines:
+            return 0
         print("\n".join(lines))
-    return 0
 
 
 def cmd_leximin(args) -> int:
@@ -284,22 +282,8 @@ def cmd_verify_paper(args) -> int:
 
 
 def cmd_mine(args) -> int:
-    params = GenParams(
-        agents=args.agents,
-        items=args.items,
-        lo=args.lo,
-        hi=args.hi,
-        identical=args.identical,
-        additive=args.additive,
-        nonzero_marginals=args.nonzero_marginals,
-        disjointly_normalised=args.disjointly_normalised,
-        item_class=args.item_class,
-        seed=args.seed,
-    )
-    try:
-        predicate = parse_predicate(args.predicate)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
+    params = GenParams(**{f.name: getattr(args, f.name) for f in dataclasses.fields(GenParams)})
+    predicate = parse_predicate(args.predicate)
     hits, skipped, scanned = [], [], 0
     for seed, hit, reason in mine_seeds(params, predicate, args.count, budget=_budget(args)):
         scanned += 1
@@ -382,16 +366,17 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, instance=False)
     p.add_argument("--predicate", required=True,
                    help="landscape condition, e.g. 'efx=0' or 'efxpm&po=0' or 'ef=all'")
-    p.add_argument("--agents", "-n", type=int, default=2)
-    p.add_argument("--items", "-m", type=int, default=3)
-    p.add_argument("--lo", type=int, default=-8)
-    p.add_argument("--hi", type=int, default=8)
+    p.add_argument("--agents", "-n", type=int)
+    p.add_argument("--items", "-m", type=int)
+    p.add_argument("--lo", type=int)
+    p.add_argument("--hi", type=int)
     p.add_argument("--identical", action="store_true")
     p.add_argument("--additive", action="store_true")
     p.add_argument("--nonzero-marginals", action="store_true")
     p.add_argument("--disjointly-normalised", action="store_true")
-    p.add_argument("--item-class", choices=ITEM_CLASSES, default="any")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--item-class", choices=ITEM_CLASSES)
+    p.add_argument("--seed", type=int)
+    p.set_defaults(**dataclasses.asdict(GenParams()))
     p.add_argument("--count", type=int, default=100,
                    help="how many consecutive seeds to scan")
     p.set_defaults(func=cmd_mine)

@@ -218,14 +218,13 @@ class Instance:
     item_names: tuple
     valuations: tuple
 
-    def __init__(self, item_names: Iterable[str], valuations: Iterable[Valuation],
-                 item_cap: int = DEFAULT_ITEM_CAP):
+    def __init__(self, item_names: Iterable[str], valuations: Iterable[Valuation]):
         names = tuple(item_names)
         vals = tuple(valuations)
         if len(vals) < 2:
             raise ValueError("an instance needs at least 2 agents")
-        if not 1 <= len(names) <= item_cap:
-            raise ValueError(f"item count {len(names)} outside 1..{item_cap}")
+        if not 1 <= len(names) <= DEFAULT_ITEM_CAP:
+            raise ValueError(f"item count {len(names)} outside 1..{DEFAULT_ITEM_CAP}")
         if len(set(names)) != len(names):
             raise ValueError("item names must be unique")
         for v in vals:

@@ -103,9 +103,7 @@ class RejectionBudgetError(Exception):
 
 
 def _item_names(m: int) -> tuple:
-    if m <= 26:
-        return tuple(chr(ord("a") + i) for i in range(m))
-    return tuple(f"o{i}" for i in range(m))
+    return tuple(chr(ord("a") + i) for i in range(m))  # m <= DEFAULT_ITEM_CAP (16)
 
 
 def _draw(rng, p, avoid=()) -> int:
@@ -259,36 +257,37 @@ class LandscapeRow:
 
 def held_walk(inst: Instance, combos: Sequence[tuple],
               budget: Optional[int] = None) -> tuple:
-    """``(bit_of, walk)``: the one walk that decides axiom and PO combos.
+    """``(needs, walk)``: the one walk that decides axiom and PO combos.
 
     ``walk`` yields ``(allocation, held)`` in enumeration order and covers at
-    least every allocation that satisfies one of the combos.  ``held`` has
-    ``bit_of[ax]`` for each of the combos' axioms the allocation satisfies,
-    and ``bit_of["po"]`` when it is Pareto-optimal.  PO is membership of the
-    allocation's profile in :func:`pareto_front`, and the axioms come from one
-    fused scan (:func:`axioms.held`) per allocation; an axiom that occurs
-    only in combos with ``"po"`` is decided on Pareto-optimal allocations
-    only.  When every combo has ``"po"``, only the Pareto-optimal allocations
-    are walked, picked out of each block at C level.  The combos must be
-    well-defined for the instance.  The budget is checked, and the front
-    computed, at the call.
+    least every allocation that satisfies one of the combos.  An allocation
+    satisfies ``combos[k]`` iff ``held & needs[k] == needs[k]``; ``held`` has
+    no bit outside the combos' masks.  PO is membership of the allocation's
+    profile in :func:`pareto_front`, and the axioms come from one fused scan
+    (:func:`axioms.held`) per allocation; an axiom that occurs only in combos
+    with ``"po"`` is decided on Pareto-optimal allocations only.  When every
+    combo has ``"po"``, only the Pareto-optimal allocations are walked,
+    picked out of each block at C level; with the empty combo ``()``, every
+    allocation is.  The combos must be well-defined for the instance.  The
+    budget is checked, and the front computed, at the call.
     """
     blocks = allocation_blocks(inst, budget)  # the budget is checked before any work
     names = sorted({ax for combo in combos for ax in combo} - {"po"})
     bit_of, scan = axioms.held(inst, names)
     bit_of["po"] = po_bit = 1 << len(names)
+    needs = [sum(bit_of[ax] for ax in set(combo)) for combo in combos]
     on_front = po_bit - 1
     with_po = ["po" in combo for combo in combos]
     front = pareto_front(inst, budget) if any(with_po) else frozenset()
     if all(with_po):
         picked = chain.from_iterable(compress(allocs, map(front.__contains__, profiles))
                                      for allocs, profiles in blocks)
-        return bit_of, ((alloc, scan(alloc, on_front) | po_bit) for alloc in picked)
+        return needs, ((alloc, scan(alloc, on_front) | po_bit) for alloc in picked)
     everywhere = sum({bit_of[ax] for combo in combos if "po" not in combo for ax in combo})
     flagged = chain.from_iterable(zip(allocs, map(front.__contains__, profiles))
                                   for allocs, profiles in blocks)  # (allocation, is it PO)
-    return bit_of, ((alloc, scan(alloc, on_front) | po_bit if po else scan(alloc, everywhere))
-                    for alloc, po in flagged)
+    return needs, ((alloc, scan(alloc, on_front) | po_bit if po else scan(alloc, everywhere))
+                   for alloc, po in flagged)
 
 
 def landscape(inst: Instance, combos: Optional[Sequence[tuple]] = None,
@@ -304,7 +303,9 @@ def landscape(inst: Instance, combos: Optional[Sequence[tuple]] = None,
     combos = tuple(DEFAULT_COMBOS if combos is None else combos)
     check_budget(inst.n, inst.m, budget)  # before any work
     combos = tuple(c for c in combos if all(axioms.well_defined(inst, ax) for ax in c))
-    bit_of, walk = held_walk(inst, combos, budget)
+    if not combos:
+        return []
+    needs, walk = held_walk(inst, combos, budget)
     tally: dict = {}  # set of held axioms (as bits) -> allocations holding exactly it
     first: dict = {}  # set of held axioms -> its first allocation, in order of first sight
     for alloc, held in walk:
@@ -314,8 +315,7 @@ def landscape(inst: Instance, combos: Optional[Sequence[tuple]] = None,
             tally[held] = 1
             first[held] = alloc
     rows = []
-    for combo in combos:
-        need = sum(bit_of[ax] for ax in set(combo))
+    for combo, need in zip(combos, needs):
         sets = [held for held in first if held & need == need]
         example = first[sets[0]] if sets else None
         rows.append(LandscapeRow(tuple(combo), sum(tally[held] for held in sets), example))
@@ -375,7 +375,6 @@ class MineHit:
 
 
 def mine(params: GenParams, predicate: Predicate, count: int,
-         combos: Optional[Sequence[tuple]] = None,
          budget: Optional[int] = None) -> list:
     """Scan ``count`` seeded instances and keep those matching the predicate.
 
@@ -383,12 +382,11 @@ def mine(params: GenParams, predicate: Predicate, count: int,
     reproducible from (params, count).  Every hit carries its landscape so it
     can be re-validated independently.  See :func:`mine_seeds`.
     """
-    return [hit for _, hit, _ in mine_seeds(params, predicate, count, combos, budget)
+    return [hit for _, hit, _ in mine_seeds(params, predicate, count, budget)
             if hit is not None]
 
 
 def mine_seeds(params: GenParams, predicate: Predicate, count: int,
-               combos: Optional[Sequence[tuple]] = None,
                budget: Optional[int] = None) -> Iterator[tuple]:
     """:func:`mine`, one ``(seed, hit, skipped)`` triple per seed.
 
@@ -396,21 +394,18 @@ def mine_seeds(params: GenParams, predicate: Predicate, count: int,
     the reason the seed was skipped: the message of the
     :class:`RejectionBudgetError` that ``generate`` raised for it.  Each
     instance's predicate is decided by the smallest scan that settles it
-    (:func:`_matches`); the landscape, over ``combos`` plus the predicate's
-    combo, is computed for hits only.  A negative ``count`` (ValueError) and
+    (:func:`_matches`); the landscape row of the predicate's combo is
+    computed for hits only.  A negative ``count`` (ValueError) and
     an allocation space over the budget (:class:`BudgetExceededError`) are
     rejected at the call, before any instance is generated.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     check_budget(params.agents, params.items, budget)
-    combos = tuple(combos) if combos is not None else (predicate.combo,)
-    if predicate.combo not in combos:
-        combos = combos + (predicate.combo,)
-    return _mine_seeds(params, predicate, count, combos, budget)
+    return _mine_seeds(params, predicate, count, budget)
 
 
-def _mine_seeds(params, predicate, count, combos, budget):
+def _mine_seeds(params, predicate, count, budget):
     """The per-seed generator of :func:`mine_seeds`, over checked arguments."""
     for k in range(count):
         seed = params.seed + k
@@ -420,7 +415,8 @@ def _mine_seeds(params, predicate, count, combos, budget):
             yield seed, None, str(exc)
             continue
         if _matches(inst, predicate, budget):
-            yield seed, MineHit(seed, inst, tuple(landscape(inst, combos, budget))), None
+            rows = tuple(landscape(inst, [predicate.combo], budget))
+            yield seed, MineHit(seed, inst, rows), None
         else:
             yield seed, None, None
 
@@ -437,8 +433,7 @@ def _matches(inst: Instance, predicate: Predicate, budget: Optional[int]) -> boo
     combo = predicate.combo
     if not all(axioms.well_defined(inst, ax) for ax in combo):
         return False  # landscape has no row for the combo
-    bit_of, walk = held_walk(inst, [combo], budget)
-    want = sum(bit_of[ax] for ax in set(combo))
+    [want], walk = held_walk(inst, [combo], budget)
     total = inst.n ** inst.m
     lo, hi = 0, total
     for _, held in walk:

@@ -295,6 +295,30 @@ def test_check_repeated_axioms_are_decided_and_printed_once(files, capsys, monke
     assert len(calls) == 2
 
 
+def test_check_table_prints_the_witnesses_of_a_violated_axiom(files, capsys):
+    inst = files("t2.json", dumps_instance(fixture("FIX-T2").instance))
+    alloc = files("alloc.json", {"bundles": [["a", "b", "c"], ["d"]]})
+    code, out, _ = run(capsys, ["check", inst, alloc, "--axioms", "efxpm,po", "--table"])
+    assert code == 1
+    assert out.splitlines() == (
+        ["efxpm      VIOLATED"]
+        + [f"           agent 0 vs 1: added-bad item={o} -8 < -7" for o in "abc"]
+        + ["po         VIOLATED"])
+
+
+def test_mine_cli_defaults_are_the_generator_defaults(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(fairkit.cli, "mine_seeds",
+                        lambda params, *args, **kwargs: seen.append(params) or iter(()))
+    code, _, _ = run(capsys, ["mine", "--predicate", "efx=0"])
+    assert code == 0 and seen == [GenParams()]
+
+
+def test_mine_cli_unknown_axiom_in_predicate_exits_2(capsys):
+    code, out, err = run(capsys, ["mine", "--predicate", "bogus=0"])
+    assert code == 2 and out == "" and err == "error: unknown axiom 'bogus' in predicate\n"
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, ["leximin", "/nonexistent/instance.json"])
     assert code == 2 and "cannot read" in err
@@ -388,7 +412,8 @@ def test_enumerate_rows_equal_json_dumps_of_the_reference_rows(files, capsys, n,
     ggb = generate(GenParams(agents=n, items=m, item_class="generallyGoodBad", seed=710 + n))
     cases = [(plain, "PO,ef,EFX,ef,efxpm"), (_thirds(plain), "ef1, efx0,ef1pm,Ef1,po"),
              (_thirds(plain), "efxpm0,po,variant-a,variant-b"),
-             (ggb, "chen-liu,efxpm,po,chen-liu"), (ggb, "po,chen-liu")]
+             (ggb, "chen-liu,efxpm,po,chen-liu"), (ggb, "po,chen-liu"), (plain, "po"),
+             (ggb, "chen-liu")]
     for k, (inst, axioms) in enumerate(cases):
         path = files(f"inst{k}.json", dumps_instance(inst))
         code, out, err = run(capsys, ["enumerate", path, "--axioms", axioms])

@@ -102,11 +102,7 @@ def test_instance_validation():
         Instance(("a",), (v, v))  # m mismatch
     with pytest.raises(ValueError):
         Instance(tuple(f"o{i}" for i in range(17)),
-                 (AdditiveValuation((1,) * 17),) * 2)  # above default cap
-    # cap is configurable
-    ok = Instance(tuple(f"o{i}" for i in range(17)),
-                  (AdditiveValuation((1,) * 17),) * 2, item_cap=20)
-    assert ok.m == 17
+                 (AdditiveValuation((1,) * 17),) * 2)  # above the item cap
 
 
 def test_single_item_instance_is_accepted():
