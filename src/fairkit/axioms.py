@@ -2,12 +2,12 @@
 
 Envy is strict: agent i envies agent j when v_i(A_i) < v_i(A_j).
 :func:`check_axiom` is the one witness checker: it walks every ordered
-envying pair once, through the axiom family's pair function, and reports all
-violations, each as a :class:`Witness` whose lhs < rhs reproduces the failed
-inequality; :func:`satisfies` is its yes or no for one allocation.  For scans
-over many allocations, :func:`held` decides many axioms at once without
-witnesses: one bit per axiom, from one pass over each envying pair's two
-bundles, and none at all for an envy-free allocation.
+envying pair once and reports all violations, each as a :class:`Witness`
+whose lhs < rhs reproduces the failed inequality; :func:`satisfies` is its
+yes or no for one allocation.  For scans over many allocations, :func:`held`
+decides many axioms at once without witnesses: one bit per axiom, from one
+pass over each envying pair's two bundles, and none at all for an envy-free
+allocation.  Both read one clause table, in which each axiom is one row.
 
 The "up to any item" family (EFX and friends) uses universally quantified
 clauses over strictly qualifying items, so an envying pair with no qualifying
@@ -39,7 +39,47 @@ VARIANT_A = "variant-a"
 VARIANT_B = "variant-b"
 CHEN_LIU = "chen-liu"
 
-ALL_AXIOMS = (EF, EF1, EFX, EF1PM, EFXPM, EFX0, EFXPM0, VARIANT_A, VARIANT_B, CHEN_LIU)
+# ---------------------------------------------------------------------------
+# the clause table
+#
+# Every axiom is one row of _GROUPS_OF: the clause groups it is made of.  For
+# an envying pair (own bundle a, envied bundle b, va = t[a] < vb = t[b]
+# through the envier's table t), each item o qualifies for the groups its
+# values fall into, and fails a group's axioms unless it repairs the envy:
+#   over b, rb = t[b - o], failing when va < rb (witness removed-good):
+#     rb < vb           _X_LT  the EFX-style removal clause
+#     rb == vb          _X_EQ  the same, zero variants only
+#     t[a + o] > va     _P_GT  the "pm" removal clause
+#     t[a + o] == va    _P_EQ  the same, zero variants only
+#     o generally good  _CL    chen-liu
+#   over a, ra = t[a - o], ab = t[b + o]:
+#     ra > va           _OX_GT the EFX-style own-item clause, failing when
+#                              ra < vb (witness removed-bad)
+#     ra == va          _OX_EQ the same, zero variants only
+#     ra > va           _OP_GT the "pm" own-item clause, failing when va < ab
+#                              (witness added-bad)
+#     ra == va          _OP_EQ the same, zero variants only
+#     o generally bad   _CL    chen-liu, failing as _OP_GT
+# An envying pair with no qualifying item satisfies these axioms vacuously.
+# EF (_EF) fails on every envying pair; EF1 (_EF1) and EF1-pm (_EF1PM) fail
+# unless some item repairs the pair: va >= rb repairs both, ra >= vb EF1, and
+# ra > va with va >= ab EF1-pm.
+_EF, _EF1, _EF1PM, _CL, _X_LT, _X_EQ, _P_GT, _P_EQ, _OX_GT, _OX_EQ, _OP_GT, _OP_EQ = range(12)
+
+_GROUPS_OF = {
+    EF: (_EF,),
+    EF1: (_EF1,),
+    EFX: (_X_LT, _OX_GT),
+    EF1PM: (_EF1PM,),
+    EFXPM: (_P_GT, _OP_GT),
+    EFX0: (_X_LT, _X_EQ, _OX_GT, _OX_EQ),
+    EFXPM0: (_P_GT, _P_EQ, _OP_GT, _OP_EQ),
+    VARIANT_A: (_P_GT, _OX_GT),
+    VARIANT_B: (_X_LT, _OP_GT),
+    CHEN_LIU: (_CL,),
+}
+
+ALL_AXIOMS = tuple(_GROUPS_OF)
 
 # witness condition tags
 REMOVED_GOOD = "removed-good"
@@ -85,39 +125,12 @@ def envies(inst: Instance, alloc: Allocation, i: int, j: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the "up to any item" family
-#
-# Clause shapes, for an envying pair (i, j) with own bundle a and envied
-# bundle b, all values through v_i:
-#   removal clause   qualify "x":  v(b) > v(b - o)        (good judged at b)
-#   removal clause   qualify "pm": v(a + o) > v(a)        (good judged at a)
-#   both repair with              v(a) >= v(b - o)
-#   own-item clause  qualify:     v(a) < v(a - o)         (bad judged at a)
-#   repair "x":                   v(a - o) >= v(b)
-#   repair "pm":                  v(a) >= v(b + o)
-# The zero variants turn the strict qualifying comparisons non-strict.
-# Chen-Liu qualifies the agent's generally good items for the removal clause
-# and its generally bad own items for the "pm" own-item clause.
+# the pair functions: (violations, saw_qualifying) for one envying pair
 
-_EFX_FAMILY = {
-    EFX: (False, False, True),
-    EFXPM: (True, True, True),
-    EFX0: (False, False, False),
-    EFXPM0: (True, True, False),
-    VARIANT_A: (True, False, True),
-    VARIANT_B: (False, True, True),
-}
-
-
-def _efx_pair(t, a, b, va, vb, i, j, spec):
-    """(violations, saw_qualifying) for one envying pair.
-
-    ``spec`` is ``(pm_removal, pm_own, strict, good, bad)``; ``good`` and
-    ``bad`` (chen-liu) are item masks that replace the qualifying comparisons
-    of the removal and own-item clauses, None otherwise; chen-liu lists its
-    own-item violations first.
-    """
-    pm_removal, pm_own, strict, good, bad = spec
+def _efx_pair(t, a, b, va, vb, i, j, groups, good, bad):
+    """The pair's violations of an axiom of the qualifying-item groups, and
+    whether any item qualified; ``good`` and ``bad`` are the envier's
+    chen-liu masks.  Chen-liu lists its own-item violations first."""
     removed = []
     own = []
     saw = False
@@ -126,13 +139,9 @@ def _efx_pair(t, a, b, va, vb, i, j, spec):
         bit = s & -s
         s ^= bit
         rb = t[b ^ bit]
-        if good is not None:
-            q = good & bit
-        elif pm_removal:
-            q = t[a | bit] > va if strict else t[a | bit] >= va
-        else:
-            q = vb > rb if strict else vb >= rb
-        if q:
+        if (_X_LT in groups and rb < vb or _X_EQ in groups and rb == vb
+                or _P_GT in groups and t[a | bit] > va or _P_EQ in groups and t[a | bit] == va
+                or _CL in groups and good & bit):
             saw = True
             if va < rb:
                 removed.append(Witness(i, j, REMOVED_GOOD, bit.bit_length() - 1, va, rb))
@@ -141,26 +150,21 @@ def _efx_pair(t, a, b, va, vb, i, j, spec):
         bit = s & -s
         s ^= bit
         ra = t[a ^ bit]
-        if bad is not None:
-            q = bad & bit
-        else:
-            q = ra > va if strict else ra >= va
-        if q:
+        if ((_OX_GT in groups or _OP_GT in groups) and ra > va
+                or (_OX_EQ in groups or _OP_EQ in groups) and ra == va
+                or _CL in groups and bad & bit):
             saw = True
-            if pm_own:
+            if _OX_GT in groups:
+                if ra < vb:
+                    own.append(Witness(i, j, REMOVED_BAD, bit.bit_length() - 1, ra, vb))
+            else:
                 ab = t[b | bit]
                 if va < ab:
                     own.append(Witness(i, j, ADDED_BAD, bit.bit_length() - 1, va, ab))
-            else:
-                if ra < vb:
-                    own.append(Witness(i, j, REMOVED_BAD, bit.bit_length() - 1, ra, vb))
-    return (own + removed if good is not None else removed + own), saw
+    return (own + removed if _CL in groups else removed + own), saw
 
 
-# ---------------------------------------------------------------------------
-# the "up to some item" family, and EF
-
-def _ef1_pair(t, a, b, va, vb, i, j, pm):
+def _ef1_pair(t, a, b, va, vb, i, j, groups, good, bad):
     """(violations, True) for one envying pair, violations [] when repaired.
 
     EF1 repairs by removing some item from either bundle.  The pm variant
@@ -169,6 +173,7 @@ def _ef1_pair(t, a, b, va, vb, i, j, pm):
     violation the closest single-item repair of each clause is reported; if a
     clause has no candidate items it contributes no witness.
     """
+    pm = _EF1PM in groups
     best_removed = None
     s = b
     while s:
@@ -211,8 +216,11 @@ def _ef1_pair(t, a, b, va, vb, i, j, pm):
     return viol, True
 
 
-def _ef_pair(t, a, b, va, vb, i, j, spec):
+def _ef_pair(t, a, b, va, vb, i, j, groups, good, bad):
     return [Witness(i, j, VACUOUS_ENVY, None, va, vb)], True
+
+
+_PAIR_OF = {_EF: _ef_pair, _EF1: _ef1_pair, _EF1PM: _ef1_pair}
 
 
 # ---------------------------------------------------------------------------
@@ -238,58 +246,49 @@ def well_defined(inst: Instance, axiom: str) -> bool:
     return axiom != CHEN_LIU or _item_classes(inst)[0].generally_good_bad_items
 
 
-def _chen_liu_masks(inst):
-    """Per agent, the masks of its generally good and of its generally bad
-    items.  Raises :class:`NotWellDefinedError` outside chen-liu's domain."""
+def _chen_liu_masks(inst, axiom_ids):
+    """Per agent, its chen-liu ``(good, bad)`` item masks if ``axiom_ids``
+    has chen-liu, else ``(0, 0)``.  Raises ``ValueError`` for an unknown
+    axiom and :class:`NotWellDefinedError` for chen-liu outside its domain."""
+    for ax in axiom_ids:
+        if ax not in _GROUPS_OF:
+            raise ValueError(f"unknown axiom {ax!r}")
+    if CHEN_LIU not in axiom_ids:
+        return ((0, 0),) * inst.n
     if not well_defined(inst, CHEN_LIU):
         raise NotWellDefinedError(
             "the chen-liu variant is only well-defined for problems with "
             "generally good/bad items"
         )
     matrix = _item_classes(inst)[1]
-    return [[sum(1 << o for o, flag in enumerate(row) if flag) for row in flags]
-            for flags in (matrix.generally_good, matrix.generally_bad)]
+    return [tuple(sum(1 << o for o, flag in enumerate(row) if flag) for row in rows)
+            for rows in zip(matrix.generally_good, matrix.generally_bad)]
 
 
 # ---------------------------------------------------------------------------
 # the witness checker
 
-def _pair_specs(inst, axiom):
-    """``(pair, specs)``: the pair function of ``axiom``'s family and, per
-    envier, its last argument.  Raises ``ValueError`` for an unknown axiom
-    and :class:`NotWellDefinedError` for chen-liu outside its domain."""
-    n = inst.n
-    if axiom == EF:
-        return _ef_pair, (None,) * n
-    if axiom == EF1 or axiom == EF1PM:
-        return _ef1_pair, (axiom == EF1PM,) * n
-    if axiom == CHEN_LIU:
-        goods, bads = _chen_liu_masks(inst)
-        return _efx_pair, [(False, True, True, g, b) for g, b in zip(goods, bads)]
-    if axiom in _EFX_FAMILY:
-        return _efx_pair, (_EFX_FAMILY[axiom] + (None, None),) * n
-    raise ValueError(f"unknown axiom {axiom!r}")
-
-
 def check_axiom(inst: Instance, alloc: Allocation, axiom: str) -> Verdict:
     """The verdict of ``axiom`` on one allocation, with every witness.
 
     One pass over the ordered pairs (i, j) in which i envies j calls the
-    axiom family's pair function once per pair; an envying pair in which no
-    item qualifies (EFX family and chen-liu) is listed as vacuous.
+    pair function of the axiom's groups once per pair; an envying pair in
+    which no item qualifies (EFX family and chen-liu) is listed as vacuous.
     """
-    pair, specs = _pair_specs(inst, axiom)
+    masks = _chen_liu_masks(inst, (axiom,))
+    groups = _GROUPS_OF[axiom]
+    pair = _PAIR_OF.get(groups[0], _efx_pair)
     violations = []
     vacuous = []
     for i, v in enumerate(inst.valuations):
         t = v.table
         a = alloc[i]
         va = t[a]
-        spec = specs[i]
+        good, bad = masks[i]
         for j, b in enumerate(alloc):
             vb = t[b]
             if va < vb:  # never true for j == i
-                viol, saw = pair(t, a, b, va, vb, i, j, spec)
+                viol, saw = pair(t, a, b, va, vb, i, j, groups, good, bad)
                 violations += viol
                 if not saw:
                     vacuous.append(Witness(i, j, VACUOUS_ENVY, None, va, vb))
@@ -309,39 +308,10 @@ def satisfies(inst: Instance, alloc: Allocation, axiom: str) -> bool:
 # the fused scan
 #
 # One scan decides every requested axiom for one allocation and builds no
-# witness; each axiom owns one bit.  An envying pair (own bundle a, envied
-# bundle b, va = t[a] < vb = t[b] through the envier's table t) gets one pass
-# over the items o of b and one over those of a.  Each item outcome fails the
-# axioms of one clause group, or repairs EF1 or EF1-pm:
-#   over b, rb = t[b - o]: va >= rb repairs EF1 and EF1-pm; if va < rb,
-#     rb < vb           _X_LT  the EFX-style removal clause
-#     rb == vb          _X_EQ  the same, zero variants only
-#     t[a + o] > va     _P_GT  the "pm" removal clause
-#     t[a + o] == va    _P_EQ  the same, zero variants only
-#     o generally good  _CL    chen-liu
-#   over a, ra = t[a - o], ab = t[b + o]: ra >= vb repairs EF1, and ra > va
-#   with va >= ab repairs EF1-pm;
-#     va < ra < vb      _OX_GT the EFX-style own-item clause
-#     ra == va          _OX_EQ the same, zero variants only
-#     ra > va, va < ab  _OP_GT the "pm" own-item clause
-#     ra == va, va < ab _OP_EQ the same, zero variants only
-#     o generally bad, va < ab  _CL  chen-liu
-# EF (_EF) fails on every envying pair, EF1 and EF1-pm unless repaired.  A
+# witness; each axiom owns one bit.  An envying pair gets one pass over the
+# items of b and one over those of a, and each item outcome fails the axioms
+# of its clause groups (see the clause table) or repairs EF1 or EF1-pm.  A
 # pair's passes stop as soon as its outcome is settled.
-_EF, _EF1, _EF1PM, _CL, _X_LT, _X_EQ, _P_GT, _P_EQ, _OX_GT, _OX_EQ, _OP_GT, _OP_EQ = range(12)
-
-
-def _family_groups(pm_removal, pm_own, strict):
-    """The groups of an EFX-family axiom: a zero axiom's items also qualify
-    on ties, so it is in the equality groups too."""
-    removal = (_P_GT, _P_EQ) if pm_removal else (_X_LT, _X_EQ)
-    own = (_OP_GT, _OP_EQ) if pm_own else (_OX_GT, _OX_EQ)
-    return (removal[0], own[0]) if strict else removal + own
-
-
-_GROUPS_OF = {EF: (_EF,), EF1: (_EF1,), EF1PM: (_EF1PM,), CHEN_LIU: (_CL,),
-              **{ax: _family_groups(*spec) for ax, spec in _EFX_FAMILY.items()}}
-
 
 @lru_cache(maxsize=64)
 def _pair_pass(axiom_ids):
@@ -428,17 +398,13 @@ def held(inst: Instance, axiom_ids) -> tuple:
     unknown axiom and :class:`NotWellDefinedError` for chen-liu outside its
     domain.
     """
-    bit_of = {ax: 1 << k for k, ax in enumerate(dict.fromkeys(axiom_ids))}
-    for ax in bit_of:
-        if ax not in _GROUPS_OF:
-            raise ValueError(f"unknown axiom {ax!r}")
+    ids = tuple(dict.fromkeys(axiom_ids))
+    masks = _chen_liu_masks(inst, ids)
     n = inst.n
-    goods = bads = (0,) * n
-    if CHEN_LIU in bit_of:
-        goods, bads = _chen_liu_masks(inst)
     tabs = [v.table for v in inst.valuations]
-    pairs = [(i, j, tabs[i], goods[i], bads[i]) for i in range(n) for j in range(n) if i != j]
-    fails = _pair_pass(tuple(bit_of))
+    pairs = [(i, j, tabs[i], *masks[i]) for i in range(n) for j in range(n) if i != j]
+    fails = _pair_pass(ids)
+    bit_of = {ax: 1 << k for k, ax in enumerate(ids)}
 
     def scan(alloc, want):
         if not want:

@@ -26,7 +26,6 @@ from .axioms import (
     Witness,
     _item_classes,
     check_axiom,
-    satisfies,
 )
 from .core import (
     AdditiveValuation,
@@ -38,7 +37,6 @@ from .core import (
     names_of,
 )
 from .efficiency import (
-    check_po,
     leximin_set,
     pareto_improves,
     utilities,
@@ -115,11 +113,10 @@ def _scan(inst, combo):
 
 
 def _meets(inst, alloc, holds, fails, utils):
-    """``alloc`` meets every axiom of ``holds``, none of ``fails``, and ``utils`` unless None."""
-    def held(axiom):
-        return check_po(inst, alloc).satisfied if axiom == "po" else satisfies(inst, alloc, axiom)
-    return (all(map(held, filter(None, holds.split("&"))))
-            and not any(map(held, filter(None, fails.split("&"))))
+    """``alloc`` meets the combo ``holds``, none of the axioms of ``fails``, and
+    ``utils`` unless None."""
+    return ((not holds or alloc in _scan(inst, holds))
+            and not any(alloc in _scan(inst, ax) for ax in filter(None, fails.split("&")))
             and (utils is None or utilities(inst, alloc) == utils))
 
 

@@ -9,7 +9,7 @@ instance) and keeps those whose axiom landscape matches a predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from typing import Iterator, Optional, Sequence
 
 from . import axioms
@@ -268,9 +268,13 @@ def held_walk(inst: Instance, combos: Sequence[tuple],
     with ``"po"`` is decided on Pareto-optimal allocations only.  When every
     combo has ``"po"``, only the Pareto-optimal allocations are walked,
     picked out of each block at C level; with the empty combo ``()``, every
-    allocation is.  The combos must be well-defined for the instance.  The
-    budget is checked, and the front computed, at the call.
+    allocation is, and with no combo, none.  Without ``"po"`` no profile is
+    read.  The combos must be well-defined for the instance.  The budget is
+    checked, and the front computed, at the call.
     """
+    if not combos:
+        check_budget(inst.n, inst.m, budget)
+        return [], iter(())
     blocks = allocation_blocks(inst, budget)  # the budget is checked before any work
     names = sorted({ax for combo in combos for ax in combo} - {"po"})
     bit_of, scan = axioms.held(inst, names)
@@ -278,14 +282,15 @@ def held_walk(inst: Instance, combos: Sequence[tuple],
     needs = [sum(bit_of[ax] for ax in set(combo)) for combo in combos]
     on_front = po_bit - 1
     with_po = ["po" in combo for combo in combos]
-    front = pareto_front(inst, budget) if any(with_po) else frozenset()
+    front = pareto_front(inst, budget) if any(with_po) else None
     if all(with_po):
         picked = chain.from_iterable(compress(allocs, map(front.__contains__, profiles))
                                      for allocs, profiles in blocks)
         return needs, ((alloc, scan(alloc, on_front) | po_bit) for alloc in picked)
     everywhere = sum({bit_of[ax] for combo in combos if "po" not in combo for ax in combo})
-    flagged = chain.from_iterable(zip(allocs, map(front.__contains__, profiles))
-                                  for allocs, profiles in blocks)  # (allocation, is it PO)
+    flagged = chain.from_iterable(
+        zip(allocs, repeat(False) if front is None else map(front.__contains__, profiles))
+        for allocs, profiles in blocks)  # (allocation, is it PO)
     return needs, ((alloc, scan(alloc, on_front) | po_bit if po else scan(alloc, everywhere))
                    for alloc, po in flagged)
 
@@ -303,8 +308,6 @@ def landscape(inst: Instance, combos: Optional[Sequence[tuple]] = None,
     combos = tuple(DEFAULT_COMBOS if combos is None else combos)
     check_budget(inst.n, inst.m, budget)  # before any work
     combos = tuple(c for c in combos if all(axioms.well_defined(inst, ax) for ax in c))
-    if not combos:
-        return []
     needs, walk = held_walk(inst, combos, budget)
     tally: dict = {}  # set of held axioms (as bits) -> allocations holding exactly it
     first: dict = {}  # set of held axioms -> its first allocation, in order of first sight

@@ -11,7 +11,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import (
     DEFAULT_AGENT_CAP,
@@ -204,16 +204,9 @@ def _valuation_to_document(item_names, keys, v: Valuation) -> dict:
     return {"kind": "explicit", "values": values}
 
 
-def instance_to_document(inst: Instance, identical: Optional[bool] = None) -> dict:
-    """Canonical document; collapses to one valuation when agents agree.
-
-    ``identical=True`` raises ``ValueError`` when the agents' valuations
-    differ, since the one valuation written would stand for all of them.
-    """
-    if identical is None:
-        identical = inst.is_identical()
-    elif identical and not inst.is_identical():
-        raise ValueError("identical=True, but the agents' valuations differ")
+def instance_to_document(inst: Instance) -> dict:
+    """Canonical document; collapses to one valuation when agents agree."""
+    identical = inst.is_identical()
     vals = inst.valuations[:1] if identical else inst.valuations
     explicit = not all(isinstance(v, AdditiveValuation) for v in vals)
     keys = bundle_keys(inst.item_names) if explicit else None
@@ -225,8 +218,8 @@ def instance_to_document(inst: Instance, identical: Optional[bool] = None) -> di
     }
 
 
-def dumps_instance(inst: Instance, identical: Optional[bool] = None) -> str:
-    return json.dumps(instance_to_document(inst, identical), indent=2)
+def dumps_instance(inst: Instance) -> str:
+    return json.dumps(instance_to_document(inst), indent=2)
 
 
 def loads_instance(text: str) -> Instance:

@@ -34,7 +34,6 @@ from fairkit.axioms import (
     EFXPM0,
     REMOVED_GOOD,
     Witness,
-    _EFX_FAMILY,
 )
 from fairkit.search import GenParams, generate
 from fairkit.serialize import allocation_to_document
@@ -232,11 +231,11 @@ def _instances(seed, grid=GRID, count=COUNT, **kw):
 def _has_qualifying_item(vi, ai, aj, axiom):
     """Whether some item qualifies for a clause of ``axiom`` on the pair (ai, aj).
 
-    Reads the qualifying comparisons off the clause table in
-    :mod:`fairkit.axioms` and applies them to a frozenset value map as built
-    by ``reference.value_maps``, sharing no code with the checkers.
+    States the qualifying comparisons of EFX and EFX-pm itself, as
+    ``(pm_removal, strict)``, and applies them to a frozenset value map as
+    built by ``reference.value_maps``, sharing no code with the checkers.
     """
-    pm_removal, _, strict = _EFX_FAMILY[axiom]
+    pm_removal, strict = {EFX: (False, True), EFXPM: (True, True)}[axiom]
     above = operator.gt if strict else operator.ge
     removal = (above(vi[ai | {o}], vi[ai]) if pm_removal else above(vi[aj], vi[aj - {o}])
                for o in aj)

@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -333,6 +334,28 @@ def test_witness_output_is_unchanged():
                 if well_defined(inst, ax):
                     digest.update(repr(check_axiom(inst, a, ax)).encode())
     assert digest.hexdigest() == _WITNESS_DIGEST
+
+
+# the same digest over a tie-heavy grid, where the zero variants' and the pm
+# clauses' equality groups occur: values in -1..1, identical and noMixed
+# agents, 3x4 and 4x3, each instance also with every value halved (Fraction)
+_TIE_WITNESS_DIGEST = "bf4dc95032f2b2df2586e49644fbeb99f984669d99947743cdddf1638e951841"
+
+
+def test_witness_output_on_ties_is_unchanged():
+    digest = hashlib.sha256()
+    for k in range(16):
+        n, m = ((3, 4), (4, 3))[k % 2]
+        base = generate(GenParams(agents=n, items=m, lo=-1, hi=1, identical=(k // 2) % 2 == 0,
+                                  item_class=("noMixed", "any")[(k // 4) % 2], seed=14_000 + k))
+        half = Instance(base.item_names, tuple(ExplicitValuation([Fraction(x, 2) for x in v.table])
+                                               for v in base.valuations))
+        for inst in (base, half):
+            for a in enumerate_allocations(inst):
+                for ax in ALL_AXIOMS:
+                    if well_defined(inst, ax):
+                        digest.update(repr(check_axiom(inst, a, ax)).encode())
+    assert digest.hexdigest() == _TIE_WITNESS_DIGEST
 
 
 def test_chen_liu_lists_added_bad_violations_first():

@@ -417,6 +417,29 @@ def test_held_walk_matches_the_reference_in_enumeration_order():
     assert front_only == 2 * 2 * 3 * len(grids)
 
 
+class _Unread:
+    """A profile iterator that fails the test when it is read."""
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        raise AssertionError("a profile was read for a walk without po")
+
+
+def test_held_walk_without_po_reads_no_profile(monkeypatch):
+    real = fairkit.search.allocation_blocks
+    monkeypatch.setattr(fairkit.search, "allocation_blocks",
+                        lambda *args: ((allocs, _Unread()) for allocs, _ in real(*args)))
+    inst = generate(GenParams(agents=3, items=3, lo=-1, hi=1, seed=9940))
+    order, flags = _oracle_flags(inst, {"ef"})
+    [ef, anything], walk = held_walk(inst, [("ef",), ()])
+    walked = list(walk)
+    assert [to_sets(alloc) for alloc, _ in walked] == order
+    assert [held & ef == ef for _, held in walked] == flags["ef"]
+    assert anything == 0 and any(flags["ef"]) and not all(flags["ef"])
+
+
 def test_landscape_checks_each_axiom_once_and_po_only_axioms_on_the_front(monkeypatch):
     inst = generate(GenParams(agents=3, items=4, item_class="generallyGoodBad", seed=9700))
     scanned = []
