@@ -7,13 +7,16 @@ compact JSON line per allocation, and ``check`` and ``verify-paper`` take
 passed, 1 an axiom or gating claim failed, 2 input error, 3 enumeration
 budget exceeded.  The commands that enumerate (check, enumerate, leximin,
 cut-and-choose, mine) take --budget; without it, the environment variable
-FAIRKIT_BUDGET overrides the default enumeration budget.
+FAIRKIT_BUDGET overrides the default enumeration budget.  A negative budget,
+from either, is an input error.  The argument parser is built once per
+process and shared by every :func:`main` call.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -68,15 +71,22 @@ def _load_instance(args) -> Instance:
 
 
 def _budget(args) -> Optional[int]:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("FAIRKIT_BUDGET")
-    if env:
+    """The --budget option, else FAIRKIT_BUDGET, else None; each command that
+    enumerates reads it first, so a negative budget is rejected before any work."""
+    budget = getattr(args, "budget", None)
+    source = "--budget"
+    if budget is None:
+        env = os.environ.get("FAIRKIT_BUDGET")
+        if not env:
+            return None
+        source = "FAIRKIT_BUDGET"
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise DocumentError(f"FAIRKIT_BUDGET must be an integer, got {env!r}") from None
-    return None
+    if budget < 0:
+        raise DocumentError(f"{source} must be >= 0, got {budget}")
+    return budget
 
 
 def _axiom_list(text: str) -> list:
@@ -122,10 +132,10 @@ def _emit(doc) -> None:
 # subcommands
 
 def cmd_check(args) -> int:
+    budget = _budget(args)
     inst = _load_instance(args)
     alloc = loads_allocation(inst, _read(args.allocation))
     requested = _axiom_list(args.axioms)
-    budget = _budget(args)
     report: dict = {
         "allocation": allocation_to_document(inst, alloc)["bundles"],
         "utilities": [format_value(u) for u in utilities(inst, alloc)],
@@ -158,10 +168,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    budget = _budget(args)
     inst = _load_instance(args)
     requested = _axiom_list(args.axioms)
     # the empty combo holds everywhere, so the walk covers every allocation
-    needs, walk = held_walk(inst, [(ax,) for ax in requested] + [()], _budget(args))
+    needs, walk = held_walk(inst, [(ax,) for ax in requested] + [()], budget)
     # Each row is printed as json.dumps would print it, from fragments encoded
     # once per scan: every bundle's name array, every utility, every axiom key.
     bundle = [f"[{names}]" for names in joined_by_mask(map(json.dumps, inst.item_names), ", ")]
@@ -187,8 +198,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_leximin(args) -> int:
+    budget = _budget(args)
     inst = _load_instance(args)
-    allocations = leximin_set(inst, _budget(args))
+    allocations = leximin_set(inst, budget)
     doc = {
         "utilityVector": [format_value(u) for u in utility_vector(inst, allocations[0])],
         "count": len(allocations),
@@ -234,8 +246,9 @@ def cmd_taxonomy(args) -> int:
 
 
 def cmd_cut_and_choose(args) -> int:
+    budget = _budget(args)
     inst = _load_instance(args)
-    alloc = cut_and_choose(inst, cutter=args.cutter - 1, budget=_budget(args))
+    alloc = cut_and_choose(inst, cutter=args.cutter - 1, budget=budget)
     verdict = check_axiom(inst, alloc, axioms.EFXPM)
     _emit({
         "bundles": [list(names_of(inst.item_names, b)) for b in alloc],
@@ -282,10 +295,11 @@ def cmd_verify_paper(args) -> int:
 
 
 def cmd_mine(args) -> int:
+    budget = _budget(args)
     params = GenParams(**{f.name: getattr(args, f.name) for f in dataclasses.fields(GenParams)})
     predicate = parse_predicate(args.predicate)
     hits, skipped, scanned = [], [], 0
-    for seed, hit, reason in mine_seeds(params, predicate, args.count, budget=_budget(args)):
+    for seed, hit, reason in mine_seeds(params, predicate, args.count, budget=budget):
         scanned += 1
         if hit is not None:
             hits.append(hit)
@@ -313,7 +327,12 @@ def cmd_mine(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``fairkit`` argument parser, built at the first call and shared by
+    every later one: callers must not mutate it.  The commands are bound as
+    ``cmd_*`` functions, which look up the library functions they call (such
+    as ``check_po``) at call time."""
     parser = argparse.ArgumentParser(
         prog="fairkit",
         description="Check fairness axioms, efficiency and protocols on fair-division instances.",

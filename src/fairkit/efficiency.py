@@ -7,8 +7,8 @@ over the complete allocation space, guarded by the enumeration budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import ge
+from itertools import compress, repeat
+from operator import ge, lt
 from typing import Optional
 
 from .core import (  # enumerate_allocations: no longer called here, but benchmark spans wrap it
@@ -64,20 +64,25 @@ def pareto_front(inst: Instance, budget: Optional[int] = None) -> frozenset:
     """The utility profiles (see :func:`utilities`) that no allocation dominates.
 
     An allocation is Pareto-optimal iff its profile is in the front.  One scan
-    collects the distinct profiles, a block of allocations at a time; a
-    skyline pass then visits them by descending sum and keeps each one that
-    no kept profile weakly dominates.  A dominating profile has a strictly
-    larger sum, so it is always visited first, and distinct profiles with
-    equal sums never dominate each other: every comparison stays exact.
+    collects the distinct profiles, a block of allocations at a time; then
+    elimination rounds run over them in descending-sum order.  Each round's
+    top, the first profile left, joins the front, and one C-level pass keeps
+    only the profiles that beat it in some coordinate, which drops the top
+    and everything it weakly dominates.  The top is on the front: a profile
+    that dominates it has a strictly larger sum and so came first; it was
+    an earlier top or dropped by one, and that top dominates this one too
+    and would have dropped it.  Every comparison is exact.
     Raises :class:`BudgetExceededError` like :func:`enumerate_allocations`.
     """
     profiles: set = set()
     for _, profs in allocation_blocks(inst, budget):
         profiles.update(profs)
+    rest = sorted(profiles, key=sum, reverse=True)
     front: list = []
-    for prof in sorted(profiles, key=sum, reverse=True):
-        if not any(all(map(ge, kept, prof)) for kept in front):
-            front.append(prof)
+    while rest:
+        top = rest[0]
+        front.append(top)
+        rest = list(compress(rest, map(any, map(map, repeat(lt), repeat(top), rest))))
     return frozenset(front)
 
 

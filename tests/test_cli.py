@@ -113,6 +113,42 @@ def test_budget_env_var(files, capsys, monkeypatch):
     assert code == 0
 
 
+def test_negative_budget_exits_2_before_any_work(files, capsys, monkeypatch):
+    inst = files("t1.json", dumps_instance(fixture("FIX-T1").instance))
+    for argv in (["enumerate", inst, "--budget", "-5"],
+                 ["leximin", "/nonexistent/instance.json", "--budget", "-1"],
+                 ["mine", "--predicate", "efx=0", "--budget", "-1"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and "--budget must be >= 0" in err
+    monkeypatch.setenv("FAIRKIT_BUDGET", "-3")
+    code, out, err = run(capsys, ["leximin", inst])
+    assert code == 2 and out == "" and "FAIRKIT_BUDGET must be >= 0, got -3" in err
+    code, _, _ = run(capsys, ["taxonomy", inst])  # takes no budget, so reads none
+    assert code == 0
+
+
+def test_zero_budget_exits_3(files, capsys, monkeypatch):
+    inst = files("t1.json", dumps_instance(fixture("FIX-T1").instance))
+    code, _, err = run(capsys, ["enumerate", inst, "--budget", "0"])
+    assert code == 3 and "exceeding budget 0" in err
+    monkeypatch.setenv("FAIRKIT_BUDGET", "0")
+    code, _, err = run(capsys, ["leximin", inst])
+    assert code == 3 and "exceeding budget 0" in err
+
+
+def test_calls_in_sequence_share_one_parser_and_print_as_alone(files, capsys):
+    inst = files("t2.json", dumps_instance(fixture("FIX-T2").instance))
+    alloc = files("alloc.json", {"bundles": [["a", "b", "c"], ["d"]]})
+    argvs = [["check", inst, alloc, "--axioms", "efxpm,po", "--table"],
+             ["check", inst, alloc, "--axioms", "efxpm,po"],
+             ["mine", "--predicate", "efx=0"]]
+    in_sequence = [run(capsys, argv) for argv in argvs]
+    assert fairkit.cli.build_parser() is fairkit.cli.build_parser()
+    for argv, seen in zip(argvs, in_sequence):
+        fairkit.cli.build_parser.cache_clear()
+        assert run(capsys, argv) == seen
+
+
 def test_enumerate_streams_rows_with_flags(files, capsys):
     inst = files("ex1.json", dumps_instance(fixture("FIX-EX1").instance))
     code, out, _ = run(capsys, ["enumerate", inst, "--axioms", "ef,efx,efxpm,po"])

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -138,6 +139,7 @@ def _assert_front_matches_ref_po(inst):
     front = pareto_front(inst)
     for a in enumerate_allocations(inst):
         assert (utilities(inst, a) in front) == ref_po(vm, to_sets(a), inst.n, inst.m)
+    return front
 
 
 def test_pareto_front_matches_reference_on_seeded_instances():
@@ -168,6 +170,36 @@ def test_pareto_front_with_ties_and_fractions():
     # every profile of an all-zero instance ties, so every allocation is PO
     flat = Instance(("a", "b", "c"), (zero,) * 4)
     assert pareto_front(flat) == {(0, 0, 0, 0)}
+
+
+def _anti_correlated(n, m, seed, top=9, unit=1):
+    """Additive agents whose values of each item sum to the same total: the
+    more one agent values an item, the less the others do."""
+    rng = random.Random(seed)
+    rows = [[rng.randint(1, top) * unit for _ in range(m)] for _ in range(n - 1)]
+    rows.append([(top + 1) * (n - 1) * unit - sum(col) for col in zip(*rows)])
+    return Instance(tuple("abcdefgh"[:m]), tuple(map(AdditiveValuation, rows)))
+
+
+def test_pareto_front_matches_reference_on_wide_fronts():
+    """Fronts of many profiles, so that the skyline runs many elimination rounds."""
+    for seed in range(3):
+        assert len(_assert_front_matches_ref_po(_anti_correlated(2, 8, 8800 + seed))) == 9
+        assert len(_assert_front_matches_ref_po(_anti_correlated(3, 5, 8900 + seed))) >= 20
+        halves = _anti_correlated(3, 4, 9000 + seed, top=2, unit=Fraction(1, 2))
+        assert len(_assert_front_matches_ref_po(halves)) >= 10
+    # identical additive agents: every profile has the same sum, so no profile
+    # dominates another and each of the distinct profiles is on the front
+    for values, n in [((1, 2, 4, 8), 3), ((Fraction(1, 2), 1, 2, 4, 8, 16, 32, 64), 2)]:
+        antichain = Instance(tuple("abcdefgh"[:len(values)]), (AdditiveValuation(values),) * n)
+        assert len(_assert_front_matches_ref_po(antichain)) == n ** len(values)
+    rng = random.Random(9100)
+    thirds = (0, 0, Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), 1, Fraction(-1, 2))
+    for _ in range(3):
+        tables = [ExplicitValuation([rng.choice(thirds) for _ in range(16)]) for _ in range(3)]
+        _assert_front_matches_ref_po(Instance(tuple("abcd"), tables))
+    zero = Instance(tuple("abcde"), (AdditiveValuation((0,) * 5),) * 3)
+    assert _assert_front_matches_ref_po(zero) == {(0, 0, 0)}
 
 
 _VALUES = st.sampled_from((-2, -1, 0, 0, 1, 2, Fraction(1, 2), Fraction(-3, 2)))
