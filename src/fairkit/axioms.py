@@ -1,21 +1,23 @@
 """Fairness-axiom checkers with violation witnesses, and one fused scan.
 
-Envy is strict: agent i envies agent j when v_i(A_i) < v_i(A_j).
+Envy is strict: agent i envies agent j when v_i(A_i) < v_i(A_j).  Each axiom
+is one row of a clause table.  For an envying pair the row picks the pair's
+candidate items, each with the one inequality by which moving it would
+repair the envy.  EF, EF1 and EF1-pm ask for envy-freeness up to *some*
+item: a pair passes when some candidate repairs it (EF has none).  The EFX
+family, its variants and chen-liu ask for it up to *any* item: a pair passes
+when every candidate repairs it, so a pair with no candidate at all passes
+vacuously, and such pairs are surfaced on the verdict's ``vacuous`` list so
+reports stay self-explanatory.  When an envying pair has a candidate and EFX
+(EFX-pm) accepts it, EF1 (EF1-pm) accepts it too: the candidate repairs it.
+
 :func:`check_axiom` is the one witness checker: it walks every ordered
 envying pair once and reports all violations, each as a :class:`Witness`
 whose lhs < rhs reproduces the failed inequality; :func:`satisfies` is its
 yes or no for one allocation.  For scans over many allocations, :func:`held`
 decides many axioms at once without witnesses: one bit per axiom, from one
 pass over each envying pair's two bundles, and none at all for an envy-free
-allocation.  Both read one clause table, in which each axiom is one row.
-
-The "up to any item" family (EFX and friends) uses universally quantified
-clauses over strictly qualifying items, so an envying pair with no qualifying
-item at all is satisfied vacuously; such pairs are surfaced on the verdict's
-``vacuous`` list so reports stay self-explanatory.  The "up to some item"
-family (EF1, EF1-pm) demands an actual single-item repair.  Per envying pair,
-when some item qualifies and EFX (EFX-pm) accepts the pair, EF1 (EF1-pm)
-accepts it too, because the qualifying item is the repair.
+allocation.  Both read the one clause table.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ CHEN_LIU = "chen-liu"
 #
 # Every axiom is one row of _GROUPS_OF: the clause groups it is made of.  For
 # an envying pair (own bundle a, envied bundle b, va = t[a] < vb = t[b]
-# through the envier's table t), each item o qualifies for the groups its
+# through the envier's table t), each item o is a candidate of the groups its
 # values fall into, and fails a group's axioms unless it repairs the envy:
 #   over b, rb = t[b - o], failing when va < rb (witness removed-good):
 #     rb < vb           _X_LT  the EFX-style removal clause
@@ -60,7 +62,7 @@ CHEN_LIU = "chen-liu"
 #                              (witness added-bad)
 #     ra == va          _OP_EQ the same, zero variants only
 #     o generally bad   _CL    chen-liu, failing as _OP_GT
-# An envying pair with no qualifying item satisfies these axioms vacuously.
+# An envying pair with no candidate satisfies these axioms vacuously.
 # EF (_EF) fails on every envying pair; EF1 (_EF1) and EF1-pm (_EF1PM) fail
 # unless some item repairs the pair: va >= rb repairs both, ra >= vb EF1, and
 # ra > va with va >= ab EF1-pm.
@@ -125,105 +127,6 @@ def envies(inst: Instance, alloc: Allocation, i: int, j: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the pair functions: (violations, saw_qualifying) for one envying pair
-
-def _efx_pair(t, a, b, va, vb, i, j, groups, good, bad):
-    """The pair's violations of an axiom of the qualifying-item groups, and
-    whether any item qualified; ``good`` and ``bad`` are the envier's
-    chen-liu masks.  Chen-liu lists its own-item violations first."""
-    removed = []
-    own = []
-    saw = False
-    s = b
-    while s:
-        bit = s & -s
-        s ^= bit
-        rb = t[b ^ bit]
-        if (_X_LT in groups and rb < vb or _X_EQ in groups and rb == vb
-                or _P_GT in groups and t[a | bit] > va or _P_EQ in groups and t[a | bit] == va
-                or _CL in groups and good & bit):
-            saw = True
-            if va < rb:
-                removed.append(Witness(i, j, REMOVED_GOOD, bit.bit_length() - 1, va, rb))
-    s = a
-    while s:
-        bit = s & -s
-        s ^= bit
-        ra = t[a ^ bit]
-        if ((_OX_GT in groups or _OP_GT in groups) and ra > va
-                or (_OX_EQ in groups or _OP_EQ in groups) and ra == va
-                or _CL in groups and bad & bit):
-            saw = True
-            if _OX_GT in groups:
-                if ra < vb:
-                    own.append(Witness(i, j, REMOVED_BAD, bit.bit_length() - 1, ra, vb))
-            else:
-                ab = t[b | bit]
-                if va < ab:
-                    own.append(Witness(i, j, ADDED_BAD, bit.bit_length() - 1, va, ab))
-    return (own + removed if _CL in groups else removed + own), saw
-
-
-def _ef1_pair(t, a, b, va, vb, i, j, groups, good, bad):
-    """(violations, True) for one envying pair, violations [] when repaired.
-
-    EF1 repairs by removing some item from either bundle.  The pm variant
-    repairs by removing some item from the envied bundle or by adding some
-    own item that is a strict bad for the envier to the envied bundle.  On
-    violation the closest single-item repair of each clause is reported; if a
-    clause has no candidate items it contributes no witness.
-    """
-    pm = _EF1PM in groups
-    best_removed = None
-    s = b
-    while s:
-        bit = s & -s
-        s ^= bit
-        rb = t[b ^ bit]
-        if va >= rb:
-            return [], True
-        if best_removed is None or rb < best_removed[1]:
-            best_removed = (bit.bit_length() - 1, rb)
-    best_second = None
-    s = a
-    while s:
-        bit = s & -s
-        s ^= bit
-        ra = t[a ^ bit]
-        if pm:
-            if ra > va:  # only strict bads may move over
-                ab = t[b | bit]
-                if va >= ab:
-                    return [], True
-                if best_second is None or ab < best_second[1]:
-                    best_second = (bit.bit_length() - 1, ab)
-        else:
-            if ra >= vb:
-                return [], True
-            if best_second is None or ra > best_second[1]:
-                best_second = (bit.bit_length() - 1, ra)
-    viol = []
-    if best_removed is not None:
-        viol.append(Witness(i, j, REMOVED_GOOD, best_removed[0], va, best_removed[1]))
-    if best_second is not None:
-        o, val = best_second
-        if pm:
-            viol.append(Witness(i, j, ADDED_BAD, o, va, val))
-        else:
-            viol.append(Witness(i, j, REMOVED_BAD, o, val, vb))
-    if not viol:
-        viol.append(Witness(i, j, VACUOUS_ENVY, None, va, vb))
-    return viol, True
-
-
-def _ef_pair(t, a, b, va, vb, i, j, groups, good, bad):
-    return [Witness(i, j, VACUOUS_ENVY, None, va, vb)], True
-
-
-_PAIR_OF = {_EF: _ef_pair, _EF1: _ef1_pair, _EF1PM: _ef1_pair}
-
-
-# ---------------------------------------------------------------------------
 # the Chen-Liu variant (generally good/bad problems only)
 
 def _item_classes(inst):
@@ -268,16 +171,40 @@ def _chen_liu_masks(inst, axiom_ids):
 # ---------------------------------------------------------------------------
 # the witness checker
 
+def _reading(groups):
+    """The flags by which :func:`check_axiom` reads one row of the table."""
+    g = set(groups)
+    return (bool(g & {_EF, _EF1, _EF1PM}),  # some: one repairing candidate suffices
+            _CL in g,                       # own_first: chen-liu lists a's items first
+            bool(g - {_EF, _CL}),           # walks: item values are read, not masks only
+            bool(g & {_EF1, _EF1PM}),       # every item of b is a candidate
+            _EF1 in g,                      # every item of a is a candidate
+            _X_LT in g, _X_EQ in g,         # o in b with t[b - o] < vb, == vb
+            _P_GT in g, _P_EQ in g,         # o in b with t[a + o] > va, == va
+            bool(g & {_EF1PM, _OX_GT, _OP_GT}),  # o in a with t[a - o] > va
+            bool(g & {_OX_EQ, _OP_EQ}),          # o in a with t[a - o] == va
+            bool(g & {_EF1, _OX_GT, _OX_EQ}))  # removal: a's inequality is removed-bad
+
+
+_READING_OF = {ax: _reading(groups) for ax, groups in _GROUPS_OF.items()}
+
+
 def check_axiom(inst: Instance, alloc: Allocation, axiom: str) -> Verdict:
     """The verdict of ``axiom`` on one allocation, with every witness.
 
-    One pass over the ordered pairs (i, j) in which i envies j calls the
-    pair function of the axiom's groups once per pair; an envying pair in
-    which no item qualifies (EFX family and chen-liu) is listed as vacuous.
+    One candidate pass per ordered pair (i, j) in which i envies j reads the
+    axiom's row of the clause table.  Each candidate is the witness
+    ``(condition, item, lhs, rhs)`` of the inequality lhs >= rhs by which it
+    would repair the envy.  Under EF, EF1 and EF1-pm (up to *some* item), a
+    pair that no candidate repairs reports each side's closest candidate
+    (least rhs - lhs, the first in item order on ties), or the bare envy if
+    it has none.  Under the other axioms (up to *any* item), a pair reports
+    every candidate that does not repair it, chen-liu's own items first, and
+    goes on ``vacuous`` if it has no candidate.
     """
     masks = _chen_liu_masks(inst, (axiom,))
-    groups = _GROUPS_OF[axiom]
-    pair = _PAIR_OF.get(groups[0], _efx_pair)
+    (some, own_first, walks, every_b, every_a,
+     x_lt, x_eq, p_gt, p_eq, a_gt, a_eq, removal) = _READING_OF[axiom]
     violations = []
     vacuous = []
     for i, v in enumerate(inst.valuations):
@@ -287,11 +214,44 @@ def check_axiom(inst: Instance, alloc: Allocation, axiom: str) -> Verdict:
         good, bad = masks[i]
         for j, b in enumerate(alloc):
             vb = t[b]
-            if va < vb:  # never true for j == i
-                viol, saw = pair(t, a, b, va, vb, i, j, groups, good, bad)
-                violations += viol
-                if not saw:
-                    vacuous.append(Witness(i, j, VACUOUS_ENVY, None, va, vb))
+            if va >= vb:  # no envy, always so for j == i
+                continue
+            repaired = False
+            on_b = []  # the candidates of each side that do not repair the envy
+            s = b if walks else b & good
+            while s:
+                bit = s & -s
+                s ^= bit
+                rb = t[b ^ bit]
+                if (every_b or x_lt and rb < vb or x_eq and rb == vb or good & bit
+                        or p_gt and t[a | bit] > va or p_eq and t[a | bit] == va):
+                    if va < rb:
+                        on_b.append((REMOVED_GOOD, bit.bit_length() - 1, va, rb))
+                    else:
+                        repaired = True
+            on_a = []
+            s = a if walks else a & bad
+            while s:
+                bit = s & -s
+                s ^= bit
+                ra = t[a ^ bit]
+                if every_a or a_gt and ra > va or a_eq and ra == va or bad & bit:
+                    c = ((REMOVED_BAD, bit.bit_length() - 1, ra, vb) if removal
+                         else (ADDED_BAD, bit.bit_length() - 1, va, t[b | bit]))
+                    if c[2] < c[3]:
+                        on_a.append(c)
+                    else:
+                        repaired = True
+            if not (on_b or on_a):
+                if not repaired:  # no candidate: the bare envy
+                    bare = Witness(i, j, VACUOUS_ENVY, None, va, vb)
+                    (violations if some else vacuous).append(bare)
+            elif not some:
+                sides = on_a + on_b if own_first else on_b + on_a
+                violations += [Witness(i, j, *c) for c in sides]
+            elif not repaired:
+                violations += [Witness(i, j, *min(side, key=lambda c: c[3] - c[2]))
+                               for side in (on_b, on_a) if side]
     return Verdict(axiom, not violations, tuple(violations), tuple(vacuous))
 
 

@@ -227,6 +227,9 @@ class Instance:
             raise ValueError(f"item count {len(names)} outside 1..{DEFAULT_ITEM_CAP}")
         if len(set(names)) != len(names):
             raise ValueError("item names must be unique")
+        for name in names:  # bundle keys join names with ","; "" is the empty bundle's key
+            if not name or "," in name:
+                raise ValueError(f"item name {name!r} is empty or contains ','")
         for v in vals:
             if v.m != len(names):
                 raise ValueError(f"valuation over {v.m} items in an instance with {len(names)}")

@@ -110,6 +110,9 @@ def instance_from_document(doc: dict) -> Instance:
         raise DocumentError("'items' must be a non-empty array of strings")
     if len(set(items)) != len(items):
         raise DocumentError("item names must be unique")
+    for name in items:  # before any bundle key is read
+        if not name or "," in name:
+            raise DocumentError(f"item name {name!r} is empty or contains ','")
     item_names = tuple(items)
     m = len(item_names)
     if m > DEFAULT_ITEM_CAP:  # before any 2**m table is built
@@ -162,8 +165,7 @@ def instance_from_document(doc: dict) -> Instance:
                 raise DocumentError(f"{where}: missing item value for {missing[0]!r}")
             return AdditiveValuation(tuple(per_item[n] for n in item_names))
         if kind == "explicit":
-            if not mask_of and not any("," in name for name in item_names):
-                # with a "," in a name, keys are ambiguous: mask_from_key reads each one
+            if not mask_of:
                 mask_of.update((key, mask) for mask, key in enumerate(bundle_keys(item_names)))
             table: list = [None] * (1 << m)
             for key, v in values.items():  # in document order: the first bad entry is reported

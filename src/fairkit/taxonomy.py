@@ -55,11 +55,15 @@ class MixedWitness:
 
 
 def mixed_witness(inst: Instance, item: int) -> Optional[MixedWitness]:
-    """First witness in ascending mask order of the positive side, or None.
+    """The first witness of the scan below, or None.
 
-    The scan pairs every bundle M of the remaining items with its complement
-    N and looks for agents i, j (i = j allowed) with marginal(i, M, item) > 0
-    and marginal(j, N, item) < 0.
+    The scan walks the bundles M of the remaining items in ascending mask
+    order and pairs each with its complement N.  At each M it first tries M
+    as the positive side: the first agent i with marginal(i, M, item) > 0
+    and the first agent j with marginal(j, N, item) < 0 (i = j allowed).
+    Then it tries N as the positive side, with the first agent positive on N
+    and the first agent negative on M.  So the positive side need not have
+    the least mask of any witness: it can be the complement of an earlier M.
     """
     bit = 1 << item
     rest = inst.full & ~bit

@@ -185,7 +185,7 @@ def test_chen_liu_examples():
 
 
 def test_check_axiom_rejects_at_the_call():
-    # on an envy-free allocation no pair function runs, so these errors
+    # on an envy-free allocation no candidate pass runs, so these errors
     # cannot come from the walk over the envying pairs
     ef = alloc(EX1, ("r",), ("b",))
     assert check_axiom(EX1, ef, EF).satisfied
@@ -356,6 +356,34 @@ def test_witness_output_on_ties_is_unchanged():
                     if well_defined(inst, ax):
                         digest.update(repr(check_axiom(inst, a, ax)).encode())
     assert digest.hexdigest() == _TIE_WITNESS_DIGEST
+
+
+# the same digest over a wider grid: 2x3, 3x3, 4x3 and 2x5, the three item
+# classes, values in -1..1, -3..3 and -8..8, identical agents on alternate
+# blocks of nine seeds, every fifth seed also an additive instance, and each
+# instance also with every value divided by 3 (Fraction)
+_WIDE_WITNESS_DIGEST = "84c214f0fc5d6ad22fb5342906b1852b1140bf9ec9aeaf0b6a45832fcc3afa07"
+
+
+def test_witness_output_on_a_wide_grid_is_unchanged():
+    digest = hashlib.sha256()
+    for k in range(150):
+        n, m = ((2, 3), (3, 3), (4, 3), (2, 5))[k % 4]
+        r = (1, 3, 8)[(k // 12) % 3]
+        shape = dict(agents=n, items=m, lo=-r, hi=r, identical=(k // 9) % 2 == 1, seed=15_000 + k)
+        bases = [generate(GenParams(item_class=("any", "generallyGoodBad", "noMixed")[k % 3],
+                                    **shape))]
+        if k % 5 == 0:
+            bases.append(generate(GenParams(additive=True, **shape)))
+        for base in bases:
+            third = Instance(base.item_names, tuple(
+                ExplicitValuation([Fraction(x, 3) for x in v.table]) for v in base.valuations))
+            for inst in (base, third):
+                for a in enumerate_allocations(inst):
+                    for ax in ALL_AXIOMS:
+                        if well_defined(inst, ax):
+                            digest.update(repr(check_axiom(inst, a, ax)).encode())
+    assert digest.hexdigest() == _WIDE_WITNESS_DIGEST
 
 
 def test_chen_liu_lists_added_bad_violations_first():

@@ -82,6 +82,17 @@ def test_malformed_bundle_key_exits_2(files, capsys):
     assert "canonical" in err
 
 
+@pytest.mark.parametrize("kind", ["additive", "explicit"])
+def test_item_name_with_a_comma_or_empty_exits_2(files, capsys, kind):
+    for name in ("a,b", ""):
+        values = ({name: 1, "c": 2} if kind == "additive"
+                  else {"": 0, name: 1, "c": 2, f"{name},c": 3})
+        inst = files("bad.json", {"items": [name, "c"], "agents": 2, "identical": True,
+                                  "valuations": [{"kind": kind, "values": values}]})
+        code, out, err = run(capsys, ["taxonomy", inst])
+        assert code == 2 and out == "" and f"item name {name!r} is empty" in err
+
+
 def test_duplicate_json_key_exits_2(files, capsys):
     inst = files("dup.json", '{"items": ["a", "b"], "agents": 2, "identical": true, "valuations":'
                              ' [{"kind": "explicit", "values": {"a": "1", "a": "7", "b": "1",'

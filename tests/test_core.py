@@ -103,6 +103,11 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         Instance(tuple(f"o{i}" for i in range(17)),
                  (AdditiveValuation((1,) * 17),) * 2)  # above the item cap
+    # a "," would make bundle keys ambiguous, and "" is the empty bundle's key
+    for names in (("a,b", "c"), ("", "c")):
+        for w in (v, ExplicitValuation((0, 1, 2, 3))):
+            with pytest.raises(ValueError, match="is empty or contains ','"):
+                Instance(names, (w, w))
 
 
 def test_single_item_instance_is_accepted():

@@ -191,12 +191,14 @@ def _explicit(values, items=("a", "b")):
     (_explicit({"a": "x", "q": "1", "a,b": "2"}),
      "valuations[0]['a']: cannot parse exact value from 'x'"),
     (_explicit({"q": "1", "a": "x", "a,b": "2"}), "unknown item 'q' in bundle key 'q'"),
-    # a "," in an item name makes keys ambiguous; such keys are read item by item
+    # a "," in an item name would make keys ambiguous: the name is rejected first
     (_explicit({"x,y": "1", "z": "1", "x,y,z": "2"}, items=("x,y", "z")),
-     "unknown item 'x' in bundle key 'x,y'"),
+     "item name 'x,y' is empty or contains ','"),
+    (_explicit({"a": "1", ",a": "2"}, items=("", "a")), "item name '' is empty or contains ','"),
 ], ids=["unknown-item", "unknown-first", "out-of-order", "repeated-item", "leading-comma",
         "space", "missing-6", "missing-4", "bad-value", "boolean", "boolean-last", "float",
-        "bad-empty-value", "value-before-key", "key-before-value", "comma-in-name"])
+        "bad-empty-value", "value-before-key", "key-before-value", "comma-in-name",
+        "empty-name"])
 def test_malformed_explicit_tables_keep_their_messages(text, message):
     with pytest.raises(DocumentError) as exc:
         loads_instance(text)
