@@ -7,9 +7,11 @@ exploratory claims are reported but never gate, which keeps recorded
 discrepancies visible without failing the run.
 
 Fixtures are data: each row of ``_SPECS`` holds the id, title, item names,
-valuations and claim rows ``(id, kind, description, check[, gating])``, and
-each check comes from the few shared forms below.  A combo is written
-``"efx&po"`` and an allocation ``"a,b|c"`` (agent 1 gets a and b, agent 2 c).
+valuations and claim rows ``(id, kind, description, check)``, and each check
+comes from the few shared forms below.  A claim gates unless its kind is
+``exploratory``.  A combo is written ``"efx&po"`` and read by
+:func:`~fairkit.search.parse_axioms`, and an allocation ``"a,b|c"`` (agent 1
+gets a and b, agent 2 c).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .efficiency import (
     utility_vector,
 )
 from .protocols import cut_and_choose
-from .search import held_walk
+from .search import held_walk, parse_axioms
 from .values import format_value
 
 
@@ -52,8 +54,12 @@ class Claim:
     id: str
     kind: str
     description: str
-    gating: bool
     check: Callable  # Instance -> (Optional[bool], str); None means "open"
+
+    @property
+    def gating(self) -> bool:
+        """Every claim gates except the exploratory ones."""
+        return self.kind != "exploratory"
 
 
 @dataclass(frozen=True)
@@ -107,8 +113,7 @@ def _fmt(inst, *allocs):
 
 def _scan(inst, combo):
     """The allocations satisfying ``combo``, e.g. ``"efx&po"``, in enumeration order."""
-    parts = combo.split("&")
-    [want], walk = held_walk(inst, [parts])
+    [want], walk = held_walk(inst, [parse_axioms(combo.split("&"))])
     return [alloc for alloc, held in walk if held == want]
 
 
@@ -368,8 +373,7 @@ _SPECS = (
         ("t1-leximin-efxpm-po", "allocation-has", "both leximin allocations satisfy efxpm and po",
          _leximin(("c|a,b,d", "a,b,d|c"), (5, 8), holds="efxpm&po")),
         ("t1-variant-a-portability", "exploratory",
-         "recorded: the efx impossibility carries over to variant-a", _count("variant-a", 0),
-         False),
+         "recorded: the efx impossibility carries over to variant-a", _count("variant-a", 0)),
     )),
     ("FIX-T2", "identical generally-bad instance separating efx from efxpm and po", "a b c d",
      ({"": 0, "a": -4, "b": -4, "c": -4, "d": -6,
@@ -394,7 +398,7 @@ _SPECS = (
          _leximin(_TWO_TWO, (-7, -5))),
         ("t2-variant-b-portability", "exploratory",
          "recorded: the efx/po incompatibility carries over to variant-b",
-         _count("variant-b&po", 0), False),
+         _count("variant-b&po", 0)),
     )),
     ("FIX-T4", "cardinality valuations where ef1 and pareto-optimality clash", "a b c d",
      (("size", (0, -1, -2, 3, 4)), ("size", (0, 1, 2, 3, 4))), (
@@ -451,15 +455,11 @@ def _valuation(names, spec):
     return ExplicitValuation(tuple(values[bin(x).count("1")] for x in range(1 << len(names))))
 
 
-def _claim(cid, kind, description, check, gating=True):
-    return Claim(cid, kind, description, gating, check)
-
-
 def _build(fid, title, items, valuations, claims) -> Fixture:
     names = tuple(items.split())
     vals = tuple(_valuation(names, spec) for spec in valuations)
     inst = Instance(names, vals * 2 if len(vals) == 1 else vals)
-    return Fixture(fid, title, inst, tuple(_claim(*row) for row in claims))
+    return Fixture(fid, title, inst, tuple(Claim(*row) for row in claims))
 
 
 @lru_cache(maxsize=None)
@@ -484,7 +484,7 @@ _OPEN_NOTE = ClaimResult(
     Claim("generally-good-efxpm-po-gap", "exploratory",
           "a generally-good-items instance with no efxpm & po allocation exists "
           "but no concrete table is recorded; use the miner to search for one",
-          False, lambda inst: (None, "")),
+          lambda inst: (None, "")),
     "open",
     "no recorded witness instance; mining target",
 )

@@ -41,6 +41,7 @@ from .search import (
     RejectionBudgetError,
     held_walk,
     mine_seeds,
+    parse_axioms,
     parse_predicate,
 )
 from .serialize import (
@@ -89,22 +90,6 @@ def _budget(args) -> Optional[int]:
     return budget
 
 
-def _axiom_list(text: str) -> list:
-    out = []
-    for raw in text.split(","):
-        ax = raw.strip().lower()
-        if not ax:
-            continue
-        if ax != "po" and ax not in axioms.ALL_AXIOMS:
-            raise DocumentError(
-                f"unknown axiom {ax!r}; known: {', '.join(axioms.ALL_AXIOMS + ('po',))}"
-            )
-        out.append(ax)
-    if not out:
-        raise DocumentError("no axioms requested")
-    return list(dict.fromkeys(out))  # each axiom once, in first-seen order
-
-
 def _witness_doc(inst: Instance, w: Witness) -> dict:
     return {
         "envier": w.envier,
@@ -135,7 +120,7 @@ def cmd_check(args) -> int:
     budget = _budget(args)
     inst = _load_instance(args)
     alloc = loads_allocation(inst, _read(args.allocation))
-    requested = _axiom_list(args.axioms)
+    requested = parse_axioms(args.axioms.split(","))
     report: dict = {
         "allocation": allocation_to_document(inst, alloc)["bundles"],
         "utilities": [format_value(u) for u in utilities(inst, alloc)],
@@ -170,7 +155,7 @@ def cmd_check(args) -> int:
 def cmd_enumerate(args) -> int:
     budget = _budget(args)
     inst = _load_instance(args)
-    requested = _axiom_list(args.axioms)
+    requested = parse_axioms(args.axioms.split(","))
     # the empty combo holds everywhere, so the walk covers every allocation
     needs, walk = held_walk(inst, [(ax,) for ax in requested] + [()], budget)
     # Each row is printed as json.dumps would print it, from fragments encoded
@@ -204,9 +189,7 @@ def cmd_leximin(args) -> int:
     doc = {
         "utilityVector": [format_value(u) for u in utility_vector(inst, allocations[0])],
         "count": len(allocations),
-        "allocations": [
-            [list(names_of(inst.item_names, b)) for b in alloc] for alloc in allocations
-        ],
+        "allocations": [allocation_to_document(inst, a)["bundles"] for a in allocations],
     }
     _emit(doc)
     return 0
@@ -251,7 +234,7 @@ def cmd_cut_and_choose(args) -> int:
     alloc = cut_and_choose(inst, cutter=args.cutter - 1, budget=budget)
     verdict = check_axiom(inst, alloc, axioms.EFXPM)
     _emit({
-        "bundles": [list(names_of(inst.item_names, b)) for b in alloc],
+        "bundles": allocation_to_document(inst, alloc)["bundles"],
         "cutter": args.cutter,
         "utilities": [format_value(u) for u in utilities(inst, alloc)],
         "efxpm": _verdict_doc(inst, verdict),

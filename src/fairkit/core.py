@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .values import Value, as_value
 
 DEFAULT_ITEM_CAP = 16
-DEFAULT_AGENT_CAP = 64  # documents and generator parameters; checked before any table is built
+DEFAULT_AGENT_CAP = 64
 DEFAULT_BUDGET = 10_000_000
 _BLOCK_CAP = 1024  # allocations per block of allocation_blocks
 
@@ -34,18 +34,45 @@ class BudgetExceededError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# input rules: every entry point (instances, documents, generator parameters)
+# checks through these before it builds any table
+
+def check_size(n: int, m: int) -> None:
+    """2..``DEFAULT_AGENT_CAP`` agents and 1..``DEFAULT_ITEM_CAP`` items, else ``ValueError``."""
+    if n < 2:
+        raise ValueError("an instance needs at least 2 agents")
+    if n > DEFAULT_AGENT_CAP:
+        raise ValueError(f"agent count {n} exceeds the cap of {DEFAULT_AGENT_CAP}")
+    if not 1 <= m <= DEFAULT_ITEM_CAP:
+        raise ValueError(f"item count {m} outside 1..{DEFAULT_ITEM_CAP}")
+
+
+def check_item_names(names: Sequence[str]) -> None:
+    """Unique names, none empty or containing ",", else ``ValueError``: bundle
+    keys join names with "," and "" is the empty bundle's key."""
+    if len(set(names)) != len(names):
+        raise ValueError("item names must be unique")
+    for name in names:
+        if not name or "," in name:
+            raise ValueError(f"item name {name!r} is empty or contains ','")
+
+
+# ---------------------------------------------------------------------------
 # bundle masks
 
 def mask_from_names(item_names: Sequence[str], names: Iterable[str]) -> int:
+    """The mask of the bundle holding ``names``.  ``ValueError`` for an
+    unknown or repeated name reads "unknown item 'x'" or "duplicate item 'x'",
+    so a caller can say where it came from."""
     mask = 0
     for name in names:
         try:
             i = item_names.index(name)
         except ValueError:
-            raise ValueError(f"unknown item name {name!r}") from None
+            raise ValueError(f"unknown item {name!r}") from None
         bit = 1 << i
         if mask & bit:
-            raise ValueError(f"duplicate item {name!r} in bundle")
+            raise ValueError(f"duplicate item {name!r}")
         mask |= bit
     return mask
 
@@ -221,15 +248,8 @@ class Instance:
     def __init__(self, item_names: Iterable[str], valuations: Iterable[Valuation]):
         names = tuple(item_names)
         vals = tuple(valuations)
-        if len(vals) < 2:
-            raise ValueError("an instance needs at least 2 agents")
-        if not 1 <= len(names) <= DEFAULT_ITEM_CAP:
-            raise ValueError(f"item count {len(names)} outside 1..{DEFAULT_ITEM_CAP}")
-        if len(set(names)) != len(names):
-            raise ValueError("item names must be unique")
-        for name in names:  # bundle keys join names with ","; "" is the empty bundle's key
-            if not name or "," in name:
-                raise ValueError(f"item name {name!r} is empty or contains ','")
+        check_size(len(vals), len(names))
+        check_item_names(names)
         for v in vals:
             if v.m != len(names):
                 raise ValueError(f"valuation over {v.m} items in an instance with {len(names)}")

@@ -29,16 +29,18 @@ def utility_vector(inst: Instance, alloc: Allocation) -> tuple:
     return tuple(sorted(utilities(inst, alloc)))
 
 
-def pareto_improves(inst: Instance, b: Allocation, a: Allocation) -> bool:
-    """True iff ``b`` makes every agent weakly and some agent strictly better.
+def _improves(p: tuple, q: tuple) -> bool:
+    """Profile ``p`` is weakly better for every agent and strictly for some.
 
-    On profiles p of ``b`` and q of ``a``: ``p > q and all(map(ge, p, q))``.
     Under weak dominance, p > q (lexicographic) is the same as p != q, and on
     its own it is a cheap first test that most non-improvers fail.
     """
-    p = utilities(inst, b)
-    q = utilities(inst, a)
     return p > q and all(map(ge, p, q))
+
+
+def pareto_improves(inst: Instance, b: Allocation, a: Allocation) -> bool:
+    """True iff ``b`` makes every agent weakly and some agent strictly better."""
+    return _improves(utilities(inst, b), utilities(inst, a))
 
 
 @dataclass(frozen=True)
@@ -51,12 +53,11 @@ class PoVerdict:
 
 def check_po(inst: Instance, alloc: Allocation, budget: Optional[int] = None) -> PoVerdict:
     """Scan the full allocation space for a Pareto improvement; the verdict
-    carries the first improver in enumeration order.  Each candidate's
-    profile is tested against the allocation's as in :func:`pareto_improves`."""
+    carries the first improver in enumeration order, tested as in
+    :func:`pareto_improves`."""
     base = utilities(inst, alloc)
     improver = next((o for allocs, profiles in allocation_blocks(inst, budget)
-                     for o, p in zip(allocs, profiles)
-                     if p > base and all(map(ge, p, base))), None)
+                     for o, p in zip(allocs, profiles) if _improves(p, base)), None)
     return PoVerdict(improver is None, improver)
 
 

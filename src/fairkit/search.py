@@ -10,17 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import chain, compress, repeat
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import axioms
 from .core import (
-    DEFAULT_AGENT_CAP,
-    DEFAULT_ITEM_CAP,
     AdditiveValuation,
     ExplicitValuation,
     Instance,
     allocation_blocks,
     check_budget,
+    check_size,
     enumerate_allocations,  # noqa: F401  (no longer called here, but benchmark spans wrap it)
 )
 from .axioms import satisfies  # noqa: F401  (still importable from here; landscape uses held)
@@ -80,14 +79,7 @@ class GenParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.agents < 2:
-            raise ValueError("need at least 2 agents")
-        if self.agents > DEFAULT_AGENT_CAP:
-            raise ValueError(f"agent count {self.agents} exceeds the cap of {DEFAULT_AGENT_CAP}")
-        if self.items < 1:
-            raise ValueError("need at least 1 item")
-        if self.items > DEFAULT_ITEM_CAP:
-            raise ValueError(f"item count {self.items} exceeds the cap of {DEFAULT_ITEM_CAP}")
+        check_size(self.agents, self.items)
         if self.lo > self.hi:
             raise ValueError("empty value range")
         if self.item_class not in ITEM_CLASSES:
@@ -240,6 +232,22 @@ def generate(params: GenParams) -> Instance:
 # ---------------------------------------------------------------------------
 # landscape
 
+def parse_axioms(names: Iterable[str]) -> tuple:
+    """The axiom ids of a list such as ``"efx,EFX,po".split(",")``: each name
+    stripped and lower-cased, empty ones skipped, repeats dropped in
+    first-seen order, and ``"po"`` accepted.  ``ValueError`` for an unknown
+    name or an empty list.  Every axiom list from outside (``--axioms``, a
+    predicate's combo, a catalog combo) is read here."""
+    ids = tuple(dict.fromkeys(filter(None, (name.strip().lower() for name in names))))
+    for ax in ids:
+        if ax != "po" and ax not in axioms.ALL_AXIOMS:
+            known = ", ".join(axioms.ALL_AXIOMS + ("po",))
+            raise ValueError(f"unknown axiom {ax!r}; known: {known}")
+    if not ids:
+        raise ValueError("no axioms requested")
+    return ids
+
+
 DEFAULT_COMBOS = (
     ("ef",), ("ef1",), ("efx",), ("ef1pm",), ("efxpm",), ("efx0",), ("efxpm0",),
     ("po",),
@@ -356,16 +364,17 @@ class Predicate:
 
 
 def parse_predicate(text: str) -> Predicate:
-    """Parse ``"efx=0"``, ``"efxpm&po>=1"`` or ``"ef=all"``."""
+    """Parse ``"efx=0"``, ``"efxpm&po>=1"`` or ``"ef=all"``; the combo is
+    read by :func:`parse_axioms`, and the target is ``all`` or an integer."""
     for op in _PREDICATE_OPS:
         if op in text:
             left, _, right = text.partition(op)
-            combo = tuple(part.strip() for part in left.split("&"))
-            for ax in combo:
-                if ax != "po" and ax not in axioms.ALL_AXIOMS:
-                    raise ValueError(f"unknown axiom {ax!r} in predicate")
+            combo = parse_axioms(left.split("&"))
             right = right.strip()
-            target: object = "all" if right == "all" else int(right)
+            try:
+                target: object = "all" if right == "all" else int(right)
+            except ValueError:
+                break
             return Predicate(combo, op, target)
     raise ValueError(f"cannot parse predicate {text!r} (use e.g. 'efx=0' or 'efxpm&po>=1')")
 

@@ -14,15 +14,16 @@ import json
 from typing import Sequence
 
 from .core import (
-    DEFAULT_AGENT_CAP,
-    DEFAULT_ITEM_CAP,
     AdditiveValuation,
     Allocation,
     ExplicitValuation,
     Instance,
     Valuation,
     _complete,
+    check_item_names,
+    check_size,
     joined_by_mask,
+    mask_from_names,
     names_of,
     validate_allocation,
 )
@@ -43,21 +44,15 @@ def bundle_keys(item_names: Sequence[str]) -> list:
 
 def mask_from_key(item_names: Sequence[str], key: str) -> int:
     """Parse a canonical bundle key; order must follow the items array."""
-    if key == "":
-        return 0
-    mask = 0
-    last = -1
-    for name in key.split(","):
-        try:
-            i = item_names.index(name)
-        except ValueError:
-            raise DocumentError(f"unknown item {name!r} in bundle key {key!r}") from None
-        if i <= last:
-            raise DocumentError(
-                f"bundle key {key!r} is not canonical (items must follow the items array order)"
-            )
-        last = i
-        mask |= 1 << i
+    names = key.split(",") if key else []
+    try:
+        mask = mask_from_names(item_names, dict.fromkeys(names))  # a repeat is not canonical
+    except ValueError as exc:
+        raise DocumentError(f"{exc} in bundle key {key!r}") from None
+    if list(names_of(item_names, mask)) != names:
+        raise DocumentError(
+            f"bundle key {key!r} is not canonical (items must follow the items array order)"
+        )
     return mask
 
 
@@ -91,6 +86,14 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+def _checked(build, *args):
+    """``build(*args)``, with its ``ValueError`` raised as a :class:`DocumentError`."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from None
+
+
 def _parse(text: str) -> object:
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
@@ -108,15 +111,9 @@ def instance_from_document(doc: dict) -> Instance:
     if (not isinstance(items, list) or not items
             or not all(isinstance(x, str) for x in items)):
         raise DocumentError("'items' must be a non-empty array of strings")
-    if len(set(items)) != len(items):
-        raise DocumentError("item names must be unique")
-    for name in items:  # before any bundle key is read
-        if not name or "," in name:
-            raise DocumentError(f"item name {name!r} is empty or contains ','")
     item_names = tuple(items)
+    _checked(check_item_names, item_names)  # before any bundle key is read
     m = len(item_names)
-    if m > DEFAULT_ITEM_CAP:  # before any 2**m table is built
-        raise DocumentError(f"item count {m} outside 1..{DEFAULT_ITEM_CAP}")
 
     identical = doc.get("identical", False)
     if not isinstance(identical, bool):
@@ -140,8 +137,7 @@ def instance_from_document(doc: dict) -> Instance:
             raise DocumentError(
                 f"'agents' is {agents} but {len(raw_vals)} valuations are given"
             )
-    if agents > DEFAULT_AGENT_CAP:  # before any valuation is built or repeated
-        raise DocumentError(f"agent count {agents} exceeds the cap of {DEFAULT_AGENT_CAP}")
+    _checked(check_size, agents, m)  # before any valuation is built or repeated
 
     parsed: dict = {}  # value string -> value; each distinct string is parsed once
     mask_of: dict = {}  # canonical bundle key -> mask, built at the first explicit table
@@ -188,10 +184,7 @@ def instance_from_document(doc: dict) -> Instance:
     valuations = [build(raw, idx) for idx, raw in enumerate(raw_vals)]
     if identical:
         valuations = valuations * agents
-    try:
-        return Instance(item_names, tuple(valuations))
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
+    return _checked(Instance, item_names, tuple(valuations))
 
 
 def _valuation_to_document(item_names, keys, v: Valuation) -> dict:
@@ -241,23 +234,13 @@ def allocation_from_document(inst: Instance, doc: dict) -> Allocation:
     for k, bundle in enumerate(bundles):
         if not isinstance(bundle, list):
             raise DocumentError(f"bundles[{k}] must be an array of item names")
-        mask = 0
-        for name in bundle:
-            if not isinstance(name, str):
-                raise DocumentError(f"bundles[{k}] must contain item names")
-            try:
-                i = inst.item_names.index(name)
-            except ValueError:
-                raise DocumentError(f"unknown item {name!r} in bundles[{k}]") from None
-            bit = 1 << i
-            if mask & bit:
-                raise DocumentError(f"duplicate item {name!r} in bundles[{k}]")
-            mask |= bit
-        masks.append(mask)
-    try:
-        return validate_allocation(inst, masks)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
+        if not all(isinstance(name, str) for name in bundle):
+            raise DocumentError(f"bundles[{k}] must contain item names")
+        try:
+            masks.append(mask_from_names(inst.item_names, bundle))
+        except ValueError as exc:
+            raise DocumentError(f"{exc} in bundles[{k}]") from None
+    return _checked(validate_allocation, inst, masks)
 
 
 def allocation_to_document(inst: Instance, alloc: Allocation) -> dict:

@@ -23,6 +23,7 @@ from fairkit import (
     names_of,
     pareto_front,
     utilities,
+    verify_claims,
 )
 from fairkit.cli import main
 from fairkit.search import GenParams, generate
@@ -106,6 +107,9 @@ def test_unknown_axiom_exits_2(files, capsys):
     alloc = files("alloc.json", {"bundles": [["b"], ["r"]]})
     code, _, err = run(capsys, ["check", inst, alloc, "--axioms", "efz"])
     assert code == 2 and "unknown axiom" in err
+    for argv in (["check", inst, alloc, "--axioms", ","], ["enumerate", inst, "--axioms", " , "]):
+        code, out, err = run(capsys, argv)  # a list with no ids
+        assert code == 2 and out == "" and err == "error: no axioms requested\n"
 
 
 def test_budget_exits_3(files, capsys):
@@ -134,6 +138,9 @@ def test_negative_budget_exits_2_before_any_work(files, capsys, monkeypatch):
     monkeypatch.setenv("FAIRKIT_BUDGET", "-3")
     code, out, err = run(capsys, ["leximin", inst])
     assert code == 2 and out == "" and "FAIRKIT_BUDGET must be >= 0, got -3" in err
+    monkeypatch.setenv("FAIRKIT_BUDGET", "abc")
+    code, out, err = run(capsys, ["leximin", inst])
+    assert code == 2 and out == "" and err == "error: FAIRKIT_BUDGET must be an integer, got 'abc'\n"
     code, _, _ = run(capsys, ["taxonomy", inst])  # takes no budget, so reads none
     assert code == 0
 
@@ -222,6 +229,16 @@ def test_verify_paper_exit_zero_and_labels(capsys):
     assert {r["claim"] for r in failing_exploratory} == {
         "t1-variant-a-portability", "t2-variant-b-portability",
     }
+
+
+def test_verify_paper_table_prints_one_line_per_row(capsys):
+    code, out, _ = run(capsys, ["verify-paper", "--table"])
+    *lines, last = out.splitlines()
+    results = verify_claims().results
+    assert code == 0 and last == "gating failures: 0" and len(lines) == len(results)
+    for line, r in zip(lines, results):
+        assert line.split()[:3] == [r.status.upper(), r.fixture_id, r.claim.id]
+        assert ("[exploratory]" in line) is (not r.claim.gating)
 
 
 def test_verify_paper_single_fixture_and_export(tmp_path, capsys):
@@ -363,7 +380,28 @@ def test_mine_cli_defaults_are_the_generator_defaults(capsys, monkeypatch):
 
 def test_mine_cli_unknown_axiom_in_predicate_exits_2(capsys):
     code, out, err = run(capsys, ["mine", "--predicate", "bogus=0"])
-    assert code == 2 and out == "" and err == "error: unknown axiom 'bogus' in predicate\n"
+    known = "ef, ef1, efx, ef1pm, efxpm, efx0, efxpm0, variant-a, variant-b, chen-liu, po"
+    assert code == 2 and out == "" and err == f"error: unknown axiom 'bogus'; known: {known}\n"
+
+
+def test_mine_cli_predicate_axiom_names_are_case_insensitive(capsys):
+    args = ["-n", "2", "-m", "3", "--count", "20"]
+    upper = run(capsys, ["mine", "--predicate", "EFXPM&PO=0"] + args)
+    assert upper == run(capsys, ["mine", "--predicate", "efxpm&po=0"] + args)
+    assert upper[0] == 0 and json.loads(upper[1])["predicate"] == "efxpm&po=0"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["-n", "1"], "an instance needs at least 2 agents"),
+    (["-m", "0"], "item count 0 outside 1..16"),
+    (["--lo", "3", "--hi", "1"], "empty value range"),
+    (["--predicate", "efx=x"], "cannot parse predicate 'efx=x' (use e.g. 'efx=0' or 'efxpm&po>=1')"),
+    (["--predicate", "efx=1.5"],
+     "cannot parse predicate 'efx=1.5' (use e.g. 'efx=0' or 'efxpm&po>=1')"),
+], ids=["one-agent", "no-items", "empty-range", "target-x", "target-1.5"])
+def test_mine_cli_rejects_bad_parameters_before_any_seed(capsys, argv, message):
+    code, out, err = run(capsys, ["mine", "--predicate", "efx=0", "--count", "1"] + argv)
+    assert code == 2 and out == "" and err == f"error: {message}\n"
 
 
 def test_missing_file_exits_2(capsys):
@@ -394,7 +432,7 @@ def test_enumerate_over_budget_prints_nothing(files, capsys):
 
 def test_items_over_the_cap_exit_2(files, capsys):
     code, _, err = run(capsys, ["mine", "--predicate", "efx=0", "-m", "17", "--count", "1"])
-    assert code == 2 and "cap" in err
+    assert code == 2 and err == "error: item count 17 outside 1..16\n"
     doc = {"items": [f"o{i}" for i in range(21)],
            "valuations": [{"kind": "additive", "values": {f"o{i}": 1 for i in range(21)}}] * 2}
     code, _, err = run(capsys, ["taxonomy", files("big.json", doc)])

@@ -87,6 +87,9 @@ def test_is_additive_consistent():
     assert all(is_additive_consistent(v) for v in OBS1.valuations)
     assert not is_additive_consistent(T1.valuations[0])  # v({a,b}) = 6 != 10
     assert is_additive_consistent(AdditiveValuation((1, 2)))
+    # explicit tables: the additive extension of the singletons, and v(empty) != 0
+    assert is_additive_consistent(ExplicitValuation((0, 3, -1, 2, 5, 8, 4, 7)))
+    assert not is_additive_consistent(ExplicitValuation((1, 4, -1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +111,10 @@ def test_instance_validation():
         for w in (v, ExplicitValuation((0, 1, 2, 3))):
             with pytest.raises(ValueError, match="is empty or contains ','"):
                 Instance(names, (w, w))
+    # the agent cap holds for every instance, not only for documents and generator parameters
+    with pytest.raises(ValueError, match="agent count 65 exceeds the cap of 64"):
+        Instance(("a", "b"), (v,) * 65)
+    assert Instance(("a", "b"), (v,) * 64).n == 64
 
 
 def test_single_item_instance_is_accepted():
@@ -249,3 +256,5 @@ def test_validate_allocation_rejects_bad_shapes():
         validate_allocation(T1, (3, 3 ^ 15, 0))  # wrong agent count
     with pytest.raises(ValueError):
         validate_allocation(T1, (3, 14))  # overlap on item b
+    with pytest.raises(ValueError, match="bundle mask 16 uses items outside the instance"):
+        validate_allocation(T1, (15, 16))  # a fifth item in a 4-item instance

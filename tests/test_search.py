@@ -20,6 +20,7 @@ from fairkit.search import (
     held_walk,
     landscape,
     mine,
+    parse_axioms,
     parse_predicate,
 )
 from fairkit.taxonomy import classify
@@ -187,6 +188,8 @@ def test_item_classes_take_neither_additive_nor_disjointly_normalised():
         for kw in (dict(additive=True), dict(disjointly_normalised=True)):
             with pytest.raises(ValueError, match="already has generally good/bad items"):
                 GenParams(item_class=item_class, **kw)
+    with pytest.raises(ValueError, match="item_class must be one of"):
+        GenParams(item_class="x")
 
 
 def test_generate_values_stay_in_range_without_structural_constraints():
@@ -254,6 +257,21 @@ def test_parse_predicate():
         parse_predicate("bogus=0")
     with pytest.raises(ValueError):
         parse_predicate("efx~0")
+    for text in ("efx=x", "efx=1.5", "efx&po>=", "po<=al"):  # the target is an integer or all
+        with pytest.raises(ValueError, match=r"cannot parse predicate .* \(use e\.g\. 'efx=0'"):
+            parse_predicate(text)
+    assert parse_predicate("efx= -1 ").target == -1
+
+
+def test_predicate_axiom_names_read_like_the_axioms_option():
+    # stripped, lower-cased and each once in first-seen order, as --axioms reads them
+    p = parse_predicate(" EFXPM & PO & efxpm =0")
+    assert p.combo == ("efxpm", "po") and p.text() == "efxpm&po=0"
+    assert parse_axioms(["EFX", " efx ", "", "po"]) == ("efx", "po")
+    with pytest.raises(ValueError, match="no axioms requested"):
+        parse_predicate(" & =0")
+    with pytest.raises(ValueError, match="unknown axiom 'efz'; known: ef, ef1, "):
+        parse_predicate("po&EFZ=0")
 
 
 def test_mine_finds_zero_variant_gap_instances():
@@ -494,7 +512,7 @@ def test_chen_liu_classifies_each_instance_once(monkeypatch):
 
 def test_gen_params_reject_items_over_the_cap():
     for items in (17, 21):
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(ValueError, match=f"item count {items} outside 1..16"):
             GenParams(items=items)
     assert GenParams(items=16).items == 16
 
