@@ -9,11 +9,13 @@ instance) and keeps those whose axiom landscape matches a predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import chain, compress, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import axioms
 from .core import (
+    DEFAULT_ITEM_CAP,
     AdditiveValuation,
     ExplicitValuation,
     Instance,
@@ -94,6 +96,7 @@ class RejectionBudgetError(Exception):
     """No value in [lo, hi] keeps the marginals non-zero (only if hi - lo + 1 <= m)."""
 
 
+@lru_cache(maxsize=DEFAULT_ITEM_CAP)
 def _item_names(m: int) -> tuple:
     return tuple(chr(ord("a") + i) for i in range(m))  # m <= DEFAULT_ITEM_CAP (16)
 

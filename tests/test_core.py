@@ -117,6 +117,12 @@ def test_instance_validation():
     assert Instance(("a", "b"), (v,) * 64).n == 64
 
 
+def test_item_index_reads_the_bundle_name_rule():
+    assert [T1.item_index(name) for name in T1.item_names] == [0, 1, 2, 3]
+    with pytest.raises(ValueError, match=r"^unknown item 'x'$"):
+        T1.item_index("x")
+
+
 def test_single_item_instance_is_accepted():
     inst = Instance(("a",), (AdditiveValuation((1,)), AdditiveValuation((2,))))
     assert len(list(enumerate_allocations(inst))) == 2
@@ -205,7 +211,7 @@ def test_blocked_enumeration_follows_the_counter_order():
     # every (n, m) with n**m <= 20000 covers m < L, m = L and m = L + 1 for
     # each n = 2..5 (L = 8, 6, 5, 4), so both block parts are exercised
     for n in range(2, 6):
-        for m in range(1, 14):
+        for m in range(1, 16):
             if n ** m > 20_000:
                 break
             assert list(enumerate_allocations(_instance(n, m))) == _counter_order(n, m), (n, m)
@@ -231,12 +237,47 @@ def test_block_layout_is_built_at_the_first_scan(monkeypatch):
     def forbidden(*args):
         raise AssertionError("layout built")
 
+    fairkit.core._layout.cache_clear()
     monkeypatch.setattr(fairkit.core, "_low_columns", forbidden)
     with pytest.raises(BudgetExceededError):
         allocation_blocks(T1, budget=10)
     blocks = allocation_blocks(T1)  # in budget, but nothing built until the first block
     with pytest.raises(AssertionError, match="layout built"):
         next(blocks)
+    monkeypatch.undo()
+    first = list(enumerate_allocations(T1))  # builds the 2x4 layout
+    monkeypatch.setattr(fairkit.core, "_low_columns", forbidden)
+    assert list(enumerate_allocations(T2)) == first  # same shape: nothing built
+
+
+def test_warm_layout_scans_match_the_counter_order():
+    # a cold scan, a warm one, and a scan of another instance of the same
+    # shape read one cached layout; each must give the documented order
+    def scan(inst):
+        blocks = [(list(allocs), list(profiles)) for allocs, profiles in allocation_blocks(inst)]
+        return ([a for allocs, _ in blocks for a in allocs],
+                [p for _, profiles in blocks for p in profiles])
+
+    def immutable(x):
+        return isinstance(x, (int, bytes)) or isinstance(x, tuple) and all(map(immutable, x))
+
+    for n in range(2, 6):
+        for m in range(1, 16):
+            if n ** m > 20_000:
+                break
+            fairkit.core._layout.cache_clear()
+            order = _counter_order(n, m)
+            names = tuple(f"o{i}" for i in range(m))
+            inst = Instance(names, tuple(AdditiveValuation(range(i, i + m)) for i in range(n)))
+            other = Instance(names, tuple(ExplicitValuation(tuple(range(i, i + 2 ** m)))
+                                          for i in range(n)))
+            for scanned in (inst, inst, other):  # cold, warm, same shape
+                assert scan(scanned) == (order, [
+                    tuple(v.table[b] for v, b in zip(scanned.valuations, a)) for a in order
+                ]), (n, m)
+            info = fairkit.core._layout.cache_info()
+            assert (info.misses, info.hits) == (1, 2), (n, m)
+            assert immutable(fairkit.core._layout(n, m)), (n, m)
 
 
 def test_budget_error_reports_total():

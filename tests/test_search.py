@@ -605,7 +605,7 @@ def test_mine_checks_the_budget_before_any_work(monkeypatch):
 
     for module, name in ((fairkit.axioms, "held"), (fairkit.axioms, "classify"),
                          (fairkit.search, "pareto_front"),
-                         (fairkit.search, "landscape"), (fairkit.core, "_low_columns")):
+                         (fairkit.search, "landscape"), (fairkit.core, "_layout")):
         monkeypatch.setattr(module, name, forbidden)
     params = GenParams(agents=2, items=4, seed=3)
     for text in ("efxpm&po=0", "efx>=1", "chen-liu=0"):
