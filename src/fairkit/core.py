@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, product
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .values import Value, as_value
@@ -348,40 +349,51 @@ def allocation_blocks(inst: Instance, budget: Optional[int] = None) -> Iterator[
     of L items, with L the largest value up to min(m, 8) such that
     ``n**L <= _BLOCK_CAP`` (1024), and the rest.  A block holds one
     assignment of the high items and runs through all ``n**L`` assignments
-    of the low ones, whose per-agent mask columns are built once per shape
+    of the low ones.  The low block's per-agent mask columns, and one
+    ``operator.itemgetter(*column)`` per agent, are built once per shape
     (n, m) and cached (:func:`_layout`), at the first block of the shape's
     first scan.  A shape with ``m == L`` is one block of the cached columns.
-    Both iterators are C-level: ``zip`` over the agents' mask columns, and
-    over ``map(table.__getitem__, masks)`` per agent.  Larger blocks barely
-    speed a scan up but cost memory, since two blocks of fresh masks are
-    alive while the next one is built.  The budget is checked as in
+    Both iterators are C-level ``zip``s over per-agent tuples that one
+    getter call each builds: an agent's values are ``getter(table)``, and
+    in a block whose high part gives the agent the mask ``h`` (bits L and
+    up only, so ``h | x == h + x`` for every low mask ``x``), its masks
+    are ``getter(range(h, h + 2**L))`` and its values
+    ``getter(table[h:h + 2**L])``.  So each agent's whole block is read
+    before the block's first allocation is tested.  Larger blocks barely
+    speed a scan up but cost memory.  The budget is checked as in
     :func:`enumerate_allocations`.
     """
     n, m = inst.n, inst.m
     check_budget(n, m, budget)
-    return _blocks(n, m, [v.table.__getitem__ for v in inst.valuations])
+    return _blocks(n, m, [v.table for v in inst.valuations])
 
 
-def _blocks(n: int, m: int, getters: list) -> Iterator[tuple]:
-    low, columns = _layout(n, m)
+def _blocks(n: int, m: int, tables: list) -> Iterator[tuple]:
+    low, columns, getters = _layout(n, m)
     if low == m:
-        yield zip(*columns), zip(*map(map, getters, columns))
+        yield zip(*columns), zip(*[g(t) for g, t in zip(getters, tables)])
         return
+    span = 1 << low
     for high in _high_parts(n, low, m):
-        masks = tuple(col if not h else tuple(map(h.__or__, col))
-                      for h, col in zip(high, columns))
-        yield zip(*masks), zip(*map(map, getters, masks))
+        yield (zip(*[g(range(h, h + span)) for g, h in zip(getters, high)]),
+               zip(*[g(t[h:h + span]) for g, t, h in zip(getters, tables, high)]))
 
 
 @lru_cache(maxsize=32)
 def _layout(n: int, m: int) -> tuple:
-    """``(L, columns)`` for n agents and m items: the low block's size and
-    its per-agent mask columns (:func:`_low_columns`), immutable and shared
-    by every scan of the shape."""
+    """``(L, columns, getters)`` for n agents and m items: the low block's
+    size, its per-agent mask columns (:func:`_low_columns`) and one
+    ``operator.itemgetter(*column)`` per column, immutable and shared by
+    every scan of the shape.  ``n**L >= 2`` (L >= 1, as n <= 64 < 1024),
+    so each getter returns a tuple.  A getter holds one 8-byte pointer per
+    column entry (the masks are small ints, which Python shares), so a
+    shape's getters take ``8 * n * n**L`` bytes plus about 100 per agent:
+    4.4 KB at 2x14, 17.9 KB at 3x6, at most 266 KB (n = 32, L = 2)."""
     low = 0
     while low < min(m, 8) and n ** (low + 1) <= _BLOCK_CAP:
         low += 1
-    return low, _low_columns(n, low)
+    columns = _low_columns(n, low)
+    return low, columns, tuple(itemgetter(*col) for col in columns)
 
 
 _WITH_BIT = tuple(bytes(map((1 << o).__or__, range(256))) for o in range(8))
@@ -391,10 +403,11 @@ def _low_columns(n: int, low: int) -> tuple:
     """Per-agent masks of items ``0..low-1`` over the ``n**low`` low assignments.
 
     One byte per mask (``low <= 8``), built with C-level ``bytes.translate``
-    once per shape and kept in :func:`_layout`'s cache: ``n * n**low``
-    bytes, at most 32 KB (n = 32, L = 2).  Keeping them leaves peak RSS
-    flat: landscape-2x14 read 28.38 MB (benchmark median of 5 runs) against
-    28.27 MB when each scan rebuilt them.
+    once per shape and kept in :func:`_layout`'s cache beside the getters
+    built from them: ``n * n**low`` bytes, at most 32 KB (n = 32, L = 2).
+    Keeping them leaves peak RSS flat: landscape-2x14 read 28.38 MB
+    (benchmark median of 5 runs) against 28.27 MB when each scan rebuilt
+    them.
     """
     columns = [b"\0"] * n
     for o in range(low):  # item o, the most significant so far, goes to agent j in run j

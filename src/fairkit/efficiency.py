@@ -54,7 +54,8 @@ class PoVerdict:
 def check_po(inst: Instance, alloc: Allocation, budget: Optional[int] = None) -> PoVerdict:
     """Scan the full allocation space for a Pareto improvement; the verdict
     carries the first improver in enumeration order, tested as in
-    :func:`pareto_improves`."""
+    :func:`pareto_improves`.  Each block's values are read before its first
+    test, so even an early improver costs one block's reads."""
     base = utilities(inst, alloc)
     improver = next((o for allocs, profiles in allocation_blocks(inst, budget)
                      for o, p in zip(allocs, profiles) if _improves(p, base)), None)

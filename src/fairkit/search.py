@@ -280,8 +280,10 @@ def held_walk(inst: Instance, combos: Sequence[tuple],
     combo has ``"po"``, only the Pareto-optimal allocations are walked,
     picked out of each block at C level; with the empty combo ``()``, every
     allocation is, and with no combo, none.  Without ``"po"`` no profile is
-    read.  The combos must be well-defined for the instance.  The budget is
-    checked, and the front computed, at the call.
+    built, though each block still reads its agents' values (one getter
+    call per agent, :func:`~fairkit.core.allocation_blocks`).  The combos
+    must be well-defined for the instance.  The budget is checked, and the
+    front computed, at the call.
     """
     if not combos:
         check_budget(inst.n, inst.m, budget)

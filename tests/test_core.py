@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
@@ -277,7 +278,12 @@ def test_warm_layout_scans_match_the_counter_order():
                 ]), (n, m)
             info = fairkit.core._layout.cache_info()
             assert (info.misses, info.hits) == (1, 2), (n, m)
-            assert immutable(fairkit.core._layout(n, m)), (n, m)
+            low, columns, getters = fairkit.core._layout(n, m)
+            assert immutable((low, columns)) and len(getters) == len(columns) == n, (n, m)
+            assert n ** low >= 2, (n, m)  # a one-index itemgetter returns a scalar
+            for getter, col in zip(getters, columns):  # each getter reads exactly its column
+                assert isinstance(getter, itemgetter), (n, m)
+                assert getter(range(n ** low)) == tuple(col), (n, m)
 
 
 def test_budget_error_reports_total():

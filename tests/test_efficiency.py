@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import ge
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,9 +21,18 @@ from fairkit import (
     utilities,
     utility_vector,
 )
-from fairkit.search import GenParams, generate
+from fairkit.search import GenParams, generate, landscape
 
-from reference import ref_leximin, ref_po, to_sets, value_maps
+from reference import (
+    all_allocations,
+    ref_ef1,
+    ref_efx,
+    ref_efxpm,
+    ref_leximin,
+    ref_po,
+    to_sets,
+    value_maps,
+)
 
 T1 = fixture("FIX-T1").instance
 T2 = fixture("FIX-T2").instance
@@ -231,3 +241,71 @@ def test_pareto_front_checks_the_budget_before_any_work():
         pareto_front(T1, budget=15)
     assert err.value.total == 16
     assert pareto_front(T1, budget=16)
+
+
+# Multi-block shapes (n, m, n**L): their blocks read masks and values through
+# the cached getters from ``range(h, h + 2**L)`` and ``table[h:h + 2**L]``.
+_MULTI_BLOCK = ((2, 9, 256), (2, 10, 256), (3, 7, 729), (4, 6, 1024))
+_NOISE = (Fraction(1, 2), -1, 0, 1, Fraction(-3, 2))
+
+
+def test_multi_block_scans_match_the_reference():
+    """Pareto front, leximin, landscape counts and examples, and check_po's
+    first improver, against the naive oracles on tables with ties, negatives
+    and fractions.  ref_po's O(n**(2m)) is too slow here, so PO comes from a
+    naive skyline over the distinct profiles of ``all_allocations``, with
+    ref_po itself checked on a few allocations."""
+    def dominates(p, q):
+        return p != q and all(map(ge, p, q))
+
+    for n, m, block in _MULTI_BLOCK:
+        rng = random.Random(9200 + 10 * n + m)
+        noise = _NOISE[:12 // n - 1]  # fewer values for more agents keeps the skyline small
+        # 4 per item outweighs the noise, so profiles trade items off and the
+        # front is wide; the top item costs agent 0 and gives agent 1 more
+        # than any other change of bundle, so every allocation of the first
+        # block (agent 0 holds all the high items) is improved in a later one
+        bonus = (-10, 10) + (0,) * (n - 2)
+        inst = Instance(tuple(f"o{i}" for i in range(m)), tuple(
+            ExplicitValuation([4 * bin(mask).count("1") + rng.choice(noise)
+                               + bonus[i] * (mask >> (m - 1)) for mask in range(1 << m)])
+            for i in range(n)))
+        vm = value_maps(inst)
+        order = sorted(all_allocations(n, m),
+                       key=lambda s: sum(i * n ** o for i, b in enumerate(s) for o in b))
+        masks = [tuple(sum(1 << o for o in b) for b in s) for s in order]
+        profile = [tuple(vm[i][b] for i, b in enumerate(s)) for s in order]
+        first = {}  # distinct profile -> its first allocation's index
+        for k, p in enumerate(profile):
+            first.setdefault(p, k)
+        front = {q for q in first if not any(dominates(p, q) for p in first)}
+        assert pareto_front(inst) == front and len(front) >= 10, (n, m)
+        for k in (0, first[min(front)], len(order) - 1):
+            assert ref_po(vm, order[k], n, m) == (profile[k] in front), (n, m, k)
+
+        best, arg = ref_leximin(vm, n, m)
+        lm = leximin_set(inst)
+        assert [to_sets(a) for a in lm] == [s for s in order if s in arg], (n, m)
+        assert utility_vector(inst, lm[0]) == best, (n, m)
+
+        # no first-block profile dominates the one with the first block's
+        # largest sum, so its first improver is in a later block
+        late = first[max(profile[:block], key=sum)]
+        picked = {late, *range(0, len(order), 211), *(first[q] for q in sorted(front)[:2])}
+        for k in sorted(picked):
+            j = min((first[p] for p in first if dominates(p, profile[k])), default=None)
+            assert k != late or j >= block, (n, m)
+            want = PoVerdict(j is None, None if j is None else masks[j])
+            assert check_po(inst, masks[k]) == want, (n, m, k)
+
+        ref = {"ef1": ref_ef1, "efx": ref_efx, "efxpm": ref_efxpm}
+        flags = {ax: [f(vm, s) for s in order] for ax, f in ref.items()}
+        flags["po"] = [p in front for p in profile]
+        for combos in ((("po",), ("efx", "po"), ("efxpm", "po")),
+                       (("ef1",), ("efx", "efxpm"), ("efxpm", "po"), ())):
+            want = []
+            for combo in combos:
+                hits = [k for k in range(len(order)) if all(flags[ax][k] for ax in combo)]
+                want.append((combo, len(hits), masks[hits[0]] if hits else None))
+            got = [(r.combo, r.count, r.example) for r in landscape(inst, combos)]
+            assert got == want, (n, m, combos)
