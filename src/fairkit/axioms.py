@@ -17,13 +17,17 @@ whose lhs < rhs reproduces the failed inequality; :func:`satisfies` is its
 yes or no for one allocation.  For scans over many allocations, :func:`held`
 decides many axioms at once without witnesses: one bit per axiom, from one
 pass over each envying pair's two bundles, and none at all for an envy-free
-allocation.  Both read the one clause table.
+allocation.  With two agents, :func:`held_columns` decides them for every
+allocation at once, from one column per agent over its own bundles.  All
+of them read the one clause table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
+from operator import lt
 from typing import Optional
 
 from .core import Allocation, Instance
@@ -380,3 +384,42 @@ def held(inst: Instance, axiom_ids) -> tuple:
                     return 0
         return want
     return bit_of, scan
+
+
+def held_columns(inst: Instance, axiom_ids, want: int) -> tuple:
+    """``(bit_of, (c0, c1))`` for a two-agent instance: ``bit_of`` as in
+    :func:`held`, and per agent, the bits of ``want`` that each of its own
+    bundles leaves, as a list indexed by the bundle's mask.
+
+    With two agents the envied bundle is the complement of the envier's, so
+    whether agent i envies, and which axioms its pair fails, depends on its
+    own bundle x alone: entry x compares ``t[x]`` with ``t[::-1][x]`` (that
+    is, ``t[full ^ x]``) and is ``want`` when i does not envy, else ``want``
+    minus the bits that i's pass (``_pair_pass``) against ``full ^ x``
+    fails; a bit of ``want`` above ``bit_of``'s is kept everywhere.  So the
+    allocation giving agent 0 the bundle ``full ^ k`` and agent 1 the
+    bundle k holds ``c0[full ^ k] & c1[k]``, which is :func:`held`'s
+    ``scan`` of it asked for ``want``.  As that scan stops once no axiom is
+    left, ``c0[full ^ k]`` is passed only when ``c1[k]`` keeps an axiom bit,
+    and is ``want`` otherwise, which the AND cannot tell apart.  So each
+    envying (agent, bundle) is passed at most once.  A column is 2**m ints,
+    at most 65,536.  Errors as in :func:`held`, and ``ValueError`` unless
+    n is 2.
+    """
+    if inst.n != 2:
+        raise ValueError(f"held_columns needs two agents, got {inst.n}")
+    ids = tuple(dict.fromkeys(axiom_ids))
+    masks = _chen_liu_masks(inst, ids)
+    fails = _pair_pass(ids)
+    full = inst.full
+    axiom_bits = (1 << len(ids)) - 1
+    (good0, bad0), (good1, bad1) = masks
+    t0, t1 = (v.table for v in inst.valuations)
+    r0, r1 = t0[::-1], t1[::-1]
+    c0, c1 = [want] * (full + 1), [want] * (full + 1)
+    for x in compress(range(full + 1), map(lt, t1, r1)):
+        c1[x] = want & ~fails(t1, x, full ^ x, t1[x], r1[x], good1, bad1)
+    for x in compress(range(full + 1), map(lt, t0, r0)):
+        if c1[full ^ x] & axiom_bits:  # agent 1 keeps an axiom in this allocation
+            c0[x] = want & ~fails(t0, x, full ^ x, t0[x], r0[x], good0, bad0)
+    return {ax: 1 << k for k, ax in enumerate(ids)}, (c0, c1)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
+from itertools import chain, compress
 from typing import Callable, Optional
 
 from .axioms import (
@@ -114,7 +115,8 @@ def _fmt(inst, *allocs):
 def _scan(inst, combo):
     """The allocations satisfying ``combo``, e.g. ``"efx&po"``, in enumeration order."""
     [want], walk = held_walk(inst, [parse_axioms(combo.split("&"))])
-    return [alloc for alloc, held in walk if held == want]
+    return list(chain.from_iterable(compress(allocs, map(want.__eq__, helds))
+                                    for allocs, helds in walk))
 
 
 def _meets(inst, alloc, holds, fails, utils):

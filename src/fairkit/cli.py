@@ -20,7 +20,7 @@ import functools
 import json
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice, starmap
 from typing import Optional
 
 from . import axioms
@@ -165,7 +165,7 @@ def cmd_enumerate(args) -> int:
     utility = {u: json.dumps(format_value(u)) for u in set().union(*tables)}
     keys = [(json.dumps(ax) + ": ", need) for ax, need in zip(requested, needs)]
     flags: dict = {}  # the bits of an allocation's satisfied axioms -> its "axioms" object
-    rows = enumerate(walk)
+    rows = enumerate(chain.from_iterable(starmap(zip, walk)))
     while True:
         lines = []
         for k, (alloc, held) in islice(rows, _ROWS_PER_PRINT):

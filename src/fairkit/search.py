@@ -8,9 +8,11 @@ instance) and keeps those whose axiom landscape matches a predicate.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, repeat
+from operator import and_, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import axioms
@@ -29,6 +31,8 @@ from .efficiency import pareto_front
 from .taxonomy import classify  # noqa: F401  (importable from here for bench/spans.py)
 
 ITEM_CLASSES = ("any", "generallyGoodBad", "noMixed")
+
+_PAIR_SPAN = 256  # allocations per block of a dense two-agent walk, as in allocation_blocks
 
 _MASK64 = (1 << 64) - 1
 
@@ -270,42 +274,91 @@ def held_walk(inst: Instance, combos: Sequence[tuple],
               budget: Optional[int] = None) -> tuple:
     """``(needs, walk)``: the one walk that decides axiom and PO combos.
 
-    ``walk`` yields ``(allocation, held)`` in enumeration order and covers at
-    least every allocation that satisfies one of the combos.  An allocation
-    satisfies ``combos[k]`` iff ``held & needs[k] == needs[k]``; ``held`` has
-    no bit outside the combos' masks.  PO is membership of the allocation's
-    profile in :func:`pareto_front`, and the axioms come from one fused scan
-    (:func:`axioms.held`) per allocation; an axiom that occurs only in combos
-    with ``"po"`` is decided on Pareto-optimal allocations only.  When every
-    combo has ``"po"``, only the Pareto-optimal allocations are walked,
-    picked out of each block at C level; with the empty combo ``()``, every
-    allocation is, and with no combo, none.  Without ``"po"`` no profile is
-    built, though each block still reads its agents' values (one getter
-    call per agent, :func:`~fairkit.core.allocation_blocks`).  The combos
-    must be well-defined for the instance.  The budget is checked, and the
-    front computed, at the call.
+    ``walk`` yields ``(allocations, helds)`` blocks in enumeration order,
+    two iterables over the same allocations, and covers at least every
+    allocation that satisfies one of the combos.  An allocation satisfies
+    ``combos[k]`` iff ``held & needs[k] == needs[k]``; ``held`` has no bit
+    outside the combos' masks.  PO is membership of the allocation's
+    profile in :func:`pareto_front`; an axiom that occurs only in combos
+    with ``"po"`` counts on Pareto-optimal allocations only.  When every
+    combo has ``"po"``, only those are walked, one block each, and each is
+    scanned (:func:`axioms.held`) when reached, so a reader that stops
+    early scans no further.  Otherwise every allocation is walked.  With
+    two agents, each agent's pair outcome depends on its own bundle alone
+    (the other holds the complement), so the two columns of
+    :func:`axioms.held_columns`, built at the call, hold every outcome:
+    allocation k (agent 1 holds k) holds ``c0[full ^ k] & c1[k]``, masked
+    by its front membership, combined at C level up to 256 at a time, and
+    no allocation tuple is built until read.  With more agents each
+    allocation gets one fused scan.  Without ``"po"`` no profile is read.
+    The combos must be well-defined for the instance.  The budget is
+    checked, and the front computed, at the call.
     """
+    check_budget(inst.n, inst.m, budget)  # before any work
     if not combos:
-        check_budget(inst.n, inst.m, budget)
         return [], iter(())
-    blocks = allocation_blocks(inst, budget)  # the budget is checked before any work
     names = sorted({ax for combo in combos for ax in combo} - {"po"})
-    bit_of, scan = axioms.held(inst, names)
-    bit_of["po"] = po_bit = 1 << len(names)
-    needs = [sum(bit_of[ax] for ax in set(combo)) for combo in combos]
+    po_bit = 1 << len(names)
     on_front = po_bit - 1
     with_po = ["po" in combo for combo in combos]
+    dense_pair = inst.n == 2 and not all(with_po)
+    if dense_pair:
+        bit_of, columns = axioms.held_columns(inst, names, on_front | po_bit)
+    else:
+        bit_of, scan = axioms.held(inst, names)
+    bit_of["po"] = po_bit
+    needs = [sum(bit_of[ax] for ax in set(combo)) for combo in combos]
     front = pareto_front(inst, budget) if any(with_po) else None
     if all(with_po):
-        picked = chain.from_iterable(compress(allocs, map(front.__contains__, profiles))
-                                     for allocs, profiles in blocks)
-        return needs, ((alloc, scan(alloc, on_front) | po_bit) for alloc in picked)
+        return needs, _front_walk(allocation_blocks(inst, budget), front, scan, on_front, po_bit)
     everywhere = sum({bit_of[ax] for combo in combos if "po" not in combo for ax in combo})
-    flagged = chain.from_iterable(
-        zip(allocs, repeat(False) if front is None else map(front.__contains__, profiles))
-        for allocs, profiles in blocks)  # (allocation, is it PO)
-    return needs, ((alloc, scan(alloc, on_front) | po_bit if po else scan(alloc, everywhere))
-                   for alloc, po in flagged)
+    if dense_pair:
+        return needs, _pair_walk(inst, columns, front, (everywhere, on_front | po_bit))
+    return needs, _scan_walk(allocation_blocks(inst, budget), front, scan, everywhere,
+                             on_front, po_bit)
+
+
+def _front_walk(blocks, front, scan, on_front, po_bit):
+    """:func:`held_walk`'s blocks when every combo has ``"po"``: one per
+    Pareto-optimal allocation, scanned when it is reached."""
+    for allocs, profiles in blocks:
+        for alloc in compress(allocs, map(front.__contains__, profiles)):
+            yield (alloc,), (scan(alloc, on_front) | po_bit,)
+
+
+def _pair_walk(inst, columns, front, masks):
+    """:func:`held_walk`'s blocks over every allocation of two agents, from
+    the agents' columns; ``masks`` is ``(off the front, on it)``."""
+    c0, c1 = columns
+    r0 = c0[::-1]  # r0[k] == c0[full ^ k], agent 0's entry in allocation k
+    full = inst.full
+    span = min(full + 1, _PAIR_SPAN)
+    if front is not None:
+        t1 = inst.valuations[1].table
+        u0 = inst.valuations[0].table[::-1]  # agent 0's utility in allocation k
+    for lo in range(0, full + 1, span):
+        hi = lo + span
+        ks = range(lo, hi)
+        helds = map(and_, r0[lo:hi], c1[lo:hi])
+        if front is None:  # every axiom bit is an everywhere bit; the po bit goes
+            helds = map(masks[0].__and__, helds)
+        else:
+            po = map(front.__contains__, zip(u0[lo:hi], t1[lo:hi]))
+            helds = map(and_, map(masks.__getitem__, po), helds)
+        yield zip(map(full.__xor__, ks), ks), helds
+
+
+def _scan_walk(blocks, front, scan, everywhere, on_front, po_bit):
+    """:func:`held_walk`'s blocks over every allocation of three or more agents."""
+    def held_of(alloc, po):
+        return scan(alloc, on_front) | po_bit if po else scan(alloc, everywhere)
+
+    for allocs, profiles in blocks:
+        allocs = list(allocs)  # each one is read by its scan
+        if front is None:
+            yield allocs, map(scan, allocs, repeat(everywhere))
+        else:
+            yield allocs, map(held_of, allocs, map(front.__contains__, profiles))
 
 
 def landscape(inst: Instance, combos: Optional[Sequence[tuple]] = None,
@@ -315,21 +368,24 @@ def landscape(inst: Instance, combos: Optional[Sequence[tuple]] = None,
     Combos are tuples of axiom ids, optionally including ``"po"``.  Rows for
     the chen-liu axiom are skipped when it is not well-defined for the
     instance.  Each row's example is its first satisfying allocation in
-    enumeration order.  The combos are decided by :func:`held_walk`, which
-    the allocations' held sets are tallied from.
+    enumeration order.  The combos are decided by :func:`held_walk`: each
+    of its blocks' held sets is tallied with one ``Counter.update``, and a
+    block in which a new held set appears gives up the first allocation of
+    each new set only.
     """
     combos = tuple(DEFAULT_COMBOS if combos is None else combos)
     check_budget(inst.n, inst.m, budget)  # before any work
     combos = tuple(c for c in combos if all(axioms.well_defined(inst, ax) for ax in c))
     needs, walk = held_walk(inst, combos, budget)
-    tally: dict = {}  # set of held axioms (as bits) -> allocations holding exactly it
+    tally: Counter = Counter()  # set of held axioms (as bits) -> allocations holding exactly it
     first: dict = {}  # set of held axioms -> its first allocation, in order of first sight
-    for alloc, held in walk:
-        if held in tally:
-            tally[held] += 1
-        else:
-            tally[held] = 1
-            first[held] = alloc
+    for allocs, helds in walk:
+        helds = list(helds)
+        tally.update(helds)
+        if len(tally) > len(first):
+            new = [held for held in dict.fromkeys(helds) if held not in first]
+            at = set(map(helds.index, new))
+            first.update(zip(new, compress(allocs, map(at.__contains__, count()))))
     rows = []
     for combo, need in zip(combos, needs):
         sets = [held for held in first if held & need == need]
@@ -453,7 +509,7 @@ def _matches(inst: Instance, predicate: Predicate, budget: Optional[int]) -> boo
     [want], walk = held_walk(inst, [combo], budget)
     total = inst.n ** inst.m
     lo, hi = 0, total
-    for _, held in walk:
+    for held in chain.from_iterable(map(itemgetter(1), walk)):
         verdict = predicate.settled(lo, hi, total)
         if verdict is not None:
             return verdict

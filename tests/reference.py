@@ -166,10 +166,17 @@ def ref_mixed(vm, item, m):
     return False
 
 
-def ref_chen_liu(vm, alloc, m):
+def ref_item_classes(vm, m):
+    """Per agent and item, (generally good, generally bad) as two matrices."""
+    good = [[ref_generally_good(v, o, m) for o in range(m)] for v in vm]
+    bad = [[ref_generally_bad(v, o, m) for o in range(m)] for v in vm]
+    return good, bad
+
+
+def ref_chen_liu(vm, alloc, m, classes=None):
+    """``classes`` is ``ref_item_classes(vm, m)``, computed here when None."""
     n = len(alloc)
-    good = [[ref_generally_good(vm[i], o, m) for o in range(m)] for i in range(n)]
-    bad = [[ref_generally_bad(vm[i], o, m) for o in range(m)] for i in range(n)]
+    good, bad = ref_item_classes(vm, m) if classes is None else classes
     for i, j in _pairs(n):
         vi = vm[i]
         ai, aj = alloc[i], alloc[j]

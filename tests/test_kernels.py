@@ -150,6 +150,13 @@ def test_kernels_reject_unknown_and_undefined_axioms():
     bit_of, scan = held(ex1, ())
     assert bit_of == {} and scan((0, ex1.full), 0) == 0
     assert held(ex1, (EFX, EF1, EFX))[0] == {EFX: 1, EF1: 2}
+    with pytest.raises(ValueError, match="unknown axiom 'po'"):
+        fairkit.axioms.held_columns(ex1, ("efx", "po"), 1)
+    with pytest.raises(NotWellDefinedError):
+        fairkit.axioms.held_columns(ex1, (CHEN_LIU,), 1)
+    assert fairkit.axioms.held_columns(ex1, (EFX, EF1, EFX), 3)[0] == {EFX: 1, EF1: 2}
+    with pytest.raises(ValueError, match="two agents, got 3"):
+        fairkit.axioms.held_columns(generate(GenParams(agents=3, items=2, seed=12_400)), (EFX,), 1)
 
 
 def test_scans_keep_nothing_on_the_instance():
@@ -164,25 +171,39 @@ def test_scans_keep_nothing_on_the_instance():
 
 
 def test_landscape_builds_one_scan_and_skips_envy_free_allocations(monkeypatch):
-    """One scan per landscape, over exactly the axioms its combos name; each
-    allocation is scanned once, for the front-only bits only when it is PO;
-    and no envy-free allocation reaches a pair pass."""
+    """One build per landscape, over exactly the axioms its combos name, and
+    no envy-free (agent, bundle) reaches a pair pass.  With three agents,
+    each allocation is scanned once, for the front-only bits only when it is
+    PO.  With two, each agent's column passes each envying bundle of its own
+    at most once, agent 0's only while agent 1 keeps an axiom in the same
+    allocation, and an allocation carries a front-only bit only when PO."""
     builds, scanned, passed = [], [], []
     real_held = fairkit.axioms.held
+    real_columns = fairkit.axioms.held_columns
     real_pass = fairkit.axioms._pair_pass
 
     def counting_pass(axiom_ids):
         fails = real_pass(axiom_ids)
-        return lambda *args: passed.append(scanned[-1][0]) or fails(*args)
+
+        def recorded(t, a, b, *rest):  # the allocation being scanned, if any, and the pair
+            passed.append((scanned[-1][0] if scanned else None, t, a, b))
+            return fails(t, a, b, *rest)
+        return recorded
 
     def recording_held(inst, axiom_ids):
         builds.append(tuple(axiom_ids))
         bit_of, scan = real_held(inst, axiom_ids)
         return bit_of, lambda alloc, want: scanned.append((alloc, want)) or scan(alloc, want)
 
+    def recording_columns(inst, axiom_ids, want):
+        builds.append(tuple(axiom_ids))
+        return real_columns(inst, axiom_ids, want)
+
     monkeypatch.setattr(fairkit.axioms, "_pair_pass", counting_pass)
     monkeypatch.setattr(fairkit.axioms, "held", recording_held)
+    monkeypatch.setattr(fairkit.axioms, "held_columns", recording_columns)
     combos = [("ef1",), ("efx", "efx0"), ("chen-liu", "efx", "po"), ("efxpm", "po"), ("po",)]
+    everywhere, on_front = 0b01110, 0b11111  # ef1, efx, efx0 | chen-liu, efxpm
     for inst in (generate(GenParams(agents=2, items=6, item_class="generallyGoodBad",
                                     seed=12_600)),
                  generate(GenParams(agents=3, items=4, item_class="generallyGoodBad",
@@ -193,10 +214,35 @@ def test_landscape_builds_one_scan_and_skips_envy_free_allocations(monkeypatch):
         landscape(inst, combos)
         assert builds == [("chen-liu", "ef1", "efx", "efx0", "efxpm")]
         allocs = list(enumerate_allocations(inst))
-        assert [a for a, _ in scanned] == allocs
         front = pareto_front(inst)
-        everywhere, on_front = 0b01110, 0b11111  # ef1, efx, efx0 | chen-liu, efxpm
-        assert [want for _, want in scanned] == [
-            on_front if utilities(inst, a) in front else everywhere for a in allocs]
-        envious = {a for a in allocs if not check_axiom(inst, a, "ef").satisfied}
-        assert envious and set(passed) == envious
+        tables = [v.table for v in inst.valuations]
+        if inst.n == 2:
+            assert not scanned
+            assert tables[0] is not tables[1]  # so a pass's table names its agent
+            full = inst.full
+            names = builds[0]
+
+            def agent_1_keeps_an_axiom(x):  # in the allocation giving agent 0 the bundle x
+                verdicts = [check_axiom(inst, (x, full ^ x), ax) for ax in names]
+                return not all(any(w.envier == 1 for w in v.violations) for v in verdicts)
+
+            envying = [(i, x) for i, t in enumerate(tables) for x in range(full + 1)
+                       if t[x] < t[full ^ x]]
+            want = [(i, x) for i, x in envying if i == 1 or agent_1_keeps_an_axiom(x)]
+            got = [(tables.index(t), a) for _, t, a, _ in passed]
+            assert all(b == full ^ a for _, _, a, b in passed)
+            assert sorted(got) == want  # each passed once, agent 0 only while it can matter
+            assert len(envying) > len(want) > len([x for i, x in envying if i == 1])
+            needs, walk = fairkit.search.held_walk(inst, combos)
+            walked = [(a, held) for allocs_, helds in walk for a, held in zip(allocs_, helds)]
+            assert [a for a, _ in walked] == allocs
+            _, scan = real_held(inst, ["chen-liu", "ef1", "efx", "efx0", "efxpm"])
+            assert [held for _, held in walked] == [
+                scan(a, on_front) | 0b100000 if utilities(inst, a) in front  # po
+                else scan(a, everywhere) for a in allocs]
+        else:
+            assert [a for a, _ in scanned] == allocs
+            assert [want for _, want in scanned] == [
+                on_front if utilities(inst, a) in front else everywhere for a in allocs]
+            envious = {a for a in allocs if not check_axiom(inst, a, "ef").satisfied}
+            assert envious and {alloc for alloc, *_ in passed} == envious

@@ -1,13 +1,17 @@
 import hashlib
+import json
 from dataclasses import replace
 from fractions import Fraction
+from operator import ge, or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fairkit.axioms
+import fairkit.cli
 import fairkit.search
 from fairkit import BudgetExceededError, ExplicitValuation, Instance, dumps_instance, fixture
+from fairkit.axioms import ALL_AXIOMS
 from fairkit.core import is_additive_consistent
 from fairkit.efficiency import pareto_front, utilities
 from fairkit.search import (
@@ -32,7 +36,10 @@ from reference import (
     ref_ef1pm,
     ref_efx,
     ref_efxpm,
+    ref_item_classes,
     ref_po,
+    ref_variant_a,
+    ref_variant_b,
     to_sets,
     value_maps,
 )
@@ -345,9 +352,12 @@ def _oracle_flags(inst, axes):
         "ef": ref_ef, "ef1": ref_ef1, "efx": ref_efx, "ef1pm": ref_ef1pm, "efxpm": ref_efxpm,
         "efx0": lambda vm, s: ref_efx(vm, s, zero=True),
         "efxpm0": lambda vm, s: ref_efxpm(vm, s, zero=True),
-        "chen-liu": lambda vm, s: ref_chen_liu(vm, s, m),
+        "variant-a": ref_variant_a, "variant-b": ref_variant_b,
         "po": lambda vm, s: ref_po(vm, s, n, m),
     }
+    if "chen-liu" in axes:
+        classes = ref_item_classes(vm, m)
+        ref["chen-liu"] = lambda vm, s: ref_chen_liu(vm, s, m, classes)
     return order, {ax: [ref[ax](vm, s) for s in order] for ax in axes}
 
 
@@ -355,6 +365,11 @@ def _oracle_landscape(inst, combos):
     """(combo, count, example) per combo from the naive reference checkers;
     the example is the first satisfying allocation in enumeration order."""
     order, flags = _oracle_flags(inst, {ax for combo in combos for ax in combo})
+    return _oracle_rows(order, flags, combos)
+
+
+def _oracle_rows(order, flags, combos):
+    """:func:`_oracle_landscape`'s rows from the verdicts of :func:`_oracle_flags`."""
     rows = []
     for combo in combos:
         hits = [k for k in range(len(order)) if all(flags[ax][k] for ax in combo)]
@@ -407,6 +422,17 @@ def _thirds(inst):
                                            for v in inst.valuations))
 
 
+def _walked(walk):
+    """A walk's ``(allocation, held)`` pairs, block by block; each block's two
+    iterables cover the same run of allocations."""
+    pairs = []
+    for allocs, helds in walk:
+        allocs, helds = list(allocs), list(helds)
+        assert len(allocs) == len(helds)
+        pairs += zip(allocs, helds)
+    return pairs
+
+
 def test_held_walk_matches_the_reference_in_enumeration_order():
     grids = (GenParams(agents=2, items=4, lo=-1, hi=1, seed=9900),
              GenParams(agents=3, items=3, lo=-2, hi=2, item_class="generallyGoodBad", seed=9910),
@@ -421,7 +447,7 @@ def test_held_walk_matches_the_reference_in_enumeration_order():
                 order, flags = _oracle_flags(inst, axes)
                 for combos in _WALK_COMBO_SETS:
                     needs, walk = held_walk(inst, combos)
-                    walked = [(to_sets(alloc), held) for alloc, held in walk]
+                    walked = [(to_sets(alloc), held) for alloc, held in _walked(walk)]
                     if all("po" in combo for combo in combos):
                         front_only += 1
                         po = {s for s, is_po in zip(order, flags["po"]) if is_po}
@@ -435,6 +461,75 @@ def test_held_walk_matches_the_reference_in_enumeration_order():
     assert front_only == 2 * 2 * 3 * len(grids)
 
 
+_DENSE_PAIR_SHAPES = (  # (items, families, Fraction copies too): single-block up to m = 8
+    [(m, ("ties", "goodBad", "identical", "additive", "normalised"), True) for m in range(1, 9)]
+    + [(9, ("ties", "identical"), True), (10, ("goodBad", "additive", "normalised"), False),
+       (12, ("ties", "goodBad"), False)])
+_DENSE_PAIR_FAMILIES = {
+    "ties": dict(lo=-1, hi=1), "goodBad": dict(lo=-2, hi=2, item_class="generallyGoodBad"),
+    "identical": dict(lo=-2, hi=2, identical=True), "additive": dict(lo=-2, hi=2, additive=True),
+    "normalised": dict(lo=-2, hi=2, disjointly_normalised=True),
+}
+_FRONT_ONLY_COMBOS = (("efx",), ("efxpm", "po"), ("ef1pm", "efx0", "po"), ("chen-liu", "po"))
+
+
+def _ref_po_flags(inst, order):
+    """PO of each allocation of ``order`` from a naive skyline over the
+    distinct profiles (``ref_po`` per allocation is O(4**m) here)."""
+    vm = value_maps(inst)
+    profiles = [tuple(vm[i][s[i]] for i in range(inst.n)) for s in order]
+    distinct = set(profiles)
+    front = {p for p in distinct if not any(q != p and all(map(ge, q, p)) for q in distinct)}
+    return [p in front for p in profiles]
+
+
+def test_dense_two_agent_walks_match_the_reference(tmp_path, capsys):
+    """Two-agent walks over every allocation, from the per-agent columns,
+    against the naive oracles: ``landscape`` with the default combos and
+    with every axiom alone and with po, a walk whose front-only axioms
+    (chen-liu on generallyGoodBad instances among them) are decided on the
+    front only, and ``enumerate``'s rows, on 2x1 to 2x12 (one block up to
+    m = 8, several above) with ties, Fraction tables and identical,
+    additive and disjointly normalised agents."""
+    solo_and_po = [(ax,) for ax in ALL_AXIOMS] + [(ax, "po") for ax in ALL_AXIOMS]
+    checked = {"chen-liu": 0, "multi-block": 0}
+    for m, families, thirds in _DENSE_PAIR_SHAPES:
+        for f, family in enumerate(families):
+            seeded = generate(GenParams(agents=2, items=m, seed=9950 + 10 * m + f,
+                                        **_DENSE_PAIR_FAMILIES[family]))
+            for inst in (seeded, _thirds(seeded)) if thirds else (seeded,):
+                good, bad = ref_item_classes(value_maps(inst), m)
+                defined = [ax for ax in ALL_AXIOMS if ax != "chen-liu" or all(
+                    map(or_, sum(good, []), sum(bad, [])))]
+                order, flags = _oracle_flags(inst, defined)
+                flags["po"] = _ref_po_flags(inst, order)
+                checked["chen-liu"] += "chen-liu" in defined
+                checked["multi-block"] += m > 8
+                solo = [c for c in solo_and_po if c[0] in defined]
+                assert _rows_as_sets(landscape(inst)) == _oracle_rows(order, flags, DEFAULT_COMBOS)
+                assert _rows_as_sets(landscape(inst, solo_and_po)) == _oracle_rows(order, flags,
+                                                                                 solo)
+                combos = [c for c in _FRONT_ONLY_COMBOS if c[0] in defined]
+                needs, walk = held_walk(inst, combos)
+                walked = [(to_sets(alloc), held) for alloc, held in _walked(walk)]
+                assert [s for s, _ in walked] == order
+                for combo, need in zip(combos, needs):
+                    assert [held & need == need for _, held in walked] == [
+                        all(flags[ax][k] for ax in combo) for k in range(len(order))], combo
+                path = tmp_path / "inst.json"
+                path.write_text(dumps_instance(inst))
+                requested = defined + ["po"]
+                assert fairkit.cli.main(["enumerate", str(path), "--axioms",
+                                         ",".join(requested)]) == 0
+                rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+                assert [r["index"] for r in rows] == list(range(len(order)))
+                assert [tuple(frozenset(inst.item_names.index(x) for x in b)
+                              for b in r["bundles"]) for r in rows] == order
+                assert [r["axioms"] for r in rows] == [
+                    {ax: flags[ax][k] for ax in requested} for k in range(len(order))]
+    assert checked["chen-liu"] >= 10 and checked["multi-block"] >= 7
+
+
 class _Unread:
     """A profile iterator that fails the test when it is read."""
 
@@ -446,16 +541,21 @@ class _Unread:
 
 
 def test_held_walk_without_po_reads_no_profile(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a Pareto front was computed for a walk without po")
+
     real = fairkit.search.allocation_blocks
     monkeypatch.setattr(fairkit.search, "allocation_blocks",
                         lambda *args: ((allocs, _Unread()) for allocs, _ in real(*args)))
-    inst = generate(GenParams(agents=3, items=3, lo=-1, hi=1, seed=9940))
-    order, flags = _oracle_flags(inst, {"ef"})
-    [ef, anything], walk = held_walk(inst, [("ef",), ()])
-    walked = list(walk)
-    assert [to_sets(alloc) for alloc, _ in walked] == order
-    assert [held & ef == ef for _, held in walked] == flags["ef"]
-    assert anything == 0 and any(flags["ef"]) and not all(flags["ef"])
+    monkeypatch.setattr(fairkit.search, "pareto_front", forbidden)
+    for inst in (generate(GenParams(agents=3, items=3, lo=-1, hi=1, seed=9940)),
+                 generate(GenParams(agents=2, items=10, lo=-1, hi=1, seed=9941))):
+        order, flags = _oracle_flags(inst, {"ef"})
+        [ef, anything], walk = held_walk(inst, [("ef",), ()])
+        walked = _walked(walk)
+        assert [to_sets(alloc) for alloc, _ in walked] == order
+        assert [held & ef == ef for _, held in walked] == flags["ef"]
+        assert anything == 0 and any(flags["ef"]) and not all(flags["ef"])
 
 
 def test_landscape_checks_each_axiom_once_and_po_only_axioms_on_the_front(monkeypatch):
