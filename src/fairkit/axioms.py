@@ -18,16 +18,19 @@ yes or no for one allocation.  For scans over many allocations, :func:`held`
 decides many axioms at once without witnesses: one bit per axiom, from one
 pass over each envying pair's two bundles, and none at all for an envy-free
 allocation.  With two agents, :func:`held_columns` decides them for every
-allocation at once, from one column per agent over its own bundles.  All
-of them read the one clause table.
+allocation at once, from one column per agent over its own bundles, with
+no pair pass: integer arithmetic over the ranks of the agents' values,
+packed in 8-, 16- or 32-bit lanes, decides every bundle at once.  All of
+them read the one clause table.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
-from operator import lt
+from itertools import count
 from typing import Optional
 
 from .core import Allocation, Instance
@@ -393,33 +396,184 @@ def held_columns(inst: Instance, axiom_ids, want: int) -> tuple:
 
     With two agents the envied bundle is the complement of the envier's, so
     whether agent i envies, and which axioms its pair fails, depends on its
-    own bundle x alone: entry x compares ``t[x]`` with ``t[::-1][x]`` (that
-    is, ``t[full ^ x]``) and is ``want`` when i does not envy, else ``want``
-    minus the bits that i's pass (``_pair_pass``) against ``full ^ x``
-    fails; a bit of ``want`` above ``bit_of``'s is kept everywhere.  So the
-    allocation giving agent 0 the bundle ``full ^ k`` and agent 1 the
-    bundle k holds ``c0[full ^ k] & c1[k]``, which is :func:`held`'s
-    ``scan`` of it asked for ``want``.  As that scan stops once no axiom is
-    left, ``c0[full ^ k]`` is passed only when ``c1[k]`` keeps an axiom bit,
-    and is ``want`` otherwise, which the AND cannot tell apart.  So each
-    envying (agent, bundle) is passed at most once.  A column is 2**m ints,
-    at most 65,536.  Errors as in :func:`held`, and ``ValueError`` unless
-    n is 2.
+    own bundle x alone: entry x compares ``t[x]`` with ``t[full ^ x]`` and
+    is ``want`` when i does not envy, else ``want`` minus the bits that
+    i's pair pass against ``full ^ x`` (``_pair_pass``) fails; a bit of
+    ``want`` above ``bit_of``'s is kept everywhere.  So the allocation
+    giving agent 0 the bundle ``full ^ k`` and agent 1 the bundle k holds
+    ``c0[full ^ k] & c1[k]``, which is :func:`held`'s ``scan`` of it asked
+    for ``want``.  Both columns are full, and :func:`_columns` decides them
+    together, in lanes of the narrowest of 8, 16 and 32 bits that holds
+    every rank and every bit of ``want``.  A column is 2**m ints, at most
+    65,536; a lane int is 512 KB at 2x16 with 32-bit lanes, and one such
+    call peaked at 37 MB (2 MB at 2x14 with 8-bit lanes).  Errors as in
+    :func:`held`, and ``ValueError`` unless n is 2 and ``0 <= want <
+    2**32``.
     """
     if inst.n != 2:
         raise ValueError(f"held_columns needs two agents, got {inst.n}")
+    if not 0 <= want < 1 << 32:
+        raise ValueError(f"want {want} is not a 32-bit mask")
     ids = tuple(dict.fromkeys(axiom_ids))
     masks = _chen_liu_masks(inst, ids)
-    fails = _pair_pass(ids)
-    full = inst.full
-    axiom_bits = (1 << len(ids)) - 1
-    (good0, bad0), (good1, bad1) = masks
-    t0, t1 = (v.table for v in inst.valuations)
-    r0, r1 = t0[::-1], t1[::-1]
-    c0, c1 = [want] * (full + 1), [want] * (full + 1)
-    for x in compress(range(full + 1), map(lt, t1, r1)):
-        c1[x] = want & ~fails(t1, x, full ^ x, t1[x], r1[x], good1, bad1)
-    for x in compress(range(full + 1), map(lt, t0, r0)):
-        if c1[full ^ x] & axiom_bits:  # agent 1 keeps an axiom in this allocation
-            c0[x] = want & ~fails(t0, x, full ^ x, t0[x], r0[x], good0, bad0)
-    return {ax: 1 << k for k, ax in enumerate(ids)}, (c0, c1)
+    bit_of, live, reads = _plan(ids, want & ((1 << len(ids)) - 1))
+    v0, v1 = inst.valuations
+    return dict(bit_of), _columns(v0.table, v1.table, inst.m, want, live, reads, masks)
+
+
+# ---------------------------------------------------------------------------
+# the lane-parallel columns
+#
+# The two agents' tables become Python ints of 2 * 2**m lanes, w bits each,
+# agent i's bundle x in lane x + i * 2**m: VA holds the rank of t_i[x] and
+# VB that of t_i[full ^ x], the envier's va and vb when it owns x.  A rank
+# (the position of a value among the distinct values of both tables) keeps
+# every comparison of the pair pass, which compares values of one table.
+# w is the narrowest of 8, 16 and 32 whose lanes hold every rank below
+# their top bit and every bit of ``want``.  With H the top bit of every
+# lane, ((A | H) - B) & H has a lane's top bit set iff A >= B there, and no
+# lane borrows from the next; ((A | H) - (B + 1)) & H tests A > B.  The
+# memory figures in :func:`held_columns` are tracemalloc peaks, the 2x16
+# one with every value distinct, its rank map and the cached masks.
+#
+# For item o, shifting VA and VB down by o lanes (D_A = VA >> s, D_B =
+# VB >> s) puts t[y | o] and t[full ^ (y | o)] in each lane y that lacks o.
+# That one frame serves both sides of the pair pass:
+#   on b (o not in x = y): va = VA, vb = VB, t[a + o] = D_A, t[b - o] = D_B;
+#   on a (o in x = y | o): va = D_A, vb = D_B, t[a - o] = VA, t[b + o] = VB,
+# and a-side outcomes are shifted up by o lanes, into lane x.  Each clause
+# group collects the lanes where one of its items fails (for EF1 and EF1-pm,
+# where one repairs), and an axiom fails on the envying lanes where one of
+# its groups does.
+
+_TYPECODE = {8: "B", 16: "H", 32: "I"}
+_SWAP = sys.byteorder == "big"  # lane ints are read and written little-endian
+
+
+@lru_cache(maxsize=8)
+def _lanes(m, w):
+    """``(L1, H, HB)`` for 2 * 2**m lanes of w bits: L1 holds 1 in every
+    lane, H every lane's top bit, and ``HB[j]`` the top bits of the lanes
+    whose bundle lacks item j.  Built from bytes in linear time; cached
+    like :func:`core._layout` (0.5 MB at 2x14 with 8-bit lanes)."""
+    size, lanes = w >> 3, 2 << m
+    one, top = (1).to_bytes(size, "little"), (1 << w - 1).to_bytes(size, "little")
+    l1 = int.from_bytes(one * lanes, "little")
+    his = tuple(int.from_bytes((top * (1 << j) + bytes(size << j)) * (lanes >> j + 1), "little")
+                for j in range(m))
+    return l1, l1 << w - 1, his
+
+
+@lru_cache(maxsize=64)
+def _plan(ids, live_bits):
+    """``(bit_of, live, reads)`` for the axioms ``ids``: ``bit_of`` as in
+    :func:`held`, ``live`` the ``(k, groups)`` of each axiom whose bit is in
+    ``live_bits``, and ``reads`` the flags by which :func:`_columns` reads
+    those groups only.  Cached, as :func:`_pair_pass` is."""
+    live = tuple((k, _GROUPS_OF[ax]) for k, ax in enumerate(ids) if live_bits >> k & 1)
+    g = {group for _, groups in live for group in groups}
+    eq = bool(g & {_P_EQ, _OX_EQ, _OP_EQ})        # an item leaving va unchanged
+    up = bool(g & {_OX_GT, _OP_GT, _EF1PM})       # o in a with t[a - o] > va
+    above = bool(g & {_OP_GT, _OP_EQ, _EF1PM, _CL})  # o in a, read at t[b + o]
+    reads = (bool(g - {_EF}),                     # any item at all
+             bool(g & {_EF1, _EF1PM}),            # repairs
+             _X_LT in g or _X_EQ in g, _X_LT in g, _X_EQ in g,
+             _P_GT in g or eq or up or above,     # t[a + o] and t[a - o] are read
+             _P_GT in g or eq, _P_GT in g, eq, _P_EQ in g, _OX_EQ in g,
+             up, _OX_GT in g, above, _OP_GT in g or _EF1PM in g, _OP_GT in g,
+             _EF1PM in g, _OP_EQ in g, _CL in g)
+    return {ax: 1 << k for k, ax in enumerate(ids)}, live, reads
+
+
+def _columns(t0, t1, m, want, live, reads, masks):
+    """Both agents' columns (see :func:`held_columns`) over their tables t0
+    and t1, for the axioms ``live`` read through ``reads`` (:func:`_plan`)
+    and the agents' chen-liu ``masks``.  One rank map serves both tables,
+    so ranking costs one sort."""
+    (items, rep, xs, x_lt, x_eq, reads_a, gts, p_gt, eq, p_eq, ox_eq,
+     up, ox_gt, above, opgt_ef1pm, op_gt, ef1pm, op_eq, cl) = reads
+    rank = dict(zip(sorted({*t0, *t1}), count()))
+    d = len(rank)
+    w = 8 if d <= 1 << 7 and want < 1 << 8 else 16 if d <= 1 << 15 and want < 1 << 16 else 32
+    ranks = map(rank.__getitem__, t0 + t1)
+    lanes = bytes(ranks) if w == 8 else array(_TYPECODE[w], ranks)
+    if _SWAP and w > 8:
+        lanes.byteswap()
+    half = w << m
+    va = int.from_bytes(lanes, "little")
+    vb = int.from_bytes(lanes[::-1], "little")  # agent 1's reversed table, then agent 0's
+    vb = vb >> half | (vb & ((1 << half) - 1)) << half
+    l1, h, his = _lanes(m, w)
+    va1, vbh = va + l1, vb | h
+    vbh1 = vbh - l1  # (vbh1 - X) & H: VB > X
+    if cl:  # per item, the lanes of the agents for whom it is good, bad
+        agent0 = (1 << half) - 1
+        goods, bads = ([((g0 >> j & 1) * agent0 | (g1 >> j & 1) * agent0 << half) & hb
+                        for j, hb in enumerate(his)] for g0, g1 in zip(*masks))
+    # per group, the lanes where some item fails it; for EF1 and EF1-pm,
+    # where some item repairs it.  A flag set keeps only top bits of the
+    # lanes lacking the item (hb); a bare difference, whose top bits are
+    # its flags, is only read through an AND with one.
+    f_cl = f_xlt = f_xeq = f_pgt = f_peq = f_oxgt = f_oxeq = f_opgt = f_opeq = 0
+    rep1 = rep2 = 0
+    for j, hb in enumerate(his if items else ()):
+        s = w << j
+        db = vb >> s
+        u = ((db | h) - va1) & hb  # b: va < t[b - o]; a: t[a - o] < vb
+        if rep:
+            fixed = hb ^ u  # b: va >= t[b - o]; a: t[a - o] >= vb
+            rep1 |= fixed | fixed << s
+            rep2 |= fixed
+        if xs:
+            lt = vbh1 - db  # b: t[b - o] < vb
+            if x_lt:
+                f_xlt |= u & lt
+            if x_eq:
+                f_xeq |= u & (vbh - db ^ lt)
+        if not reads_a:
+            continue
+        da = va >> s
+        dah = da | h
+        ge = (dah - va) & hb  # b: t[a + o] >= va; a: va >= t[a - o]
+        if gts:
+            gt = dah - va1  # b: t[a + o] > va
+            if p_gt:
+                f_pgt |= u & gt
+            if eq:
+                same = (ge ^ gt) & hb  # b: t[a + o] == va; a: t[a - o] == va
+                if p_eq:
+                    f_peq |= u & same
+                if ox_eq:
+                    f_oxeq |= same << s
+        if up:
+            rises = hb ^ ge  # a: t[a - o] > va
+            if ox_gt:
+                f_oxgt |= (rises & u) << s
+        if above:
+            lower = vbh1 - da  # a: va < t[b + o]
+            if opgt_ef1pm:
+                rises_lower = rises & lower
+                if op_gt:
+                    f_opgt |= rises_lower << s
+                if ef1pm:
+                    rep2 |= (rises ^ rises_lower) << s
+            if op_eq:
+                f_opeq |= (same & lower) << s
+            if cl:
+                f_cl |= u & goods[j] | (lower & bads[j]) << s
+    acc = (h, h ^ rep1, h ^ rep2, f_cl, f_xlt, f_xeq, f_pgt, f_peq,
+           f_oxgt, f_oxeq, f_opgt, f_opeq)  # indexed by group
+    envy = (vbh - va1) & h
+    fail = 0
+    for k, groups in live:
+        flags = 0
+        for g in groups:
+            flags |= acc[g]
+        fail |= (envy & flags) >> (w - 1 - k)
+    lanes = (want * l1 ^ fail).to_bytes(half >> 2, "little")
+    if w > 8:
+        lanes = array(_TYPECODE[w], lanes)
+        if _SWAP:
+            lanes.byteswap()
+    lanes = list(lanes)
+    return lanes[:1 << m], lanes[1 << m:]

@@ -1,10 +1,13 @@
-"""The fused axiom scan (``held``) against the witness checkers and the naive oracles."""
+"""The fused axiom scan (``held``) and the two-agent columns (``held_columns``)
+against the witness checkers, the pair pass and the naive oracles."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import fairkit.axioms
 import fairkit.catalog
@@ -22,14 +25,17 @@ from fairkit.axioms import (
     ALL_AXIOMS,
     CHEN_LIU,
     EFX,
+    EFX0,
     EFXPM,
+    EFXPM0,
     EF1,
     EF1PM,
+    VARIANT_B,
     NotWellDefinedError,
     well_defined,
 )
 from fairkit.efficiency import pareto_front, utilities
-from fairkit.search import GenParams, generate
+from fairkit.search import DEFAULT_COMBOS, ITEM_CLASSES, GenParams, generate
 
 from reference import (
     ref_chen_liu,
@@ -171,18 +177,18 @@ def test_scans_keep_nothing_on_the_instance():
 
 
 def test_landscape_builds_one_scan_and_skips_envy_free_allocations(monkeypatch):
-    """One build per landscape, over exactly the axioms its combos name, and
-    no envy-free (agent, bundle) reaches a pair pass.  With three agents,
-    each allocation is scanned once, for the front-only bits only when it is
-    PO.  With two, each agent's column passes each envying bundle of its own
-    at most once, agent 0's only while agent 1 keeps an axiom in the same
-    allocation, and an allocation carries a front-only bit only when PO."""
-    builds, scanned, passed = [], [], []
+    """One build per landscape, over exactly the axioms its combos name.
+    With three agents, each allocation is scanned once, for the front-only
+    bits only when it is PO, and no envy-free allocation reaches a pair
+    pass.  With two, the columns make no pair pass at all, and an
+    allocation carries a front-only bit only when PO."""
+    builds, scanned, passed, pass_builds = [], [], [], []
     real_held = fairkit.axioms.held
     real_columns = fairkit.axioms.held_columns
     real_pass = fairkit.axioms._pair_pass
 
     def counting_pass(axiom_ids):
+        pass_builds.append(axiom_ids)
         fails = real_pass(axiom_ids)
 
         def recorded(t, a, b, *rest):  # the allocation being scanned, if any, and the pair
@@ -211,28 +217,13 @@ def test_landscape_builds_one_scan_and_skips_envy_free_allocations(monkeypatch):
         builds.clear()
         scanned.clear()
         passed.clear()
+        pass_builds.clear()
         landscape(inst, combos)
         assert builds == [("chen-liu", "ef1", "efx", "efx0", "efxpm")]
         allocs = list(enumerate_allocations(inst))
         front = pareto_front(inst)
-        tables = [v.table for v in inst.valuations]
         if inst.n == 2:
-            assert not scanned
-            assert tables[0] is not tables[1]  # so a pass's table names its agent
-            full = inst.full
-            names = builds[0]
-
-            def agent_1_keeps_an_axiom(x):  # in the allocation giving agent 0 the bundle x
-                verdicts = [check_axiom(inst, (x, full ^ x), ax) for ax in names]
-                return not all(any(w.envier == 1 for w in v.violations) for v in verdicts)
-
-            envying = [(i, x) for i, t in enumerate(tables) for x in range(full + 1)
-                       if t[x] < t[full ^ x]]
-            want = [(i, x) for i, x in envying if i == 1 or agent_1_keeps_an_axiom(x)]
-            got = [(tables.index(t), a) for _, t, a, _ in passed]
-            assert all(b == full ^ a for _, _, a, b in passed)
-            assert sorted(got) == want  # each passed once, agent 0 only while it can matter
-            assert len(envying) > len(want) > len([x for i, x in envying if i == 1])
+            assert not scanned and not pass_builds and not passed
             needs, walk = fairkit.search.held_walk(inst, combos)
             walked = [(a, held) for allocs_, helds in walk for a, held in zip(allocs_, helds)]
             assert [a for a, _ in walked] == allocs
@@ -246,3 +237,156 @@ def test_landscape_builds_one_scan_and_skips_envy_free_allocations(monkeypatch):
                 on_front if utilities(inst, a) in front else everywhere for a in allocs]
             envious = {a for a in allocs if not check_axiom(inst, a, "ef").satisfied}
             assert envious and {alloc for alloc, *_ in passed} == envious
+
+
+# ---------------------------------------------------------------------------
+# the two-agent columns against one pair pass per envying bundle
+
+def _passed_columns(inst, axiom_ids, want, bundles):
+    """``held_columns``' entries at ``bundles`` from one ``_pair_pass`` per
+    envying (agent, bundle), and ``want`` where the agent does not envy."""
+    ids = tuple(dict.fromkeys(axiom_ids))
+    fails = fairkit.axioms._pair_pass(ids)
+    full = inst.full
+    return [[want & ~fails(t, x, full ^ x, t[x], t[full ^ x], good, bad)
+             if t[x] < t[full ^ x] else want for x in bundles]
+            for t, (good, bad) in zip([v.table for v in inst.valuations],
+                                      fairkit.axioms._chen_liu_masks(inst, ids))]
+
+
+def _assert_columns_match_the_pair_pass(inst, axiom_sets=None, bundles=None):
+    """Both columns equal the per-bundle passes for every defined axiom
+    alone, all of them together and reversed (or ``axiom_sets``), each asked
+    for with a bit above theirs, with exactly theirs, and with every other
+    one; at ``bundles`` only, if given."""
+    defined = [ax for ax in ALL_AXIOMS if well_defined(inst, ax)]
+    if axiom_sets is None:
+        axiom_sets = [[ax] for ax in defined] + [defined, defined[::-1]]
+    bundles = range(inst.full + 1) if bundles is None else bundles
+    for ids in axiom_sets:
+        every = (1 << len(ids)) - 1
+        for want in (every | 1 << len(ids), every, every & 0x155):
+            bit_of, columns = fairkit.axioms.held_columns(inst, ids, want)
+            assert bit_of == {ax: 1 << k for k, ax in enumerate(ids)}
+            assert all(len(c) == inst.full + 1 for c in columns)
+            got = [[c[x] for x in bundles] for c in columns]
+            assert got == _passed_columns(inst, ids, want, bundles), (ids, want, inst)
+    return defined
+
+
+def _halved(inst):
+    """``inst`` with every value halved: Fraction tables with the same ties."""
+    return Instance(inst.item_names, tuple(ExplicitValuation([Fraction(x, 2) for x in v.table])
+                                           for v in inst.valuations))
+
+
+def test_columns_match_the_pair_pass_on_seeded_grids():
+    chen_liu = 0
+    for c, item_class in enumerate(ITEM_CLASSES):
+        for m in range(1, 11):
+            inst = generate(GenParams(agents=2, items=m, item_class=item_class,
+                                      seed=13_000 + 100 * c + m))
+            chen_liu += CHEN_LIU in _assert_columns_match_the_pair_pass(inst)
+            if m % 3 == 0:
+                _assert_columns_match_the_pair_pass(_halved(inst))
+    assert chen_liu >= 10  # every generallyGoodBad instance at least
+    for m in (2, 5, 8):  # many ties, one table shared by both agents
+        for kw in (dict(lo=-1, hi=1), dict(lo=0, hi=1, identical=True)):
+            _assert_columns_match_the_pair_pass(
+                generate(GenParams(agents=2, items=m, seed=13_400 + m, **kw)))
+
+
+def _with_levels(m, levels, seed, unit=Fraction(1, 7)):
+    """A two-agent instance on m items whose tables take exactly ``levels``
+    distinct values between them, of both signs, each a multiple of
+    ``unit``."""
+    rng = random.Random(seed)
+    pool = list(range(levels)) + [rng.randrange(levels) for _ in range((2 << m) - levels)]
+    rng.shuffle(pool)
+    values = [(2 * v - levels) * unit for v in pool]
+    return Instance([f"i{o}" for o in range(m)],
+                    (ExplicitValuation(values[:1 << m]), ExplicitValuation(values[1 << m:])))
+
+
+def test_lane_widths_hold_every_rank_and_every_bit(monkeypatch):
+    """Lanes widen from 8 to 16 bits past 128 distinct values or 8 bits of
+    ``want``, and to 32 bits past 32,768 values; either side of each edge,
+    the columns equal the per-bundle passes."""
+    widths = []
+    real_lanes = fairkit.axioms._lanes
+    monkeypatch.setattr(fairkit.axioms, "_lanes", lambda m, w: widths.append(w) or real_lanes(m, w))
+    eight = [ax for ax in ALL_AXIOMS if ax != CHEN_LIU][:7]  # 7 axioms and a bit above: 8 bits
+    for levels, width in ((126, 8), (127, 8), (128, 8), (129, 16), (200, 16)):
+        inst = _with_levels(7, levels, seed=13_500 + levels)
+        widths.clear()
+        _assert_columns_match_the_pair_pass(inst, [eight, [EFX, EF1PM]])
+        assert set(widths) == {width}, (levels, widths)
+    inst = generate(GenParams(agents=2, items=6, item_class="generallyGoodBad", seed=13_600))
+    assert well_defined(inst, CHEN_LIU)
+    for ids, width in ((ALL_AXIOMS[:7], 8), (ALL_AXIOMS[:8], 16), (ALL_AXIOMS, 16)):
+        widths.clear()  # want: the axioms' bits and one above, as a po bit would be
+        every = (1 << len(ids)) - 1
+        want = every | 1 << len(ids)
+        assert fairkit.axioms.held_columns(inst, ids, want)[1] == tuple(
+            _passed_columns(inst, ids, want, range(inst.full + 1)))
+        assert widths == [width], (len(ids), widths)
+    sample = [*range(0, 1 << 15, 97), (1 << 15) - 1]
+    for levels, width in ((1 << 15, 16), ((1 << 15) + 1, 32)):
+        widths.clear()
+        _assert_columns_match_the_pair_pass(_with_levels(15, levels, seed=13_700, unit=1),
+                                            [[EFX, EF1, EFXPM0]], sample)
+        assert set(widths) == {width}
+    inst = _with_levels(16, 1 << 17, seed=13_800, unit=1)  # 2x16, every value distinct
+    widths.clear()
+    _assert_columns_match_the_pair_pass(inst, [[EFX0, EF1PM, VARIANT_B]],
+                                        [*range(0, 1 << 16, 331), (1 << 16) - 1])
+    assert set(widths) == {32}
+    with pytest.raises(ValueError, match="32-bit mask"):
+        fairkit.axioms.held_columns(inst, [EFX], 1 << 32)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relations: maps that keep each agent's order keep every verdict
+
+@st.composite
+def _reordered(draw):
+    """A seeded two-agent instance of up to 8 items, and a copy whose values
+    went through one positive rational scale, or through a strictly
+    increasing map per agent with ``Fraction`` images of either sign."""
+    m = draw(st.integers(1, 8))
+    inst = generate(GenParams(agents=2, items=m, item_class=draw(st.sampled_from(ITEM_CLASSES)),
+                              seed=draw(st.integers(0, 10**6))))
+    if draw(st.booleans()):
+        scale = Fraction(draw(st.integers(1, 60)), draw(st.integers(1, 60)))
+        maps = [scale.__mul__] * 2
+    else:
+        maps = []
+        for v in inst.valuations:
+            levels = sorted(set(v.table))
+            start = Fraction(draw(st.integers(-60, 20)), draw(st.integers(1, 9)))
+            steps = draw(st.lists(st.fractions(Fraction(1, 9), 5, max_denominator=9),
+                                  min_size=len(levels), max_size=len(levels)))
+            maps.append(dict(zip(levels, accumulate(steps, initial=start))).__getitem__)
+    moved = Instance(inst.item_names, tuple(ExplicitValuation(list(map(f, v.table)))
+                                            for f, v in zip(maps, inst.valuations)))
+    return inst, moved
+
+
+@settings(max_examples=40, deadline=None)
+@given(_reordered())
+def test_order_preserving_maps_keep_columns_and_landscapes(pair):
+    """Columns, and landscape rows with their examples, are unchanged; and
+    the moved instance's rows, each computed alone (so a combo whose every
+    axiom comes with po is decided by the per-allocation scan), equal the
+    original's computed together."""
+    inst, moved = pair
+    defined = [ax for ax in ALL_AXIOMS if well_defined(inst, ax)]
+    assert defined == [ax for ax in ALL_AXIOMS if well_defined(moved, ax)]
+    want = (2 << len(defined)) - 1
+    assert (fairkit.axioms.held_columns(moved, defined, want)
+            == fairkit.axioms.held_columns(inst, defined, want))
+    combos = [*DEFAULT_COMBOS, *[(ax,) for ax in defined if (ax,) not in DEFAULT_COMBOS],
+              *[(ax, "po") for ax in defined]]
+    rows = landscape(inst, combos)
+    assert landscape(moved, combos) == rows
+    assert [row for combo in combos for row in landscape(moved, [combo])] == rows
