@@ -40,6 +40,7 @@ from .core import (
     names_of,
 )
 from .efficiency import (
+    check_po,
     leximin_set,
     pareto_improves,
     utilities,
@@ -119,11 +120,17 @@ def _scan(inst, combo):
                                     for allocs, helds in walk))
 
 
+def _holds(inst, alloc, combo):
+    """``alloc`` satisfies ``combo``, e.g. ``"efx&po"``, by the one-allocation checkers."""
+    return all((check_po(inst, alloc) if ax == "po" else check_axiom(inst, alloc, ax)).satisfied
+               for ax in parse_axioms(combo.split("&")))
+
+
 def _meets(inst, alloc, holds, fails, utils):
     """``alloc`` meets the combo ``holds``, none of the axioms of ``fails``, and
     ``utils`` unless None."""
-    return ((not holds or alloc in _scan(inst, holds))
-            and not any(alloc in _scan(inst, ax) for ax in filter(None, fails.split("&")))
+    return ((not holds or _holds(inst, alloc, holds))
+            and not any(_holds(inst, alloc, ax) for ax in filter(None, fails.split("&")))
             and (utils is None or utilities(inst, alloc) == utils))
 
 

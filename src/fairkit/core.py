@@ -19,7 +19,7 @@ from .values import Value, as_value
 DEFAULT_ITEM_CAP = 16
 DEFAULT_AGENT_CAP = 64
 DEFAULT_BUDGET = 10_000_000
-_BLOCK_CAP = 1024  # allocations per block of allocation_blocks
+_BLOCK_CAP = 1024  # allocations per block: larger ones barely speed a scan up but cost memory
 
 Allocation = tuple  # tuple[int, ...], one bundle mask per agent
 
@@ -327,9 +327,10 @@ def enumerate_allocations(inst: Instance, budget: Optional[int] = None) -> Itera
     assignment counter with item 0 as the least significant digit — and k runs
     from 0 to ``n**m - 1``.  Raises :class:`BudgetExceededError` at the call,
     before any allocation is built, when ``n**m`` exceeds the budget (default
-    ``DEFAULT_BUDGET``).
+    ``DEFAULT_BUDGET``).  No value is read (:func:`_blocks` with no tables).
     """
-    return chain.from_iterable(allocs for allocs, _ in allocation_blocks(inst, budget))
+    check_budget(inst.n, inst.m, budget)
+    return chain.from_iterable(allocs for allocs, _ in _blocks(inst.n, inst.m, []))
 
 
 def check_budget(n: int, m: int, budget: Optional[int] = None) -> None:
@@ -341,41 +342,38 @@ def check_budget(n: int, m: int, budget: Optional[int] = None) -> None:
 
 
 def allocation_blocks(inst: Instance, budget: Optional[int] = None) -> Iterator[tuple]:
-    """The allocations of :func:`enumerate_allocations`, block by block.
-
-    Each block is a pair of iterators over the same run of allocations, in
-    enumeration order: the allocations, and their utility profiles (per
-    agent, the value of its own bundle).  The items split into a low block
-    of L items, with L the largest value up to min(m, 8) such that
-    ``n**L <= _BLOCK_CAP`` (1024), and the rest.  A block holds one
-    assignment of the high items and runs through all ``n**L`` assignments
-    of the low ones.  The low block's per-agent mask columns, and one
-    ``operator.itemgetter(*column)`` per agent, are built once per shape
-    (n, m) and cached (:func:`_layout`), at the first block of the shape's
-    first scan.  A shape with ``m == L`` is one block of the cached columns.
-    Both iterators are C-level ``zip``s over per-agent tuples that one
-    getter call each builds: an agent's values are ``getter(table)``, and
-    in a block whose high part gives the agent the mask ``h`` (bits L and
-    up only, so ``h | x == h + x`` for every low mask ``x``), its masks
-    are ``getter(range(h, h + 2**L))`` and its values
-    ``getter(table[h:h + 2**L])``.  So each agent's whole block is read
-    before the block's first allocation is tested.  Larger blocks barely
-    speed a scan up but cost memory.  The budget is checked as in
-    :func:`enumerate_allocations`.
-    """
-    n, m = inst.n, inst.m
-    check_budget(n, m, budget)
-    return _blocks(n, m, [v.table for v in inst.valuations])
+    """The allocations of :func:`enumerate_allocations`, block by block
+    (:func:`_blocks`).  Each block is a pair of iterators over the same run
+    of allocations, in enumeration order: the allocations, and their
+    utility profiles (per agent, the value of its own bundle).  The budget
+    is checked as in :func:`enumerate_allocations`."""
+    check_budget(inst.n, inst.m, budget)
+    return _blocks(inst.n, inst.m, [v.table for v in inst.valuations])
 
 
 def _blocks(n: int, m: int, tables: list) -> Iterator[tuple]:
+    """The one allocation stream of n agents and m items, with profiles read
+    from ``tables``, one per agent (none, and no value read, if it is empty).
+    The items split into a low block of L items, with L the largest value
+    up to min(m, 8) such that ``n**L <= _BLOCK_CAP`` (1024), and the rest.
+    A block holds one assignment of the high items and runs through all
+    ``n**L`` assignments of the low ones.  The low block's per-agent mask
+    columns, and one ``operator.itemgetter(*column)`` per agent, are built
+    once per shape and cached (:func:`_layout`), at the first block of the
+    shape's first scan.  In a block whose high part gives an agent the mask
+    ``h`` (bits L and up only), its masks are ``map(h.__or__, column)``,
+    built only as the allocations are read, and its values
+    ``getter(table[h:h + 2**L])``, one C-level call that reads the agent's
+    whole block before the block's first allocation is tested; a shape with
+    ``m == L`` is one block of the columns and ``getter(table)``.
+    """
     low, columns, getters = _layout(n, m)
     if low == m:
         yield zip(*columns), zip(*[g(t) for g, t in zip(getters, tables)])
         return
     span = 1 << low
     for high in _high_parts(n, low, m):
-        yield (zip(*[g(range(h, h + span)) for g, h in zip(getters, high)]),
+        yield (zip(*[map(h.__or__, col) for col, h in zip(columns, high)]),
                zip(*[g(t[h:h + span]) for g, t, h in zip(getters, tables, high)]))
 
 
@@ -384,11 +382,12 @@ def _layout(n: int, m: int) -> tuple:
     """``(L, columns, getters)`` for n agents and m items: the low block's
     size, its per-agent mask columns (:func:`_low_columns`) and one
     ``operator.itemgetter(*column)`` per column, immutable and shared by
-    every scan of the shape.  ``n**L >= 2`` (L >= 1, as n <= 64 < 1024),
-    so each getter returns a tuple.  A getter holds one 8-byte pointer per
-    column entry (the masks are small ints, which Python shares), so a
-    shape's getters take ``8 * n * n**L`` bytes plus about 100 per agent:
-    4.4 KB at 2x14, 17.9 KB at 3x6, at most 266 KB (n = 32, L = 2)."""
+    every scan of the shape.  The getters read values; masks come from the
+    columns.  ``n**L >= 2`` (L >= 1, as n <= 64 < 1024), so each getter
+    returns a tuple.  A getter holds one 8-byte pointer per column entry
+    (the masks are small ints, which Python shares), so a shape's getters
+    take ``8 * n * n**L`` bytes plus about 100 per agent: 4.4 KB at 2x14,
+    17.9 KB at 3x6, at most 266 KB (n = 32, L = 2)."""
     low = 0
     while low < min(m, 8) and n ** (low + 1) <= _BLOCK_CAP:
         low += 1

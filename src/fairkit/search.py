@@ -21,7 +21,8 @@ from .core import (
     AdditiveValuation,
     ExplicitValuation,
     Instance,
-    allocation_blocks,
+    _blocks,
+    _layout,
     check_budget,
     check_size,
     enumerate_allocations,  # noqa: F401  (no longer called here, but benchmark spans wrap it)
@@ -31,8 +32,6 @@ from .efficiency import pareto_front
 from .taxonomy import classify  # noqa: F401  (importable from here for bench/spans.py)
 
 ITEM_CLASSES = ("any", "generallyGoodBad", "noMixed")
-
-_PAIR_SPAN = 256  # allocations per block of a dense two-agent walk, as in allocation_blocks
 
 _MASK64 = (1 << 64) - 1
 
@@ -288,11 +287,11 @@ def held_walk(inst: Instance, combos: Sequence[tuple],
     (the other holds the complement), so the two columns of
     :func:`axioms.held_columns`, built at the call, hold every outcome:
     allocation k (agent 1 holds k) holds ``c0[full ^ k] & c1[k]``, masked
-    by its front membership, combined at C level up to 256 at a time, and
-    no allocation tuple is built until read.  With more agents each
-    allocation gets one fused scan.  Without ``"po"`` no profile is read.
-    The combos must be well-defined for the instance.  The budget is
-    checked, and the front computed, at the call.
+    by its front membership, combined at C level a block at a time.  With
+    more agents each allocation gets one fused scan.  Each walk reads one
+    :func:`core._blocks` stream, which reads values only if a combo has
+    ``"po"``.  The combos must be well-defined for the instance.  The
+    budget is checked, and the front computed, at the call.
     """
     check_budget(inst.n, inst.m, budget)  # before any work
     if not combos:
@@ -309,13 +308,13 @@ def held_walk(inst: Instance, combos: Sequence[tuple],
     bit_of["po"] = po_bit
     needs = [sum(bit_of[ax] for ax in set(combo)) for combo in combos]
     front = pareto_front(inst, budget) if any(with_po) else None
+    blocks = _blocks(inst.n, inst.m, [v.table for v in inst.valuations] if any(with_po) else [])
     if all(with_po):
-        return needs, _front_walk(allocation_blocks(inst, budget), front, scan, on_front, po_bit)
+        return needs, _front_walk(blocks, front, scan, on_front, po_bit)
     everywhere = sum({bit_of[ax] for combo in combos if "po" not in combo for ax in combo})
     if dense_pair:
-        return needs, _pair_walk(inst, columns, front, (everywhere, on_front | po_bit))
-    return needs, _scan_walk(allocation_blocks(inst, budget), front, scan, everywhere,
-                             on_front, po_bit)
+        return needs, _pair_walk(blocks, inst.m, columns, front, (everywhere, on_front | po_bit))
+    return needs, _scan_walk(blocks, front, scan, everywhere, on_front, po_bit)
 
 
 def _front_walk(blocks, front, scan, on_front, po_bit):
@@ -326,26 +325,20 @@ def _front_walk(blocks, front, scan, on_front, po_bit):
             yield (alloc,), (scan(alloc, on_front) | po_bit,)
 
 
-def _pair_walk(inst, columns, front, masks):
-    """:func:`held_walk`'s blocks over every allocation of two agents, from
-    the agents' columns; ``masks`` is ``(off the front, on it)``."""
+def _pair_walk(blocks, m, columns, front, masks):
+    """:func:`held_walk`'s blocks over every allocation of two agents: the
+    stream's allocations, held sets from the agents' columns and the
+    profiles' front membership; ``masks`` is ``(off the front, on it)``."""
     c0, c1 = columns
     r0 = c0[::-1]  # r0[k] == c0[full ^ k], agent 0's entry in allocation k
-    full = inst.full
-    span = min(full + 1, _PAIR_SPAN)
-    if front is not None:
-        t1 = inst.valuations[1].table
-        u0 = inst.valuations[0].table[::-1]  # agent 0's utility in allocation k
-    for lo in range(0, full + 1, span):
-        hi = lo + span
-        ks = range(lo, hi)
-        helds = map(and_, r0[lo:hi], c1[lo:hi])
+    span = 1 << _layout(2, m)[0]  # block k // span holds allocation k
+    for lo, (allocs, profiles) in zip(count(0, span), blocks):
+        helds = map(and_, r0[lo:lo + span], c1[lo:lo + span])
         if front is None:  # every axiom bit is an everywhere bit; the po bit goes
             helds = map(masks[0].__and__, helds)
         else:
-            po = map(front.__contains__, zip(u0[lo:hi], t1[lo:hi]))
-            helds = map(and_, map(masks.__getitem__, po), helds)
-        yield zip(map(full.__xor__, ks), ks), helds
+            helds = map(and_, map(masks.__getitem__, map(front.__contains__, profiles)), helds)
+        yield allocs, helds
 
 
 def _scan_walk(blocks, front, scan, everywhere, on_front, po_bit):

@@ -251,7 +251,7 @@ def test_landscape_with_no_defined_combo_walks_nothing(monkeypatch):
     def forbidden(*args):
         raise AssertionError("allocations walked for no combo")
 
-    monkeypatch.setattr(fairkit.search, "allocation_blocks", forbidden)
+    monkeypatch.setattr(fairkit.search, "_blocks", forbidden)
     ex1 = fixture("FIX-EX1").instance  # chen-liu is undefined here
     assert landscape(ex1, [("chen-liu",)]) == landscape(ex1, [("chen-liu", "po")]) == []
 
@@ -544,13 +544,21 @@ def test_held_walk_without_po_reads_no_profile(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a Pareto front was computed for a walk without po")
 
-    real = fairkit.search.allocation_blocks
-    monkeypatch.setattr(fairkit.search, "allocation_blocks",
-                        lambda *args: ((allocs, _Unread()) for allocs, _ in real(*args)))
+    def read(*args):
+        raise AssertionError("a value was read without po")
+
+    real_blocks, real_layout = fairkit.search._blocks, fairkit.core._layout
+    monkeypatch.setattr(fairkit.search, "_blocks",
+                        lambda *args: ((allocs, _Unread()) for allocs, _ in real_blocks(*args)))
+    # the block layout's getters read values only, so none may be called
+    monkeypatch.setattr(fairkit.core, "_layout",
+                        lambda n, m: real_layout(n, m)[:2] + ((read,) * n,))
     monkeypatch.setattr(fairkit.search, "pareto_front", forbidden)
-    for inst in (generate(GenParams(agents=3, items=3, lo=-1, hi=1, seed=9940)),
-                 generate(GenParams(agents=2, items=10, lo=-1, hi=1, seed=9941))):
+    # a single-block and a multi-block shape for each of the two walks without po
+    for n, m, seed in ((3, 3, 9940), (3, 7, 9942), (2, 4, 9943), (2, 10, 9941)):
+        inst = generate(GenParams(agents=n, items=m, lo=-1, hi=1, seed=seed))
         order, flags = _oracle_flags(inst, {"ef"})
+        assert [to_sets(alloc) for alloc in fairkit.search.enumerate_allocations(inst)] == order
         [ef, anything], walk = held_walk(inst, [("ef",), ()])
         walked = _walked(walk)
         assert [to_sets(alloc) for alloc, _ in walked] == order
