@@ -20,8 +20,8 @@ pass over each envying pair's two bundles, and none at all for an envy-free
 allocation.  With two agents, :func:`held_columns` decides them for every
 allocation at once, from one column per agent over its own bundles, with
 no pair pass: integer arithmetic over the ranks of the agents' values,
-packed in 8-, 16- or 32-bit lanes, decides every bundle at once.  All of
-them read the one clause table.
+packed in 8-, 16- or 32-bit lanes, decides every bundle at once.  All
+three read the one clause table through one cached reading of its rows.
 """
 
 from __future__ import annotations
@@ -89,6 +89,20 @@ _GROUPS_OF = {
 }
 
 ALL_AXIOMS = tuple(_GROUPS_OF)
+
+
+@lru_cache(maxsize=64)
+def _groups(ids):
+    """Per clause group, the bits of the axioms ``ids`` that contain it, the
+    k-th axiom owning ``1 << k``: the one reading of the table's rows, by
+    which the witness checker, the pair pass and the lanes all decide.
+    Cached, as a scan's setup is a noticeable share of a small scan."""
+    groups = [0] * (_OP_EQ + 1)
+    for k, ax in enumerate(ids):
+        for g in _GROUPS_OF[ax]:
+            groups[g] |= 1 << k
+    return tuple(groups)
+
 
 # witness condition tags
 REMOVED_GOOD = "removed-good"
@@ -178,22 +192,22 @@ def _chen_liu_masks(inst, axiom_ids):
 # ---------------------------------------------------------------------------
 # the witness checker
 
-def _reading(groups):
-    """The flags by which :func:`check_axiom` reads one row of the table."""
-    g = set(groups)
-    return (bool(g & {_EF, _EF1, _EF1PM}),  # some: one repairing candidate suffices
-            _CL in g,                       # own_first: chen-liu lists a's items first
-            bool(g - {_EF, _CL}),           # walks: item values are read, not masks only
-            bool(g & {_EF1, _EF1PM}),       # every item of b is a candidate
-            _EF1 in g,                      # every item of a is a candidate
-            _X_LT in g, _X_EQ in g,         # o in b with t[b - o] < vb, == vb
-            _P_GT in g, _P_EQ in g,         # o in b with t[a + o] > va, == va
-            bool(g & {_EF1PM, _OX_GT, _OP_GT}),  # o in a with t[a - o] > va
-            bool(g & {_OX_EQ, _OP_EQ}),          # o in a with t[a - o] == va
-            bool(g & {_EF1, _OX_GT, _OX_EQ}))  # removal: a's inequality is removed-bad
+def _reading(ef, ef1, ef1pm, cl, x_lt, x_eq, p_gt, p_eq, ox_gt, ox_eq, op_gt, op_eq):
+    """The flags by which :func:`check_axiom` reads one axiom's groups (:func:`_groups`)."""
+    return (ef | ef1 | ef1pm,           # some: one repairing candidate suffices
+            cl,                         # own_first: chen-liu lists a's items first
+            (ef1 | ef1pm | x_lt | x_eq | p_gt | p_eq  # walks: item values are read,
+             | ox_gt | ox_eq | op_gt | op_eq),        # not masks only
+            ef1 | ef1pm,                # every item of b is a candidate
+            ef1,                        # every item of a is a candidate
+            x_lt, x_eq,                 # o in b with t[b - o] < vb, == vb
+            p_gt, p_eq,                 # o in b with t[a + o] > va, == va
+            ef1pm | ox_gt | op_gt,      # o in a with t[a - o] > va
+            ox_eq | op_eq,              # o in a with t[a - o] == va
+            ef1 | ox_gt | ox_eq)        # removal: a's inequality is removed-bad
 
 
-_READING_OF = {ax: _reading(groups) for ax, groups in _GROUPS_OF.items()}
+_READING_OF = {ax: _reading(*_groups((ax,))) for ax in ALL_AXIOMS}
 
 
 def check_axiom(inst: Instance, alloc: Allocation, axiom: str) -> Verdict:
@@ -286,11 +300,7 @@ def _pair_pass(axiom_ids):
     fails, the k-th of the (distinct) ``axiom_ids`` owning ``1 << k``, with
     ``good``/``bad`` the envier's chen-liu masks.  Cached: a scan's setup is
     a noticeable share of a scan of a small instance."""
-    groups = [0] * (_OP_EQ + 1)
-    for k, ax in enumerate(axiom_ids):
-        for g in _GROUPS_OF[ax]:
-            groups[g] |= 1 << k
-    ef, ef1, ef1pm, cl, x_lt, x_eq, p_gt, p_eq, ox_gt, ox_eq, op_gt, op_eq = groups
+    ef, ef1, ef1pm, cl, x_lt, x_eq, p_gt, p_eq, ox_gt, ox_eq, op_gt, op_eq = _groups(axiom_ids)
     unrepaired = ef | ef1 | ef1pm
     keep_ef1 = ~ef1
     keep_ef1pm = ~ef1pm
@@ -389,36 +399,34 @@ def held(inst: Instance, axiom_ids) -> tuple:
     return bit_of, scan
 
 
-def held_columns(inst: Instance, axiom_ids, want: int) -> tuple:
+def held_columns(inst: Instance, axiom_ids) -> tuple:
     """``(bit_of, (c0, c1))`` for a two-agent instance: ``bit_of`` as in
-    :func:`held`, and per agent, the bits of ``want`` that each of its own
-    bundles leaves, as a list indexed by the bundle's mask.
+    :func:`held`, and per agent, the bits that each of its own bundles
+    leaves, as a list indexed by the bundle's mask.
 
     With two agents the envied bundle is the complement of the envier's, so
     whether agent i envies, and which axioms its pair fails, depends on its
-    own bundle x alone: entry x compares ``t[x]`` with ``t[full ^ x]`` and
-    is ``want`` when i does not envy, else ``want`` minus the bits that
-    i's pair pass against ``full ^ x`` (``_pair_pass``) fails; a bit of
-    ``want`` above ``bit_of``'s is kept everywhere.  So the allocation
-    giving agent 0 the bundle ``full ^ k`` and agent 1 the bundle k holds
+    own bundle x alone.  Let ``want`` be every bit of ``bit_of`` and the bit
+    above them (which :func:`search.held_walk` uses as its po bit): entry x
+    compares ``t[x]`` with ``t[full ^ x]`` and is ``want`` when i does not
+    envy, else ``want`` minus the bits that i's pair pass against
+    ``full ^ x`` (``_pair_pass``) fails.  So the allocation giving agent 0
+    the bundle ``full ^ k`` and agent 1 the bundle k holds
     ``c0[full ^ k] & c1[k]``, which is :func:`held`'s ``scan`` of it asked
     for ``want``.  Both columns are full, and :func:`_columns` decides them
     together, in lanes of the narrowest of 8, 16 and 32 bits that holds
     every rank and every bit of ``want``.  A column is 2**m ints, at most
     65,536; a lane int is 512 KB at 2x16 with 32-bit lanes, and one such
     call peaked at 37 MB (2 MB at 2x14 with 8-bit lanes).  Errors as in
-    :func:`held`, and ``ValueError`` unless n is 2 and ``0 <= want <
-    2**32``.
+    :func:`held`, and ``ValueError`` unless n is 2.
     """
     if inst.n != 2:
         raise ValueError(f"held_columns needs two agents, got {inst.n}")
-    if not 0 <= want < 1 << 32:
-        raise ValueError(f"want {want} is not a 32-bit mask")
     ids = tuple(dict.fromkeys(axiom_ids))
     masks = _chen_liu_masks(inst, ids)
-    bit_of, live, reads = _plan(ids, want & ((1 << len(ids)) - 1))
     v0, v1 = inst.valuations
-    return dict(bit_of), _columns(v0.table, v1.table, inst.m, want, live, reads, masks)
+    return ({ax: 1 << k for k, ax in enumerate(ids)},
+            _columns(v0.table, v1.table, inst.m, (2 << len(ids)) - 1, _groups(ids), masks))
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +438,12 @@ def held_columns(inst: Instance, axiom_ids, want: int) -> tuple:
 # (the position of a value among the distinct values of both tables) keeps
 # every comparison of the pair pass, which compares values of one table.
 # w is the narrowest of 8, 16 and 32 whose lanes hold every rank below
-# their top bit and every bit of ``want``.  With H the top bit of every
-# lane, ((A | H) - B) & H has a lane's top bit set iff A >= B there, and no
-# lane borrows from the next; ((A | H) - (B + 1)) & H tests A > B.  The
-# memory figures in :func:`held_columns` are tracemalloc peaks, the 2x16
-# one with every value distinct, its rank map and the cached masks.
+# their top bit and every held bit, the axioms' and the one above.  With H
+# the top bit of every lane, ((A | H) - B) & H has a lane's top bit set iff
+# A >= B there, and no lane borrows from the next; ((A | H) - (B + 1)) & H
+# tests A > B.  The memory figures in :func:`held_columns` are tracemalloc
+# peaks, the 2x16 one with every value distinct, its rank map and the
+# cached masks.
 #
 # For item o, shifting VA and VB down by o lanes (D_A = VA >> s, D_B =
 # VB >> s) puts t[y | o] and t[full ^ (y | o)] in each lane y that lacks o.
@@ -444,7 +453,7 @@ def held_columns(inst: Instance, axiom_ids, want: int) -> tuple:
 # and a-side outcomes are shifted up by o lanes, into lane x.  Each clause
 # group collects the lanes where one of its items fails (for EF1 and EF1-pm,
 # where one repairs), and an axiom fails on the envying lanes where one of
-# its groups does.
+# its groups does; a group that no axiom has is not built.
 
 _TYPECODE = {8: "B", 16: "H", 32: "I"}
 _SWAP = sys.byteorder == "big"  # lane ints are read and written little-endian
@@ -464,34 +473,19 @@ def _lanes(m, w):
     return l1, l1 << w - 1, his
 
 
-@lru_cache(maxsize=64)
-def _plan(ids, live_bits):
-    """``(bit_of, live, reads)`` for the axioms ``ids``: ``bit_of`` as in
-    :func:`held`, ``live`` the ``(k, groups)`` of each axiom whose bit is in
-    ``live_bits``, and ``reads`` the flags by which :func:`_columns` reads
-    those groups only.  Cached, as :func:`_pair_pass` is."""
-    live = tuple((k, _GROUPS_OF[ax]) for k, ax in enumerate(ids) if live_bits >> k & 1)
-    g = {group for _, groups in live for group in groups}
-    eq = bool(g & {_P_EQ, _OX_EQ, _OP_EQ})        # an item leaving va unchanged
-    up = bool(g & {_OX_GT, _OP_GT, _EF1PM})       # o in a with t[a - o] > va
-    above = bool(g & {_OP_GT, _OP_EQ, _EF1PM, _CL})  # o in a, read at t[b + o]
-    reads = (bool(g - {_EF}),                     # any item at all
-             bool(g & {_EF1, _EF1PM}),            # repairs
-             _X_LT in g or _X_EQ in g, _X_LT in g, _X_EQ in g,
-             _P_GT in g or eq or up or above,     # t[a + o] and t[a - o] are read
-             _P_GT in g or eq, _P_GT in g, eq, _P_EQ in g, _OX_EQ in g,
-             up, _OX_GT in g, above, _OP_GT in g or _EF1PM in g, _OP_GT in g,
-             _EF1PM in g, _OP_EQ in g, _CL in g)
-    return {ax: 1 << k for k, ax in enumerate(ids)}, live, reads
-
-
-def _columns(t0, t1, m, want, live, reads, masks):
+def _columns(t0, t1, m, want, groups, masks):
     """Both agents' columns (see :func:`held_columns`) over their tables t0
-    and t1, for the axioms ``live`` read through ``reads`` (:func:`_plan`)
-    and the agents' chen-liu ``masks``.  One rank map serves both tables,
-    so ranking costs one sort."""
-    (items, rep, xs, x_lt, x_eq, reads_a, gts, p_gt, eq, p_eq, ox_eq,
-     up, ox_gt, above, opgt_ef1pm, op_gt, ef1pm, op_eq, cl) = reads
+    and t1, holding the bits of ``want`` that they leave, for the axioms
+    whose clause groups are ``groups`` (:func:`_groups`) and the agents'
+    chen-liu ``masks``.  One rank map serves both tables, so ranking costs
+    one sort."""
+    ef, ef1, ef1pm, cl, x_lt, x_eq, p_gt, p_eq, ox_gt, ox_eq, op_gt, op_eq = groups
+    rep = ef1 | ef1pm                    # repairs
+    eq = p_eq | ox_eq | op_eq            # an item leaving va unchanged
+    up = ox_gt | op_gt | ef1pm           # o in a with t[a - o] > va
+    above = op_gt | op_eq | ef1pm | cl   # o in a, read at t[b + o]
+    reads_a = p_gt | eq | up | above     # t[a + o] and t[a - o] are read
+    items = rep | x_lt | x_eq | reads_a  # any item at all
     rank = dict(zip(sorted({*t0, *t1}), count()))
     d = len(rank)
     w = 8 if d <= 1 << 7 and want < 1 << 8 else 16 if d <= 1 << 15 and want < 1 << 16 else 32
@@ -524,7 +518,7 @@ def _columns(t0, t1, m, want, live, reads, masks):
             fixed = hb ^ u  # b: va >= t[b - o]; a: t[a - o] >= vb
             rep1 |= fixed | fixed << s
             rep2 |= fixed
-        if xs:
+        if x_lt | x_eq:
             lt = vbh1 - db  # b: t[b - o] < vb
             if x_lt:
                 f_xlt |= u & lt
@@ -535,7 +529,7 @@ def _columns(t0, t1, m, want, live, reads, masks):
         da = va >> s
         dah = da | h
         ge = (dah - va) & hb  # b: t[a + o] >= va; a: va >= t[a - o]
-        if gts:
+        if p_gt | eq:
             gt = dah - va1  # b: t[a + o] > va
             if p_gt:
                 f_pgt |= u & gt
@@ -551,7 +545,7 @@ def _columns(t0, t1, m, want, live, reads, masks):
                 f_oxgt |= (rises & u) << s
         if above:
             lower = vbh1 - da  # a: va < t[b + o]
-            if opgt_ef1pm:
+            if op_gt | ef1pm:
                 rises_lower = rises & lower
                 if op_gt:
                     f_opgt |= rises_lower << s
@@ -565,10 +559,11 @@ def _columns(t0, t1, m, want, live, reads, masks):
            f_oxgt, f_oxeq, f_opgt, f_opeq)  # indexed by group
     envy = (vbh - va1) & h
     fail = 0
-    for k, groups in live:
+    for k in range(want.bit_length()):  # per bit: its axiom's groups (none for the po bit)
         flags = 0
-        for g in groups:
-            flags |= acc[g]
+        for f, bits in zip(acc, groups):
+            if bits >> k & 1:
+                flags |= f
         fail |= (envy & flags) >> (w - 1 - k)
     lanes = (want * l1 ^ fail).to_bytes(half >> 2, "little")
     if w > 8:

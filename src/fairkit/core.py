@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -417,9 +417,8 @@ def _low_columns(n: int, low: int) -> tuple:
 
 
 def _high_parts(n: int, low: int, m: int) -> Iterator[tuple]:
-    """Per-agent masks of items ``low..m-1``, item ``low`` the least significant digit."""
-    for digits in product(range(n), repeat=m - low):  # the last digit varies fastest
-        masks = [0] * n
-        for o, agent in enumerate(reversed(digits), low):
-            masks[agent] |= 1 << o
-        yield tuple(masks)
+    """Per-agent masks of items ``low..m-1`` in the counter order: the
+    allocations of m - low items (:func:`_blocks`), each mask shifted up by
+    ``low`` items."""
+    highs = chain.from_iterable(allocs for allocs, _ in _blocks(n, m - low, []))
+    return map(tuple, map(map, repeat((1 << low).__mul__), highs))

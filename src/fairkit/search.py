@@ -302,7 +302,7 @@ def held_walk(inst: Instance, combos: Sequence[tuple],
     with_po = ["po" in combo for combo in combos]
     dense_pair = inst.n == 2 and not all(with_po)
     if dense_pair:
-        bit_of, columns = axioms.held_columns(inst, names, on_front | po_bit)
+        bit_of, columns = axioms.held_columns(inst, names)
     else:
         bit_of, scan = axioms.held(inst, names)
     bit_of["po"] = po_bit

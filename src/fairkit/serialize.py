@@ -1,4 +1,6 @@
-"""JSON documents for instances, allocations and witnesses.
+"""JSON documents for instances and allocations, and the bundle keys both use.
+
+Witness and verdict documents are built by the CLI (``cli._witness_doc``).
 
 Values are serialized as strings ("5", "3/2") so exactness survives JSON;
 plain JSON integers are accepted on input.  Bundle keys are item names joined

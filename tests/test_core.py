@@ -276,8 +276,10 @@ def test_warm_layout_scans_match_the_counter_order():
                 assert scan(scanned) == (order, [
                     tuple(v.table[b] for v, b in zip(scanned.valuations, a)) for a in order
                 ]), (n, m)
+            # a multi-block shape also reads the layout of its high items' shape
+            shapes = 1 if _low_block_size(n, m) == n ** m else 2
             info = fairkit.core._layout.cache_info()
-            assert (info.misses, info.hits) == (1, 2), (n, m)
+            assert (info.misses, info.hits) == (shapes, 2 * shapes), (n, m)
             low, columns, getters = fairkit.core._layout(n, m)
             assert immutable((low, columns)) and len(getters) == len(columns) == n, (n, m)
             assert n ** low >= 2, (n, m)  # a one-index itemgetter returns a scalar

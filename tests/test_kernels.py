@@ -2,6 +2,7 @@
 against the witness checkers, the pair pass and the naive oracles."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import fairkit.axioms
 import fairkit.catalog
+import fairkit.search
 from fairkit import (
     AdditiveValuation,
     ExplicitValuation,
@@ -157,12 +159,12 @@ def test_kernels_reject_unknown_and_undefined_axioms():
     assert bit_of == {} and scan((0, ex1.full), 0) == 0
     assert held(ex1, (EFX, EF1, EFX))[0] == {EFX: 1, EF1: 2}
     with pytest.raises(ValueError, match="unknown axiom 'po'"):
-        fairkit.axioms.held_columns(ex1, ("efx", "po"), 1)
+        fairkit.axioms.held_columns(ex1, ("efx", "po"))
     with pytest.raises(NotWellDefinedError):
-        fairkit.axioms.held_columns(ex1, (CHEN_LIU,), 1)
-    assert fairkit.axioms.held_columns(ex1, (EFX, EF1, EFX), 3)[0] == {EFX: 1, EF1: 2}
+        fairkit.axioms.held_columns(ex1, (CHEN_LIU,))
+    assert fairkit.axioms.held_columns(ex1, (EFX, EF1, EFX))[0] == {EFX: 1, EF1: 2}
     with pytest.raises(ValueError, match="two agents, got 3"):
-        fairkit.axioms.held_columns(generate(GenParams(agents=3, items=2, seed=12_400)), (EFX,), 1)
+        fairkit.axioms.held_columns(generate(GenParams(agents=3, items=2, seed=12_400)), (EFX,))
 
 
 def test_scans_keep_nothing_on_the_instance():
@@ -201,9 +203,9 @@ def test_landscape_builds_one_scan_and_skips_envy_free_allocations(monkeypatch):
         bit_of, scan = real_held(inst, axiom_ids)
         return bit_of, lambda alloc, want: scanned.append((alloc, want)) or scan(alloc, want)
 
-    def recording_columns(inst, axiom_ids, want):
+    def recording_columns(inst, axiom_ids):
         builds.append(tuple(axiom_ids))
-        return real_columns(inst, axiom_ids, want)
+        return real_columns(inst, axiom_ids)
 
     monkeypatch.setattr(fairkit.axioms, "_pair_pass", counting_pass)
     monkeypatch.setattr(fairkit.axioms, "held", recording_held)
@@ -242,10 +244,12 @@ def test_landscape_builds_one_scan_and_skips_envy_free_allocations(monkeypatch):
 # ---------------------------------------------------------------------------
 # the two-agent columns against one pair pass per envying bundle
 
-def _passed_columns(inst, axiom_ids, want, bundles):
+def _passed_columns(inst, axiom_ids, bundles):
     """``held_columns``' entries at ``bundles`` from one ``_pair_pass`` per
-    envying (agent, bundle), and ``want`` where the agent does not envy."""
+    envying (agent, bundle), and ``want`` (every axiom bit and the one
+    above) where the agent does not envy."""
     ids = tuple(dict.fromkeys(axiom_ids))
+    want = (2 << len(ids)) - 1
     fails = fairkit.axioms._pair_pass(ids)
     full = inst.full
     return [[want & ~fails(t, x, full ^ x, t[x], t[full ^ x], good, bad)
@@ -256,21 +260,19 @@ def _passed_columns(inst, axiom_ids, want, bundles):
 
 def _assert_columns_match_the_pair_pass(inst, axiom_sets=None, bundles=None):
     """Both columns equal the per-bundle passes for every defined axiom
-    alone, all of them together and reversed (or ``axiom_sets``), each asked
-    for with a bit above theirs, with exactly theirs, and with every other
-    one; at ``bundles`` only, if given."""
+    alone, all of them together and reversed (or ``axiom_sets``), each
+    holding its axioms' bits and the one above; at ``bundles`` only, if
+    given."""
     defined = [ax for ax in ALL_AXIOMS if well_defined(inst, ax)]
     if axiom_sets is None:
         axiom_sets = [[ax] for ax in defined] + [defined, defined[::-1]]
     bundles = range(inst.full + 1) if bundles is None else bundles
     for ids in axiom_sets:
-        every = (1 << len(ids)) - 1
-        for want in (every | 1 << len(ids), every, every & 0x155):
-            bit_of, columns = fairkit.axioms.held_columns(inst, ids, want)
-            assert bit_of == {ax: 1 << k for k, ax in enumerate(ids)}
-            assert all(len(c) == inst.full + 1 for c in columns)
-            got = [[c[x] for x in bundles] for c in columns]
-            assert got == _passed_columns(inst, ids, want, bundles), (ids, want, inst)
+        bit_of, columns = fairkit.axioms.held_columns(inst, ids)
+        assert bit_of == {ax: 1 << k for k, ax in enumerate(ids)}
+        assert all(len(c) == inst.full + 1 for c in columns)
+        got = [[c[x] for x in bundles] for c in columns]
+        assert got == _passed_columns(inst, ids, bundles), (ids, inst)
     return defined
 
 
@@ -309,9 +311,10 @@ def _with_levels(m, levels, seed, unit=Fraction(1, 7)):
 
 
 def test_lane_widths_hold_every_rank_and_every_bit(monkeypatch):
-    """Lanes widen from 8 to 16 bits past 128 distinct values or 8 bits of
-    ``want``, and to 32 bits past 32,768 values; either side of each edge,
-    the columns equal the per-bundle passes."""
+    """Lanes widen from 8 to 16 bits past 128 distinct values or 8 held
+    bits (7 axioms and the bit above them), and to 32 bits past 32,768
+    values; either side of each edge, the columns equal the per-bundle
+    passes."""
     widths = []
     real_lanes = fairkit.axioms._lanes
     monkeypatch.setattr(fairkit.axioms, "_lanes", lambda m, w: widths.append(w) or real_lanes(m, w))
@@ -324,11 +327,9 @@ def test_lane_widths_hold_every_rank_and_every_bit(monkeypatch):
     inst = generate(GenParams(agents=2, items=6, item_class="generallyGoodBad", seed=13_600))
     assert well_defined(inst, CHEN_LIU)
     for ids, width in ((ALL_AXIOMS[:7], 8), (ALL_AXIOMS[:8], 16), (ALL_AXIOMS, 16)):
-        widths.clear()  # want: the axioms' bits and one above, as a po bit would be
-        every = (1 << len(ids)) - 1
-        want = every | 1 << len(ids)
-        assert fairkit.axioms.held_columns(inst, ids, want)[1] == tuple(
-            _passed_columns(inst, ids, want, range(inst.full + 1)))
+        widths.clear()  # the axioms' bits and the one above, as a po bit would be
+        assert fairkit.axioms.held_columns(inst, ids)[1] == tuple(
+            _passed_columns(inst, ids, range(inst.full + 1)))
         assert widths == [width], (len(ids), widths)
     sample = [*range(0, 1 << 15, 97), (1 << 15) - 1]
     for levels, width in ((1 << 15, 16), ((1 << 15) + 1, 32)):
@@ -341,8 +342,6 @@ def test_lane_widths_hold_every_rank_and_every_bit(monkeypatch):
     _assert_columns_match_the_pair_pass(inst, [[EFX0, EF1PM, VARIANT_B]],
                                         [*range(0, 1 << 16, 331), (1 << 16) - 1])
     assert set(widths) == {32}
-    with pytest.raises(ValueError, match="32-bit mask"):
-        fairkit.axioms.held_columns(inst, [EFX], 1 << 32)
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +381,60 @@ def test_order_preserving_maps_keep_columns_and_landscapes(pair):
     inst, moved = pair
     defined = [ax for ax in ALL_AXIOMS if well_defined(inst, ax)]
     assert defined == [ax for ax in ALL_AXIOMS if well_defined(moved, ax)]
-    want = (2 << len(defined)) - 1
-    assert (fairkit.axioms.held_columns(moved, defined, want)
-            == fairkit.axioms.held_columns(inst, defined, want))
+    assert (fairkit.axioms.held_columns(moved, defined)
+            == fairkit.axioms.held_columns(inst, defined))
     combos = [*DEFAULT_COMBOS, *[(ax,) for ax in defined if (ax,) not in DEFAULT_COMBOS],
               *[(ax, "po") for ax in defined]]
     rows = landscape(inst, combos)
     assert landscape(moved, combos) == rows
     assert [row for combo in combos for row in landscape(moved, [combo])] == rows
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relations for three and four agents: the pair pass's scans
+# are unchanged by renaming agents or items
+
+@st.composite
+def _permuted(draw):
+    """A seeded instance of 3 agents and up to 5 items, or 4 and up to 3,
+    and two copies: one whose agents, and one whose items, were permuted."""
+    n = draw(st.integers(3, 4))
+    m = draw(st.integers(1, 5 if n == 3 else 3))
+    inst = generate(GenParams(agents=n, items=m, item_class=draw(st.sampled_from(ITEM_CLASSES)),
+                              seed=draw(st.integers(0, 10**6))))
+    agents = draw(st.permutations(range(n)))
+    by_agents = Instance(inst.item_names, tuple(inst.valuations[i] for i in agents))
+    items = draw(st.permutations(range(m)))  # new item o is old item items[o]
+    old_mask = [sum(1 << items[o] for o in range(m) if x >> o & 1) for x in range(1 << m)]
+    by_items = Instance(inst.item_names, tuple(ExplicitValuation([v.table[y] for y in old_mask])
+                                               for v in inst.valuations))
+    return inst, by_agents, by_items
+
+
+def _counts_and_rows(inst):
+    """Every landscape count (the default combos, and each defined axiom
+    alone and with po), the counts of the po combos walked on their own
+    (front allocations only), and the multiset of ``enumerate``'s rows of
+    axiom flags for every defined axiom and po."""
+    defined = [ax for ax in ALL_AXIOMS if well_defined(inst, ax)]
+    combos = [*DEFAULT_COMBOS, *[(ax,) for ax in defined], *[(ax, "po") for ax in defined]]
+    counts = [(row.combo, row.count) for row in landscape(inst, combos)]
+    with_po = [(row.combo, row.count) for row in landscape(inst, [c for c in combos if "po" in c])]
+    needs, walk = fairkit.search.held_walk(inst, [(ax,) for ax in [*defined, "po"]] + [()])
+    rows = Counter(tuple(held & need == need for need in needs)
+                   for _, helds in walk for held in helds)
+    return counts, with_po, rows
+
+
+@settings(deadline=None)
+@given(_permuted())
+def test_permuting_agents_keeps_counts_and_rows(triple):
+    inst, by_agents, _ = triple
+    assert _counts_and_rows(by_agents) == _counts_and_rows(inst)
+
+
+@settings(deadline=None)
+@given(_permuted())
+def test_permuting_items_keeps_counts_and_rows(triple):
+    inst, _, by_items = triple
+    assert _counts_and_rows(by_items) == _counts_and_rows(inst)
