@@ -402,7 +402,7 @@ def held(inst: Instance, axiom_ids) -> tuple:
 def held_columns(inst: Instance, axiom_ids) -> tuple:
     """``(bit_of, (c0, c1))`` for a two-agent instance: ``bit_of`` as in
     :func:`held`, and per agent, the bits that each of its own bundles
-    leaves, as a list indexed by the bundle's mask.
+    leaves, as a tuple indexed by the bundle's mask.
 
     With two agents the envied bundle is the complement of the envier's, so
     whether agent i envies, and which axioms its pair fails, depends on its
@@ -570,5 +570,5 @@ def _columns(t0, t1, m, want, groups, masks):
         lanes = array(_TYPECODE[w], lanes)
         if _SWAP:
             lanes.byteswap()
-    lanes = list(lanes)
+    lanes = tuple(lanes)
     return lanes[:1 << m], lanes[1 << m:]

@@ -187,8 +187,6 @@ class ExplicitValuation(Valuation):
         for mask, v in entries.items():
             if not 0 <= mask < (1 << m):
                 raise ValueError(f"bundle mask {mask} out of range for m={m}")
-            if table[mask] is not None:
-                raise ValueError(f"duplicate entry for bundle mask {mask}")
             table[mask] = v
         return cls(_complete(table))
 
@@ -353,19 +351,20 @@ def allocation_blocks(inst: Instance, budget: Optional[int] = None) -> Iterator[
 
 def _blocks(n: int, m: int, tables: list) -> Iterator[tuple]:
     """The one allocation stream of n agents and m items, with profiles read
-    from ``tables``, one per agent (none, and no value read, if it is empty).
+    from ``tables``: one sequence per agent indexed by mask, such as a
+    valuation table or a held column (none, and no value read, if empty).
     The items split into a low block of L items, with L the largest value
     up to min(m, 8) such that ``n**L <= _BLOCK_CAP`` (1024), and the rest.
     A block holds one assignment of the high items and runs through all
     ``n**L`` assignments of the low ones.  The low block's per-agent mask
-    columns, and one ``operator.itemgetter(*column)`` per agent, are built
-    once per shape and cached (:func:`_layout`), at the first block of the
-    shape's first scan.  In a block whose high part gives an agent the mask
-    ``h`` (bits L and up only), its masks are ``map(h.__or__, column)``,
-    built only as the allocations are read, and its values
-    ``getter(table[h:h + 2**L])``, one C-level call that reads the agent's
-    whole block before the block's first allocation is tested; a shape with
-    ``m == L`` is one block of the columns and ``getter(table)``.
+    columns and value getters (:func:`_layout`) are built once per shape,
+    at the first block of its first scan.  In a block whose high part gives
+    an agent the mask ``h`` (bits L and up only), its masks are
+    ``map(h.__or__, column)``, built only as the allocations are read, and
+    its values ``getter(table[h:h + 2**L])`` (two agents: a slice, reversed
+    for agent 0), read whole before the block's first allocation is
+    tested.  A shape with ``m == L`` is one block: the columns and
+    ``getter(table)``.
     """
     low, columns, getters = _layout(n, m)
     if low == m:
@@ -380,18 +379,21 @@ def _blocks(n: int, m: int, tables: list) -> Iterator[tuple]:
 @lru_cache(maxsize=32)
 def _layout(n: int, m: int) -> tuple:
     """``(L, columns, getters)`` for n agents and m items: the low block's
-    size, its per-agent mask columns (:func:`_low_columns`) and one
-    ``operator.itemgetter(*column)`` per column, immutable and shared by
-    every scan of the shape.  The getters read values; masks come from the
-    columns.  ``n**L >= 2`` (L >= 1, as n <= 64 < 1024), so each getter
-    returns a tuple.  A getter holds one 8-byte pointer per column entry
-    (the masks are small ints, which Python shares), so a shape's getters
-    take ``8 * n * n**L`` bytes plus about 100 per agent: 4.4 KB at 2x14,
-    17.9 KB at 3x6, at most 266 KB (n = 32, L = 2)."""
+    size, its per-agent mask columns (:func:`_low_columns`) and one value
+    getter per column, immutable and shared by every scan of the shape;
+    masks come from the columns.  With two agents, agent 0's column counts
+    down from ``2**L - 1`` and agent 1's up from 0, so their getters are the
+    slices ``t[::-1]`` and ``t[:]``.  With more, each is an
+    ``operator.itemgetter(*column)``, which returns a tuple (``n**L >= 2``)
+    and holds an 8-byte pointer per entry (the masks are small ints, which
+    Python shares): ``8 * n * n**L`` bytes per shape plus about 100 per
+    agent, 17.9 KB at 3x6, at most 266 KB (n = 32, L = 2)."""
     low = 0
     while low < min(m, 8) and n ** (low + 1) <= _BLOCK_CAP:
         low += 1
     columns = _low_columns(n, low)
+    if n == 2:
+        return low, columns, (itemgetter(slice(None, None, -1)), itemgetter(slice(None)))
     return low, columns, tuple(itemgetter(*col) for col in columns)
 
 

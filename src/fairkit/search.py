@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count, repeat, starmap
 from operator import and_, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -22,7 +22,6 @@ from .core import (
     ExplicitValuation,
     Instance,
     _blocks,
-    _layout,
     check_budget,
     check_size,
     enumerate_allocations,  # noqa: F401  (no longer called here, but benchmark spans wrap it)
@@ -285,13 +284,13 @@ def held_walk(inst: Instance, combos: Sequence[tuple],
     early scans no further.  Otherwise every allocation is walked.  With
     two agents, each agent's pair outcome depends on its own bundle alone
     (the other holds the complement), so the two columns of
-    :func:`axioms.held_columns`, built at the call, hold every outcome:
-    allocation k (agent 1 holds k) holds ``c0[full ^ k] & c1[k]``, masked
-    by its front membership, combined at C level a block at a time.  With
-    more agents each allocation gets one fused scan.  Each walk reads one
-    :func:`core._blocks` stream, which reads values only if a combo has
-    ``"po"``.  The combos must be well-defined for the instance.  The
-    budget is checked, and the front computed, at the call.
+    :func:`axioms.held_columns`, built at the call, hold every outcome.
+    They are read as a :func:`core._blocks` stream of their own, which
+    gives each allocation its two entries; their AND, masked by front
+    membership, is its held set.  With more agents each allocation gets
+    one fused scan.  Profiles come from a stream over the tables, read
+    only if a combo has ``"po"``.  The combos must be well-defined for the
+    instance.  The budget is checked, and the front computed, at the call.
     """
     check_budget(inst.n, inst.m, budget)  # before any work
     if not combos:
@@ -313,7 +312,8 @@ def held_walk(inst: Instance, combos: Sequence[tuple],
         return needs, _front_walk(blocks, front, scan, on_front, po_bit)
     everywhere = sum({bit_of[ax] for combo in combos if "po" not in combo for ax in combo})
     if dense_pair:
-        return needs, _pair_walk(blocks, inst.m, columns, front, (everywhere, on_front | po_bit))
+        return needs, _pair_walk(_blocks(2, inst.m, columns), blocks, front,
+                                 (everywhere, on_front | po_bit))
     return needs, _scan_walk(blocks, front, scan, everywhere, on_front, po_bit)
 
 
@@ -325,20 +325,18 @@ def _front_walk(blocks, front, scan, on_front, po_bit):
             yield (alloc,), (scan(alloc, on_front) | po_bit,)
 
 
-def _pair_walk(blocks, m, columns, front, masks):
+def _pair_walk(held_blocks, blocks, front, masks):
     """:func:`held_walk`'s blocks over every allocation of two agents: the
-    stream's allocations, held sets from the agents' columns and the
-    profiles' front membership; ``masks`` is ``(off the front, on it)``."""
-    c0, c1 = columns
-    r0 = c0[::-1]  # r0[k] == c0[full ^ k], agent 0's entry in allocation k
-    span = 1 << _layout(2, m)[0]  # block k // span holds allocation k
-    for lo, (allocs, profiles) in zip(count(0, span), blocks):
-        helds = map(and_, r0[lo:lo + span], c1[lo:lo + span])
-        if front is None:  # every axiom bit is an everywhere bit; the po bit goes
-            helds = map(masks[0].__and__, helds)
-        else:
-            helds = map(and_, map(masks.__getitem__, map(front.__contains__, profiles)), helds)
-        yield allocs, helds
+    AND of the two entries that ``held_blocks``, the columns' stream, gives
+    each allocation; with a front, also of ``masks`` (off the front, on
+    it), picked by the profiles of ``blocks``, the tables' stream."""
+    if front is None:  # every axiom bit is an everywhere bit; the po bit goes
+        for allocs, entries in held_blocks:
+            yield allocs, map(and_, repeat(masks[0]), starmap(and_, entries))
+        return
+    for (allocs, entries), (_, profiles) in zip(held_blocks, blocks):
+        yield allocs, map(and_, map(masks.__getitem__, map(front.__contains__, profiles)),
+                          starmap(and_, entries))
 
 
 def _scan_walk(blocks, front, scan, everywhere, on_front, po_bit):

@@ -4,6 +4,8 @@ import json
 import pytest
 
 from fairkit import (
+    ExplicitValuation,
+    Instance,
     dumps_instance,
     enumerate_allocations,
     fixture,
@@ -41,6 +43,27 @@ def test_every_gating_claim_passes():
     failures = [r for r in report.results if r.status == "fail" and r.claim.gating]
     assert not failures, failures
     assert report.ok
+
+
+def _claim(fid, cid):
+    return next(claim for claim in fixture(fid).claims if claim.id == cid)
+
+
+# each claim checked on an instance it does not hold for: the detail says why
+@pytest.mark.parametrize("fid, cid, inst, detail", [
+    ("FIX-T1", "t1-efx-witnesses", fixture("FIX-T2").instance,
+     "a,b,c,d| lacks the efx witness Witness(envier=1, envied=0, condition='removed-good', "
+     "item=2, lhs=0, rhs=8)"),
+    ("FIX-T1", "t1-item-a-mixed", fixture("FIX-T2").instance,
+     "item a not reported mixed; marginals of a: {c} -1, {b,d} -1"),
+    ("FIX-D1", "d1-chen-liu-breaks", Instance(("a", "b"), (ExplicitValuation((0, 1, 1, 2)),) * 2),
+     "the rows do not hold exactly the po allocations"),
+], ids=["witness", "mixed-item", "rows"])
+def test_claims_fail_on_instances_they_do_not_hold_for(fid, cid, inst, detail):
+    claim = _claim(fid, cid)
+    assert claim.gating
+    assert claim.check(inst) == (False, detail)
+    assert claim.check(fixture(fid).instance)[0] is True
 
 
 def test_variant_portability_rows_are_failing_and_non_gating():

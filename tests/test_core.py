@@ -77,6 +77,11 @@ def test_explicit_table_requires_all_bundles_except_empty():
         ExplicitValuation.from_map(2, {1: 1, 3: 2})  # missing {b}
     v = ExplicitValuation.from_map(2, {1: 1, 2: 1, 3: 2})
     assert v.value(0) == 0  # empty bundle defaults to 0
+    with pytest.raises(ValueError, match=r"^bundle mask 4 out of range for m=2$"):
+        ExplicitValuation.from_map(2, {1: 1, 2: 1, 3: 2, 4: 0})
+    for table in ((), (0, 1, 2)):
+        with pytest.raises(ValueError, match=rf"^explicit table length {len(table)} is not a "):
+            ExplicitValuation(table)
 
 
 def test_explicit_rejects_floats():
@@ -285,7 +290,10 @@ def test_warm_layout_scans_match_the_counter_order():
             assert n ** low >= 2, (n, m)  # a one-index itemgetter returns a scalar
             for getter, col in zip(getters, columns):  # each getter reads exactly its column
                 assert isinstance(getter, itemgetter), (n, m)
-                assert getter(range(n ** low)) == tuple(col), (n, m)
+                assert tuple(getter(range(n ** low))) == tuple(col), (n, m)
+                # two agents' columns count down and up, read as slices; more, by index
+                indices = getter.__reduce__()[1]
+                assert all(type(k) is (slice if n == 2 else int) for k in indices), (n, m)
 
 
 def test_budget_error_reports_total():

@@ -19,9 +19,11 @@ from fairkit import (
     Instance,
     check_axiom,
     enumerate_allocations,
+    classify,
     fixture,
     held,
     landscape,
+    leximin_set,
 )
 from fairkit.axioms import (
     ALL_AXIOMS,
@@ -329,7 +331,7 @@ def test_lane_widths_hold_every_rank_and_every_bit(monkeypatch):
     for ids, width in ((ALL_AXIOMS[:7], 8), (ALL_AXIOMS[:8], 16), (ALL_AXIOMS, 16)):
         widths.clear()  # the axioms' bits and the one above, as a po bit would be
         assert fairkit.axioms.held_columns(inst, ids)[1] == tuple(
-            _passed_columns(inst, ids, range(inst.full + 1)))
+            map(tuple, _passed_columns(inst, ids, range(inst.full + 1))))
         assert widths == [width], (len(ids), widths)
     sample = [*range(0, 1 << 15, 97), (1 << 15) - 1]
     for levels, width in ((1 << 15, 16), ((1 << 15) + 1, 32)):
@@ -347,17 +349,23 @@ def test_lane_widths_hold_every_rank_and_every_bit(monkeypatch):
 # ---------------------------------------------------------------------------
 # metamorphic relations: maps that keep each agent's order keep every verdict
 
+_MAX_ITEMS = {2: 10, 3: 5, 4: 3}  # two agents: up to four blocks of 256 allocations
+
+
 @st.composite
 def _reordered(draw):
-    """A seeded two-agent instance of up to 8 items, and a copy whose values
-    went through one positive rational scale, or through a strictly
-    increasing map per agent with ``Fraction`` images of either sign."""
-    m = draw(st.integers(1, 8))
-    inst = generate(GenParams(agents=2, items=m, item_class=draw(st.sampled_from(ITEM_CLASSES)),
+    """A seeded instance of 2 agents and up to 10 items, 3 and up to 5, or 4
+    and up to 3; a copy whose values went through one positive rational
+    scale, or through a strictly increasing map per agent with ``Fraction``
+    images of either sign; and whether it was a scale."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.sampled_from(range(1, _MAX_ITEMS[n] + 1)))
+    inst = generate(GenParams(agents=n, items=m, item_class=draw(st.sampled_from(ITEM_CLASSES)),
                               seed=draw(st.integers(0, 10**6))))
-    if draw(st.booleans()):
+    scaled = draw(st.booleans())
+    if scaled:
         scale = Fraction(draw(st.integers(1, 60)), draw(st.integers(1, 60)))
-        maps = [scale.__mul__] * 2
+        maps = [scale.__mul__] * n
     else:
         maps = []
         for v in inst.valuations:
@@ -368,47 +376,61 @@ def _reordered(draw):
             maps.append(dict(zip(levels, accumulate(steps, initial=start))).__getitem__)
     moved = Instance(inst.item_names, tuple(ExplicitValuation(list(map(f, v.table)))
                                             for f, v in zip(maps, inst.valuations)))
-    return inst, moved
+    return inst, moved, scaled
 
 
-@settings(max_examples=40, deadline=None)
+def _flag_rows(inst):
+    """``enumerate``'s rows of axiom flags, for every defined axiom and po,
+    in enumeration order."""
+    defined = [ax for ax in ALL_AXIOMS if well_defined(inst, ax)]
+    needs, walk = fairkit.search.held_walk(inst, [(ax,) for ax in [*defined, "po"]] + [()])
+    return [tuple(held & need == need for need in needs) for _, helds in walk for held in helds]
+
+
+@settings(max_examples=100, deadline=None)
 @given(_reordered())
-def test_order_preserving_maps_keep_columns_and_landscapes(pair):
-    """Columns, and landscape rows with their examples, are unchanged; and
-    the moved instance's rows, each computed alone (so a combo whose every
+def test_order_preserving_maps_keep_columns_and_landscapes(case):
+    """Two-agent columns, landscape rows with their examples and the flag
+    rows are unchanged, and under a scale the leximin set too; and the
+    moved instance's rows, each computed alone (so a combo whose every
     axiom comes with po is decided by the per-allocation scan), equal the
     original's computed together."""
-    inst, moved = pair
+    inst, moved, scaled = case
     defined = [ax for ax in ALL_AXIOMS if well_defined(inst, ax)]
     assert defined == [ax for ax in ALL_AXIOMS if well_defined(moved, ax)]
-    assert (fairkit.axioms.held_columns(moved, defined)
-            == fairkit.axioms.held_columns(inst, defined))
+    if inst.n == 2:
+        assert (fairkit.axioms.held_columns(moved, defined)
+                == fairkit.axioms.held_columns(inst, defined))
     combos = [*DEFAULT_COMBOS, *[(ax,) for ax in defined if (ax,) not in DEFAULT_COMBOS],
               *[(ax, "po") for ax in defined]]
     rows = landscape(inst, combos)
     assert landscape(moved, combos) == rows
     assert [row for combo in combos for row in landscape(moved, [combo])] == rows
+    assert _flag_rows(moved) == _flag_rows(inst)
+    if scaled:  # leximin compares values across agents: only a common scale keeps it
+        assert leximin_set(moved) == leximin_set(inst)
 
 
 # ---------------------------------------------------------------------------
-# metamorphic relations for three and four agents: the pair pass's scans
-# are unchanged by renaming agents or items
+# metamorphic relations: renaming agents or items permutes every verdict
 
 @st.composite
 def _permuted(draw):
-    """A seeded instance of 3 agents and up to 5 items, or 4 and up to 3,
-    and two copies: one whose agents, and one whose items, were permuted."""
-    n = draw(st.integers(3, 4))
-    m = draw(st.integers(1, 5 if n == 3 else 3))
+    """A seeded instance of 2 agents and up to 10 items, 3 and up to 5, or 4
+    and up to 3; two copies, one whose agents and one whose items were
+    permuted; and the two permutations (new agent i is old agent
+    ``agents[i]``, new item o is old item ``items[o]``)."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.sampled_from(range(1, _MAX_ITEMS[n] + 1)))
     inst = generate(GenParams(agents=n, items=m, item_class=draw(st.sampled_from(ITEM_CLASSES)),
                               seed=draw(st.integers(0, 10**6))))
     agents = draw(st.permutations(range(n)))
     by_agents = Instance(inst.item_names, tuple(inst.valuations[i] for i in agents))
-    items = draw(st.permutations(range(m)))  # new item o is old item items[o]
+    items = draw(st.permutations(range(m)))
     old_mask = [sum(1 << items[o] for o in range(m) if x >> o & 1) for x in range(1 << m)]
     by_items = Instance(inst.item_names, tuple(ExplicitValuation([v.table[y] for y in old_mask])
                                                for v in inst.valuations))
-    return inst, by_agents, by_items
+    return inst, by_agents, by_items, agents, items
 
 
 def _counts_and_rows(inst):
@@ -420,21 +442,36 @@ def _counts_and_rows(inst):
     combos = [*DEFAULT_COMBOS, *[(ax,) for ax in defined], *[(ax, "po") for ax in defined]]
     counts = [(row.combo, row.count) for row in landscape(inst, combos)]
     with_po = [(row.combo, row.count) for row in landscape(inst, [c for c in combos if "po" in c])]
-    needs, walk = fairkit.search.held_walk(inst, [(ax,) for ax in [*defined, "po"]] + [()])
-    rows = Counter(tuple(held & need == need for need in needs)
-                   for _, helds in walk for held in helds)
-    return counts, with_po, rows
+    return counts, with_po, Counter(_flag_rows(inst))
+
+
+def _flags(inst):
+    """``classify``'s problem flags, and its per-agent rows and per-item
+    column of item flags (the witnesses name bundles and agents, so they
+    are left out)."""
+    problem, matrix = classify(inst)
+    return problem, matrix.generally_good, matrix.generally_bad, matrix.mixed
 
 
 @settings(deadline=None)
 @given(_permuted())
-def test_permuting_agents_keeps_counts_and_rows(triple):
-    inst, by_agents, _ = triple
+def test_permuting_agents_keeps_counts_and_rows(case):
+    inst, by_agents, _, agents, _ = case
     assert _counts_and_rows(by_agents) == _counts_and_rows(inst)
+    problem, good, bad, mixed = _flags(inst)
+    assert _flags(by_agents) == (problem, tuple(good[i] for i in agents),
+                                 tuple(bad[i] for i in agents), mixed)
 
 
 @settings(deadline=None)
 @given(_permuted())
-def test_permuting_items_keeps_counts_and_rows(triple):
-    inst, _, by_items = triple
+def test_permuting_items_keeps_counts_and_rows(case):
+    inst, _, by_items, _, items = case
     assert _counts_and_rows(by_items) == _counts_and_rows(inst)
+    problem, good, bad, mixed = _flags(inst)
+
+    def moved(row):
+        return tuple(row[o] for o in items)
+
+    assert _flags(by_items) == (problem, tuple(map(moved, good)), tuple(map(moved, bad)),
+                                moved(mixed))

@@ -2,7 +2,7 @@ import hashlib
 import json
 from dataclasses import replace
 from fractions import Fraction
-from operator import ge, or_
+from operator import ge, is_, or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,6 +54,9 @@ def test_splitmix_is_stable():
         0x6E789E6AA1B965F4,
         0x06C45D188009454F,
     ]
+    assert rng.randint(5, 5) == 5
+    with pytest.raises(ValueError, match="^empty range$"):
+        rng.randint(1, 0)
 
 
 def test_generate_is_deterministic():
@@ -544,18 +547,40 @@ def test_held_walk_without_po_reads_no_profile(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a Pareto front was computed for a walk without po")
 
-    def read(*args):
-        raise AssertionError("a value was read without po")
+    columns = []  # the two-agent walk's held columns: the only values a walk without po reads
+    reads = []
+    real_columns, real_blocks, real_layout = (
+        fairkit.axioms.held_columns, fairkit.search._blocks, fairkit.core._layout)
 
-    real_blocks, real_layout = fairkit.search._blocks, fairkit.core._layout
-    monkeypatch.setattr(fairkit.search, "_blocks",
-                        lambda *args: ((allocs, _Unread()) for allocs, _ in real_blocks(*args)))
-    # the block layout's getters read values only, so none may be called
-    monkeypatch.setattr(fairkit.core, "_layout",
-                        lambda n, m: real_layout(n, m)[:2] + ((read,) * n,))
+    def recording(inst, axiom_ids):
+        bit_of, cols = real_columns(inst, axiom_ids)
+        columns[:] = cols
+        return bit_of, cols
+
+    def blocks(n, m, tables):
+        if tables:  # the held columns' stream, read through the layout's getters
+            assert len(tables) == len(columns) == 2 and all(map(is_, tables, columns))
+            return real_blocks(n, m, tables)
+        return ((allocs, _Unread()) for allocs, _ in real_blocks(n, m, tables))
+
+    def checked(getter):
+        def read(values):  # one block of a held column: all of it, or a slice at a block start
+            size = len(values)
+            assert any(values == col[lo:lo + size] for col in columns
+                       for lo in range(0, len(col), size)), "a value was read without po"
+            reads.append(size)
+            return getter(values)
+        return read
+
+    monkeypatch.setattr(fairkit.axioms, "held_columns", recording)
+    monkeypatch.setattr(fairkit.search, "_blocks", blocks)
+    monkeypatch.setattr(fairkit.core, "_layout", lambda n, m: real_layout(n, m)[:2] + (
+        tuple(map(checked, real_layout(n, m)[2])),))
     monkeypatch.setattr(fairkit.search, "pareto_front", forbidden)
     # a single-block and a multi-block shape for each of the two walks without po
     for n, m, seed in ((3, 3, 9940), (3, 7, 9942), (2, 4, 9943), (2, 10, 9941)):
+        columns.clear()
+        reads.clear()
         inst = generate(GenParams(agents=n, items=m, lo=-1, hi=1, seed=seed))
         order, flags = _oracle_flags(inst, {"ef"})
         assert [to_sets(alloc) for alloc in fairkit.search.enumerate_allocations(inst)] == order
@@ -564,6 +589,7 @@ def test_held_walk_without_po_reads_no_profile(monkeypatch):
         assert [to_sets(alloc) for alloc, _ in walked] == order
         assert [held & ef == ef for _, held in walked] == flags["ef"]
         assert anything == 0 and any(flags["ef"]) and not all(flags["ef"])
+        assert sum(reads) == (2 * n ** m if n == 2 else 0), (n, m)  # both columns, once
 
 
 def test_landscape_checks_each_axiom_once_and_po_only_axioms_on_the_front(monkeypatch):

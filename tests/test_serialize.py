@@ -11,6 +11,7 @@ from fairkit.serialize import (
     DocumentError,
     allocation_from_document,
     allocation_to_document,
+    dumps_allocation,
     dumps_instance,
     instance_from_document,
     instance_to_document,
@@ -122,33 +123,50 @@ def test_identical_collapse_controls_export_shape():
 
 
 def test_bad_documents_raise():
+    one = [{"kind": "additive", "values": {"a": 1}}] * 2
     bad_docs = [
-        {"items": [], "valuations": []},
-        {"items": ["a"], "valuations": []},
-        {"items": ["a", "a"], "valuations": [{"kind": "additive", "values": {"a": 1}}]},
+        ({"items": [], "valuations": []}, "'items' must be a non-empty array of strings"),
+        ({"items": ["a"], "valuations": []}, "'valuations' must be a non-empty array"),
+        ({"items": ["a", "a"], "valuations": [{"kind": "additive", "values": {"a": 1}}]},
+         "item names must be unique"),
         # identical without agent count
-        {"items": ["a"], "identical": True,
-         "valuations": [{"kind": "additive", "values": {"a": 1}}]},
+        ({"items": ["a"], "identical": True, "valuations": one[:1]},
+         "identical instances must state 'agents'"),
         # identical with two valuation objects
-        {"items": ["a"], "agents": 2, "identical": True,
-         "valuations": [{"kind": "additive", "values": {"a": 1}}] * 2},
+        ({"items": ["a"], "agents": 2, "identical": True, "valuations": one},
+         "identical instances carry exactly one valuation object"),
         # agents disagrees with valuations
-        {"items": ["a"], "agents": 3,
-         "valuations": [{"kind": "additive", "values": {"a": 1}}] * 2},
+        ({"items": ["a"], "agents": 3, "valuations": one},
+         "'agents' is 3 but 2 valuations are given"),
         # wrong kind
-        {"items": ["a"], "valuations": [{"kind": "magic", "values": {"a": 1}}] * 2},
+        ({"items": ["a"], "valuations": [{"kind": "magic", "values": {"a": 1}}] * 2},
+         "valuations[0]: 'kind' must be 'explicit' or 'additive'"),
         # missing bundle
-        {"items": ["a", "b"], "agents": 2, "identical": True,
-         "valuations": [{"kind": "explicit", "values": {"a": 1, "b": 1}}]},
+        ({"items": ["a", "b"], "agents": 2, "identical": True,
+          "valuations": [{"kind": "explicit", "values": {"a": 1, "b": 1}}]},
+         "valuations[0]: explicit table is missing 1 bundles, e.g. mask 3"),
         # float value
-        {"items": ["a"], "valuations": [{"kind": "additive", "values": {"a": 1.5}}] * 2},
+        ({"items": ["a"], "valuations": [{"kind": "additive", "values": {"a": 1.5}}] * 2},
+         "valuations[0]['a']: values must be strings or integers, got float"),
         # additive missing an item
-        {"items": ["a", "b"],
-         "valuations": [{"kind": "additive", "values": {"a": 1}}] * 2},
+        ({"items": ["a", "b"], "valuations": one}, "valuations[0]: missing item value for 'b'"),
+        # not an object, at the top or as a valuation, or 'values' that is not one
+        ([{"items": ["a"], "valuations": one}], "instance document must be a JSON object"),
+        ({"items": ["a"], "valuations": [1, 2]}, "valuations[0] must be an object"),
+        ({"items": ["a"], "valuations": [{"kind": "additive", "values": [1]}] * 2},
+         "valuations[0]: 'values' must be an object"),
+        # a non-boolean 'identical', a non-integer 'agents' (a boolean is not one)
+        ({"items": ["a"], "identical": "yes", "valuations": one}, "'identical' must be a boolean"),
+        ({"items": ["a"], "agents": True, "valuations": one}, "'agents' must be an integer"),
+        ({"items": ["a"], "agents": "2", "valuations": one}, "'agents' must be an integer"),
+        # an additive value for an item the document does not name
+        ({"items": ["a"], "valuations": [{"kind": "additive", "values": {"a": 1, "z": 2}}] * 2},
+         "valuations[0]: unknown item 'z'"),
     ]
-    for doc in bad_docs:
-        with pytest.raises(DocumentError):
+    for doc, message in bad_docs:
+        with pytest.raises(DocumentError) as exc:
             instance_from_document(doc)
+        assert str(exc.value) == message
 
 
 def test_non_canonical_bundle_keys_rejected():
@@ -232,15 +250,20 @@ def test_allocation_documents():
     alloc = allocation_from_document(T1, doc)
     assert alloc == (0b0101, 0b1010)
     assert allocation_to_document(T1, alloc) == doc
-    for bad in (
-        {"bundles": [["a"], ["b", "c"]]},            # incomplete
-        {"bundles": [["a", "b", "c", "d"]]},          # one bundle for two agents
-        {"bundles": [["a", "a"], ["b", "c", "d"]]},   # duplicate
-        {"bundles": [["a", "x"], ["b", "c", "d"]]},   # unknown item
-        {"allocs": []},
+    assert loads_allocation(T1, dumps_allocation(T1, alloc)) == alloc
+    for bad, message in (
+        ({"bundles": [["a"], ["b", "c"]]}, "allocation does not cover all items"),
+        ({"bundles": [["a", "b", "c", "d"]]}, "allocation has 1 bundles for 2 agents"),
+        ({"bundles": [["a", "a"], ["b", "c", "d"]]}, "duplicate item 'a' in bundles[0]"),
+        ({"bundles": [["a", "x"], ["b", "c", "d"]]}, "unknown item 'x' in bundles[0]"),
+        ({"allocs": []}, "allocation document must be an object with 'bundles'"),
+        ({"bundles": "a,b|c,d"}, "'bundles' must be an array of arrays of item names"),
+        ({"bundles": [["a", "b"], "c,d"]}, "bundles[1] must be an array of item names"),
+        ({"bundles": [["a", "b"], ["c", 3]]}, "bundles[1] must contain item names"),
     ):
-        with pytest.raises(DocumentError):
+        with pytest.raises(DocumentError) as exc:
             allocation_from_document(T1, bad)
+        assert str(exc.value) == message
 
 
 def test_loads_rejects_invalid_json():

@@ -26,6 +26,9 @@ def test_format_round_trip():
         assert parse_value(format_value(v)) == v
     assert format_value(Fraction(10, 5)) == "2"
     assert format_value(Fraction(-1, 2)) == "-1/2"
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match=rf"^not an exact rational value: {bad!r}$"):
+            format_value(bad)
 
 
 def test_as_value_normalises_and_rejects():
