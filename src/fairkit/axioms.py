@@ -362,30 +362,30 @@ def _pair_pass(axiom_ids):
     return fails
 
 
-def held(inst: Instance, axiom_ids) -> tuple:
-    """``(bit_of, scan)`` deciding the axioms ``axiom_ids`` for one scan.
+def held(inst: Instance, axiom_ids):
+    """``scan(alloc)``: the bits of the axioms ``axiom_ids`` that the
+    allocation satisfies, the k-th distinct id owning ``1 << k``, each
+    agreeing with ``check_axiom(...).satisfied``.
 
-    ``bit_of`` maps each distinct axiom id, in order, to ``1 << k``.
-    ``scan(alloc, want)`` returns the bits of ``want`` whose axioms the
-    allocation satisfies, each agreeing with ``check_axiom(...).satisfied``.
     It reads each ordered pair's two bundle values once; an allocation with
-    no envying pair returns ``want`` untouched, and the pass over an envying
-    pair drops the bits it fails from ``want``, returning 0 once none is
-    left.  Nothing is kept on the instance.  Raises ``ValueError`` for an
-    unknown axiom and :class:`NotWellDefinedError` for chen-liu outside its
-    domain.
+    no envying pair holds every bit, and the pass over an envying pair drops
+    the bits it fails, returning 0 once none is left.  With no axiom, the
+    scan returns 0 at once and no pair pass is built.  Nothing is kept on
+    the instance.  Raises ``ValueError`` for an unknown axiom and
+    :class:`NotWellDefinedError` for chen-liu outside its domain.
     """
     ids = tuple(dict.fromkeys(axiom_ids))
     masks = _chen_liu_masks(inst, ids)
+    if not ids:
+        return _nothing
     n = inst.n
     tabs = [v.table for v in inst.valuations]
     pairs = [(i, j, tabs[i], *masks[i]) for i in range(n) for j in range(n) if i != j]
     fails = _pair_pass(ids)
-    bit_of = {ax: 1 << k for k, ax in enumerate(ids)}
+    every = (1 << len(ids)) - 1
 
-    def scan(alloc, want):
-        if not want:
-            return 0
+    def scan(alloc):
+        want = every
         for i, j, t, good, bad in pairs:
             a = alloc[i]
             b = alloc[j]
@@ -396,28 +396,31 @@ def held(inst: Instance, axiom_ids) -> tuple:
                 if not want:
                     return 0
         return want
-    return bit_of, scan
+    return scan
+
+
+def _nothing(alloc):
+    """The scan of no axiom."""
+    return 0
 
 
 def held_columns(inst: Instance, axiom_ids) -> tuple:
-    """``(bit_of, (c0, c1))`` for a two-agent instance: ``bit_of`` as in
-    :func:`held`, and per agent, the bits that each of its own bundles
-    leaves, as a tuple indexed by the bundle's mask.
+    """``(c0, c1)`` for a two-agent instance: per agent, the bits of the
+    axioms ``axiom_ids`` (numbered as in :func:`held`) that each of its own
+    bundles leaves, as a tuple indexed by the bundle's mask.
 
     With two agents the envied bundle is the complement of the envier's, so
     whether agent i envies, and which axioms its pair fails, depends on its
-    own bundle x alone.  Let ``want`` be every bit of ``bit_of`` and the bit
-    above them (which :func:`search.held_walk` uses as its po bit): entry x
-    compares ``t[x]`` with ``t[full ^ x]`` and is ``want`` when i does not
-    envy, else ``want`` minus the bits that i's pair pass against
-    ``full ^ x`` (``_pair_pass``) fails.  So the allocation giving agent 0
-    the bundle ``full ^ k`` and agent 1 the bundle k holds
-    ``c0[full ^ k] & c1[k]``, which is :func:`held`'s ``scan`` of it asked
-    for ``want``.  Both columns are full, and :func:`_columns` decides them
-    together, in lanes of the narrowest of 8, 16 and 32 bits that holds
-    every rank and every bit of ``want``.  A column is 2**m ints, at most
-    65,536; a lane int is 512 KB at 2x16 with 32-bit lanes, and one such
-    call peaked at 37 MB (2 MB at 2x14 with 8-bit lanes).  Errors as in
+    own bundle x alone.  Entry x compares ``t[x]`` with ``t[full ^ x]`` and
+    holds every bit when i does not envy, else every bit but those that i's
+    pair pass against ``full ^ x`` (``_pair_pass``) fails.  So the
+    allocation giving agent 0 the bundle ``full ^ k`` and agent 1 the
+    bundle k holds ``c0[full ^ k] & c1[k]``, which is :func:`held`'s
+    ``scan`` of it.  Both columns are full, and :func:`_columns` decides
+    them together, in lanes of the narrowest of 8, 16 and 32 bits that
+    holds every rank and every bit.  A column is 2**m ints, at most 65,536;
+    a lane int is 512 KB at 2x16 with 32-bit lanes, and one such call
+    peaked at 37 MB (2 MB at 2x14 with 8-bit lanes).  Errors as in
     :func:`held`, and ``ValueError`` unless n is 2.
     """
     if inst.n != 2:
@@ -425,8 +428,7 @@ def held_columns(inst: Instance, axiom_ids) -> tuple:
     ids = tuple(dict.fromkeys(axiom_ids))
     masks = _chen_liu_masks(inst, ids)
     v0, v1 = inst.valuations
-    return ({ax: 1 << k for k, ax in enumerate(ids)},
-            _columns(v0.table, v1.table, inst.m, (2 << len(ids)) - 1, _groups(ids), masks))
+    return _columns(v0.table, v1.table, inst.m, (1 << len(ids)) - 1, _groups(ids), masks)
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +440,12 @@ def held_columns(inst: Instance, axiom_ids) -> tuple:
 # (the position of a value among the distinct values of both tables) keeps
 # every comparison of the pair pass, which compares values of one table.
 # w is the narrowest of 8, 16 and 32 whose lanes hold every rank below
-# their top bit and every held bit, the axioms' and the one above.  With H
-# the top bit of every lane, ((A | H) - B) & H has a lane's top bit set iff
-# A >= B there, and no lane borrows from the next; ((A | H) - (B + 1)) & H
-# tests A > B.  The memory figures in :func:`held_columns` are tracemalloc
-# peaks, the 2x16 one with every value distinct, its rank map and the
-# cached masks.
+# their top bit and every axiom's bit (there is no po bit: the walk ORs it
+# in).  With H the top bit of every lane, ((A | H) - B) & H has a lane's top
+# bit set iff A >= B there, and no lane borrows from the next;
+# ((A | H) - (B + 1)) & H tests A > B.  The memory figures in
+# :func:`held_columns` are tracemalloc peaks, the 2x16 one with every value
+# distinct, its rank map and the cached masks.
 #
 # For item o, shifting VA and VB down by o lanes (D_A = VA >> s, D_B =
 # VB >> s) puts t[y | o] and t[full ^ (y | o)] in each lane y that lacks o.
@@ -559,7 +561,7 @@ def _columns(t0, t1, m, want, groups, masks):
            f_oxgt, f_oxeq, f_opgt, f_opeq)  # indexed by group
     envy = (vbh - va1) & h
     fail = 0
-    for k in range(want.bit_length()):  # per bit: its axiom's groups (none for the po bit)
+    for k in range(want.bit_length()):  # per bit: its axiom's groups
         flags = 0
         for f, bits in zip(acc, groups):
             if bits >> k & 1:

@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain, compress, repeat
+from operator import eq
 from typing import Callable, Optional
 
 from .axioms import (
@@ -116,7 +117,7 @@ def _fmt(inst, *allocs):
 def _scan(inst, combo):
     """The allocations satisfying ``combo``, e.g. ``"efx&po"``, in enumeration order."""
     [want], walk = held_walk(inst, [parse_axioms(combo.split("&"))])
-    return list(chain.from_iterable(compress(allocs, map(want.__eq__, helds))
+    return list(chain.from_iterable(compress(allocs, map(eq, repeat(want), helds))
                                     for allocs, helds in walk))
 
 

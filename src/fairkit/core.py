@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import itemgetter, mul, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .values import Value, as_value
@@ -360,11 +360,11 @@ def _blocks(n: int, m: int, tables: list) -> Iterator[tuple]:
     columns and value getters (:func:`_layout`) are built once per shape,
     at the first block of its first scan.  In a block whose high part gives
     an agent the mask ``h`` (bits L and up only), its masks are
-    ``map(h.__or__, column)``, built only as the allocations are read, and
-    its values ``getter(table[h:h + 2**L])`` (two agents: a slice, reversed
-    for agent 0), read whole before the block's first allocation is
-    tested.  A shape with ``m == L`` is one block: the columns and
-    ``getter(table)``.
+    ``map(or_, repeat(h), column)``, built only as the allocations are
+    read, and its values ``getter(table[h:h + 2**L])`` (two agents: a
+    slice, reversed for agent 0), read whole before the block's first
+    allocation is tested.  A shape with ``m == L`` is one block: the
+    columns and ``getter(table)``.
     """
     low, columns, getters = _layout(n, m)
     if low == m:
@@ -372,7 +372,7 @@ def _blocks(n: int, m: int, tables: list) -> Iterator[tuple]:
         return
     span = 1 << low
     for high in _high_parts(n, low, m):
-        yield (zip(*[map(h.__or__, col) for col, h in zip(columns, high)]),
+        yield (zip(*[map(or_, repeat(h), col) for col, h in zip(columns, high)]),
                zip(*[g(t[h:h + span]) for g, t, h in zip(getters, tables, high)]))
 
 
@@ -423,4 +423,4 @@ def _high_parts(n: int, low: int, m: int) -> Iterator[tuple]:
     allocations of m - low items (:func:`_blocks`), each mask shifted up by
     ``low`` items."""
     highs = chain.from_iterable(allocs for allocs, _ in _blocks(n, m - low, []))
-    return map(tuple, map(map, repeat((1 << low).__mul__), highs))
+    return map(tuple, map(map, repeat(mul), repeat(repeat(1 << low)), highs))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import ge, lt
+from operator import eq, ge, lt
 from typing import Optional
 
 from .core import (  # enumerate_allocations: no longer called here, but benchmark spans wrap it
@@ -104,5 +104,5 @@ def leximin_set(inst: Instance, budget: Optional[int] = None) -> list:
         if best_vec is None or top > best_vec:
             best_vec, best = top, []
         if top == best_vec:
-            best += compress(allocs, map(top.__eq__, vecs))
+            best += compress(allocs, map(eq, repeat(top), vecs))
     return best

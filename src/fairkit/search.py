@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain, compress, count, repeat, starmap
-from operator import and_, itemgetter
+from operator import and_, getitem, itemgetter, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import axioms
@@ -274,82 +274,69 @@ def held_walk(inst: Instance, combos: Sequence[tuple],
 
     ``walk`` yields ``(allocations, helds)`` blocks in enumeration order,
     two iterables over the same allocations, and covers at least every
-    allocation that satisfies one of the combos.  An allocation satisfies
-    ``combos[k]`` iff ``held & needs[k] == needs[k]``; ``held`` has no bit
-    outside the combos' masks.  PO is membership of the allocation's
-    profile in :func:`pareto_front`; an axiom that occurs only in combos
-    with ``"po"`` counts on Pareto-optimal allocations only.  When every
-    combo has ``"po"``, only those are walked, one block each, and each is
-    scanned (:func:`axioms.held`) when reached, so a reader that stops
-    early scans no further.  Otherwise every allocation is walked.  With
-    two agents, each agent's pair outcome depends on its own bundle alone
-    (the other holds the complement), so the two columns of
-    :func:`axioms.held_columns`, built at the call, hold every outcome.
-    They are read as a :func:`core._blocks` stream of their own, which
-    gives each allocation its two entries; their AND, masked by front
-    membership, is its held set.  With more agents each allocation gets
-    one fused scan.  Profiles come from a stream over the tables, read
-    only if a combo has ``"po"``.  The combos must be well-defined for the
-    instance.  The budget is checked, and the front computed, at the call.
+    allocation that satisfies one of the combos.  An allocation's held set
+    has a bit for each named axiom it satisfies, the k-th of the sorted
+    names owning ``1 << k``, and the po bit above them when its profile is
+    in :func:`pareto_front`.  So it satisfies ``combos[k]`` iff
+    ``held & needs[k] == needs[k]``, and it has no bit outside the combos'
+    masks.  When every combo has ``"po"``, only the Pareto-optimal
+    allocations are walked, one block each, and each is scanned
+    (:func:`axioms.held`) when reached, so a reader that stops early scans
+    no further.  Otherwise every allocation is walked (:func:`_full_walk`).
+    With two agents, each agent's pair outcome depends on its own bundle
+    alone (the other holds the complement), so the two columns of
+    :func:`axioms.held_columns`, built at the call, hold every outcome; they
+    are read as a :func:`core._blocks` stream of their own, which gives each
+    allocation its two entries, and their AND is its axioms' bits.  With
+    more agents, or with no named axiom, each allocation gets one fused
+    scan; a scan of no axiom builds no pair pass and returns 0 at once.
+    Profiles come from a stream over the tables, read only if a combo has
+    ``"po"``.  The combos must be well-defined for the instance.  The
+    budget is checked, and the front computed, at the call.
     """
     check_budget(inst.n, inst.m, budget)  # before any work
     if not combos:
         return [], iter(())
     names = sorted({ax for combo in combos for ax in combo} - {"po"})
-    po_bit = 1 << len(names)
-    on_front = po_bit - 1
-    with_po = ["po" in combo for combo in combos]
-    dense_pair = inst.n == 2 and not all(with_po)
-    if dense_pair:
-        bit_of, columns = axioms.held_columns(inst, names)
-    else:
-        bit_of, scan = axioms.held(inst, names)
-    bit_of["po"] = po_bit
+    bit_of = {ax: 1 << k for k, ax in enumerate(names)}
+    bit_of["po"] = po_bit = 1 << len(names)
     needs = [sum(bit_of[ax] for ax in set(combo)) for combo in combos]
+    with_po = ["po" in combo for combo in combos]
+    n, m = inst.n, inst.m
+    columns = axioms.held_columns(inst, names) if n == 2 and names and not all(with_po) else None
+    scan = None if columns else axioms.held(inst, names)
     front = pareto_front(inst, budget) if any(with_po) else None
-    blocks = _blocks(inst.n, inst.m, [v.table for v in inst.valuations] if any(with_po) else [])
+    blocks = _blocks(n, m, [v.table for v in inst.valuations] if front is not None else [])
     if all(with_po):
-        return needs, _front_walk(blocks, front, scan, on_front, po_bit)
-    everywhere = sum({bit_of[ax] for combo in combos if "po" not in combo for ax in combo})
-    if dense_pair:
-        return needs, _pair_walk(_blocks(2, inst.m, columns), blocks, front,
-                                 (everywhere, on_front | po_bit))
-    return needs, _scan_walk(blocks, front, scan, everywhere, on_front, po_bit)
+        return needs, _front_walk(blocks, front, scan, po_bit)
+    return needs, _full_walk(_blocks(n, m, columns or []), blocks, scan, front, po_bit)
 
 
-def _front_walk(blocks, front, scan, on_front, po_bit):
+def _front_walk(blocks, front, scan, po_bit):
     """:func:`held_walk`'s blocks when every combo has ``"po"``: one per
     Pareto-optimal allocation, scanned when it is reached."""
     for allocs, profiles in blocks:
         for alloc in compress(allocs, map(front.__contains__, profiles)):
-            yield (alloc,), (scan(alloc, on_front) | po_bit,)
+            yield (alloc,), (scan(alloc) | po_bit,)
 
 
-def _pair_walk(held_blocks, blocks, front, masks):
-    """:func:`held_walk`'s blocks over every allocation of two agents: the
-    AND of the two entries that ``held_blocks``, the columns' stream, gives
-    each allocation; with a front, also of ``masks`` (off the front, on
-    it), picked by the profiles of ``blocks``, the tables' stream."""
-    if front is None:  # every axiom bit is an everywhere bit; the po bit goes
-        for allocs, entries in held_blocks:
-            yield allocs, map(and_, repeat(masks[0]), starmap(and_, entries))
-        return
+def _full_walk(held_blocks, blocks, scan, front, po_bit):
+    """:func:`held_walk`'s blocks over every allocation, at any n.  Each
+    block's allocations come from ``held_blocks``, the two columns' stream
+    (``scan`` None), whose two entries are ANDed, or the bare allocation
+    stream, whose allocations are scanned.  With a front, the po bit is
+    ORed in where the profile, read from ``blocks``, the tables' stream, is
+    on it."""
+    on = (0, po_bit)
     for (allocs, entries), (_, profiles) in zip(held_blocks, blocks):
-        yield allocs, map(and_, map(masks.__getitem__, map(front.__contains__, profiles)),
-                          starmap(and_, entries))
-
-
-def _scan_walk(blocks, front, scan, everywhere, on_front, po_bit):
-    """:func:`held_walk`'s blocks over every allocation of three or more agents."""
-    def held_of(alloc, po):
-        return scan(alloc, on_front) | po_bit if po else scan(alloc, everywhere)
-
-    for allocs, profiles in blocks:
-        allocs = list(allocs)  # each one is read by its scan
-        if front is None:
-            yield allocs, map(scan, allocs, repeat(everywhere))
+        if scan is None:
+            helds = starmap(and_, entries)
         else:
-            yield allocs, map(held_of, allocs, map(front.__contains__, profiles))
+            allocs = list(allocs)  # each one is read by its scan
+            helds = map(scan, allocs)
+        if front is not None:
+            helds = map(or_, helds, map(getitem, repeat(on), map(front.__contains__, profiles)))
+        yield allocs, helds
 
 
 def landscape(inst: Instance, combos: Optional[Sequence[tuple]] = None,

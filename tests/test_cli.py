@@ -6,6 +6,7 @@ import pytest
 
 from fractions import Fraction
 
+import fairkit.axioms
 import fairkit.cli
 
 from fairkit import (
@@ -177,6 +178,25 @@ def test_enumerate_streams_rows_with_flags(files, capsys):
     by_bundles = {tuple(tuple(b) for b in r["bundles"]): r for r in rows}
     assert by_bundles[(("b",), ("r",))]["axioms"]["ef"] is True
     assert by_bundles[((), ("b", "r"))]["axioms"]["po"] is True
+
+
+def test_enumerate_po_does_no_axiom_work(files, capsys, monkeypatch):
+    """``--axioms po`` names no axiom: no lane column and no pair pass is
+    built, and each row flags exactly the Pareto-optimal allocations."""
+    def forbidden(*args):
+        raise AssertionError("axiom work for a walk that names no axiom")
+
+    for n, m, seed in ((2, 10, 14_000), (3, 6, 14_001)):
+        inst = generate(GenParams(agents=n, items=m, item_class="generallyGoodBad", seed=seed))
+        path = files(f"{n}x{m}.json", dumps_instance(inst))
+        with monkeypatch.context() as patched:
+            patched.setattr(fairkit.axioms, "_columns", forbidden)
+            patched.setattr(fairkit.axioms, "_pair_pass", forbidden)
+            code, out, _ = run(capsys, ["enumerate", path, "--axioms", "po"])
+        assert code == 0
+        front = pareto_front(inst)
+        assert [json.loads(line)["axioms"] for line in out.splitlines()] == [
+            {"po": utilities(inst, a) in front} for a in enumerate_allocations(inst)]
 
 
 def test_leximin_t1(files, capsys):

@@ -20,6 +20,7 @@ from fairkit import (
     check_axiom,
     enumerate_allocations,
     classify,
+    cut_and_choose,
     fixture,
     held,
     landscape,
@@ -70,35 +71,27 @@ REFS = {
 
 def _assert_three_way_agreement(inst):
     """Each scan bit, ``check_axiom(...).satisfied`` and the oracle agree everywhere,
-    and narrower scans give the same answers.
-
-    The narrower scans are the same scan asked for fewer bits (every single
-    bit, two halves of the axioms as a landscape splits them into everywhere
-    and front-only bits, their union, and a mask that changes with the
-    allocation), and scans built over fewer axioms (each alone, each run of
-    three, and all of them in reverse order), whose pair passes stop early at
-    other points.  Returns the axioms that were defined on ``inst``.
+    and scans built over fewer axioms (each alone, each run of three, and
+    all of them in reverse order), whose pair passes stop early at other
+    points, give the same answers, each numbering its own axioms.  Returns
+    the axioms that were defined on ``inst``.
     """
     axioms = [ax for ax in ALL_AXIOMS if well_defined(inst, ax)]
-    bit_of, scan = held(inst, axioms)
-    every = sum(bit_of.values())
-    everywhere = sum(bit_of[ax] for ax in axioms[::2])
-    front_only = every ^ everywhere
+    scan = held(inst, axioms)
     subsets = [[ax] for ax in axioms] + [axioms[k:k + 3] for k in range(len(axioms) - 2)]
-    narrower = [held(inst, subset) for subset in subsets + [axioms[::-1]]]
+    narrower = [(subset, held(inst, subset)) for subset in subsets + [axioms[::-1]]]
     vm = value_maps(inst)
-    for k, a in enumerate(enumerate_allocations(inst)):
-        got = scan(a, every)
+    for a in enumerate_allocations(inst):
+        got = scan(a)
         sets = to_sets(a)
-        for ax in axioms:
+        for k, ax in enumerate(axioms):
             want = REFS[ax](vm, sets, inst.m)
-            assert bool(got & bit_of[ax]) == check_axiom(inst, a, ax).satisfied == want, (
+            assert bool(got >> k & 1) == check_axiom(inst, a, ax).satisfied == want, (
                 ax, inst, a)
-        for w in [*bit_of.values(), everywhere, front_only, every, (k * 0x9E37) & every]:
-            assert scan(a, w) == w & got, (w, inst, a)
-        for sub_bits, sub_scan in narrower:
-            expected = sum(bit for ax, bit in sub_bits.items() if got & bit_of[ax])
-            assert sub_scan(a, sum(sub_bits.values())) == expected, (list(sub_bits), inst, a)
+        assert got < 1 << len(axioms), (inst, a)
+        for subset, sub_scan in narrower:
+            expected = sum(1 << k for k, ax in enumerate(subset) if got >> axioms.index(ax) & 1)
+            assert sub_scan(a) == expected, (subset, inst, a)
     return axioms
 
 
@@ -145,9 +138,9 @@ def test_kernels_match_reference_property(inst):
 def test_kernels_on_the_up_to_any_vs_up_to_some_boundary_instance():
     table = [0, -1, -1, 5, -1, 5, 5, 4]
     inst = Instance(("a", "b", "c"), (ExplicitValuation(tuple(table)),) * 2)
-    bit_of, scan = held(inst, (EFX, EFXPM, EF1, EF1PM))
+    scan = held(inst, (EFX, EFXPM, EF1, EF1PM))
     a = (0, inst.full)
-    assert scan(a, sum(bit_of.values())) == bit_of[EFX] | bit_of[EFXPM]
+    assert scan(a) == 0b0011  # efx and efxpm, the first two ids
     _assert_three_way_agreement(inst)
 
 
@@ -157,14 +150,18 @@ def test_kernels_reject_unknown_and_undefined_axioms():
         held(ex1, ("efx", "po"))
     with pytest.raises(NotWellDefinedError):
         held(ex1, (CHEN_LIU,))
-    bit_of, scan = held(ex1, ())
-    assert bit_of == {} and scan((0, ex1.full), 0) == 0
-    assert held(ex1, (EFX, EF1, EFX))[0] == {EFX: 1, EF1: 2}
+    allocs = list(enumerate_allocations(ex1))
+    assert [held(ex1, ())(a) for a in allocs] == [0] * len(allocs)
+    repeated = held(ex1, (EFX, EF1, EFX))  # bit k is the k-th distinct id
+    assert [repeated(a) for a in allocs] == [
+        check_axiom(ex1, a, EFX).satisfied | check_axiom(ex1, a, EF1).satisfied << 1
+        for a in allocs]
     with pytest.raises(ValueError, match="unknown axiom 'po'"):
         fairkit.axioms.held_columns(ex1, ("efx", "po"))
     with pytest.raises(NotWellDefinedError):
         fairkit.axioms.held_columns(ex1, (CHEN_LIU,))
-    assert fairkit.axioms.held_columns(ex1, (EFX, EF1, EFX))[0] == {EFX: 1, EF1: 2}
+    assert (fairkit.axioms.held_columns(ex1, (EFX, EF1, EFX))
+            == fairkit.axioms.held_columns(ex1, (EFX, EF1)))
     with pytest.raises(ValueError, match="two agents, got 3"):
         fairkit.axioms.held_columns(generate(GenParams(agents=3, items=2, seed=12_400)), (EFX,))
 
@@ -182,10 +179,10 @@ def test_scans_keep_nothing_on_the_instance():
 
 def test_landscape_builds_one_scan_and_skips_envy_free_allocations(monkeypatch):
     """One build per landscape, over exactly the axioms its combos name.
-    With three agents, each allocation is scanned once, for the front-only
-    bits only when it is PO, and no envy-free allocation reaches a pair
-    pass.  With two, the columns make no pair pass at all, and an
-    allocation carries a front-only bit only when PO."""
+    With three agents, each allocation is scanned once, and no envy-free
+    allocation reaches a pair pass.  With two, the columns make no pair
+    pass at all.  Either way an allocation holds every named axiom it
+    satisfies, and the po bit when it is PO."""
     builds, scanned, passed, pass_builds = [], [], [], []
     real_held = fairkit.axioms.held
     real_columns = fairkit.axioms.held_columns
@@ -196,14 +193,14 @@ def test_landscape_builds_one_scan_and_skips_envy_free_allocations(monkeypatch):
         fails = real_pass(axiom_ids)
 
         def recorded(t, a, b, *rest):  # the allocation being scanned, if any, and the pair
-            passed.append((scanned[-1][0] if scanned else None, t, a, b))
+            passed.append((scanned[-1] if scanned else None, t, a, b))
             return fails(t, a, b, *rest)
         return recorded
 
     def recording_held(inst, axiom_ids):
         builds.append(tuple(axiom_ids))
-        bit_of, scan = real_held(inst, axiom_ids)
-        return bit_of, lambda alloc, want: scanned.append((alloc, want)) or scan(alloc, want)
+        scan = real_held(inst, axiom_ids)
+        return lambda alloc: scanned.append(alloc) or scan(alloc)
 
     def recording_columns(inst, axiom_ids):
         builds.append(tuple(axiom_ids))
@@ -213,7 +210,6 @@ def test_landscape_builds_one_scan_and_skips_envy_free_allocations(monkeypatch):
     monkeypatch.setattr(fairkit.axioms, "held", recording_held)
     monkeypatch.setattr(fairkit.axioms, "held_columns", recording_columns)
     combos = [("ef1",), ("efx", "efx0"), ("chen-liu", "efx", "po"), ("efxpm", "po"), ("po",)]
-    everywhere, on_front = 0b01110, 0b11111  # ef1, efx, efx0 | chen-liu, efxpm
     for inst in (generate(GenParams(agents=2, items=6, item_class="generallyGoodBad",
                                     seed=12_600)),
                  generate(GenParams(agents=3, items=4, item_class="generallyGoodBad",
@@ -228,19 +224,16 @@ def test_landscape_builds_one_scan_and_skips_envy_free_allocations(monkeypatch):
         front = pareto_front(inst)
         if inst.n == 2:
             assert not scanned and not pass_builds and not passed
-            needs, walk = fairkit.search.held_walk(inst, combos)
-            walked = [(a, held) for allocs_, helds in walk for a, held in zip(allocs_, helds)]
-            assert [a for a, _ in walked] == allocs
-            _, scan = real_held(inst, ["chen-liu", "ef1", "efx", "efx0", "efxpm"])
-            assert [held for _, held in walked] == [
-                scan(a, on_front) | 0b100000 if utilities(inst, a) in front  # po
-                else scan(a, everywhere) for a in allocs]
         else:
-            assert [a for a, _ in scanned] == allocs
-            assert [want for _, want in scanned] == [
-                on_front if utilities(inst, a) in front else everywhere for a in allocs]
+            assert scanned == allocs
             envious = {a for a in allocs if not check_axiom(inst, a, "ef").satisfied}
             assert envious and {alloc for alloc, *_ in passed} == envious
+        needs, walk = fairkit.search.held_walk(inst, combos)
+        walked = [(a, held) for allocs_, helds in walk for a, held in zip(allocs_, helds)]
+        assert [a for a, _ in walked] == allocs
+        scan = real_held(inst, ["chen-liu", "ef1", "efx", "efx0", "efxpm"])
+        assert [held for _, held in walked] == [
+            scan(a) | (0b100000 if utilities(inst, a) in front else 0) for a in allocs]  # po
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +241,10 @@ def test_landscape_builds_one_scan_and_skips_envy_free_allocations(monkeypatch):
 
 def _passed_columns(inst, axiom_ids, bundles):
     """``held_columns``' entries at ``bundles`` from one ``_pair_pass`` per
-    envying (agent, bundle), and ``want`` (every axiom bit and the one
-    above) where the agent does not envy."""
+    envying (agent, bundle), and ``want`` (every axiom bit) where the agent
+    does not envy."""
     ids = tuple(dict.fromkeys(axiom_ids))
-    want = (2 << len(ids)) - 1
+    want = (1 << len(ids)) - 1
     fails = fairkit.axioms._pair_pass(ids)
     full = inst.full
     return [[want & ~fails(t, x, full ^ x, t[x], t[full ^ x], good, bad)
@@ -263,15 +256,13 @@ def _passed_columns(inst, axiom_ids, bundles):
 def _assert_columns_match_the_pair_pass(inst, axiom_sets=None, bundles=None):
     """Both columns equal the per-bundle passes for every defined axiom
     alone, all of them together and reversed (or ``axiom_sets``), each
-    holding its axioms' bits and the one above; at ``bundles`` only, if
-    given."""
+    holding its axioms' bits only; at ``bundles`` only, if given."""
     defined = [ax for ax in ALL_AXIOMS if well_defined(inst, ax)]
     if axiom_sets is None:
         axiom_sets = [[ax] for ax in defined] + [defined, defined[::-1]]
     bundles = range(inst.full + 1) if bundles is None else bundles
     for ids in axiom_sets:
-        bit_of, columns = fairkit.axioms.held_columns(inst, ids)
-        assert bit_of == {ax: 1 << k for k, ax in enumerate(ids)}
+        columns = fairkit.axioms.held_columns(inst, ids)
         assert all(len(c) == inst.full + 1 for c in columns)
         got = [[c[x] for x in bundles] for c in columns]
         assert got == _passed_columns(inst, ids, bundles), (ids, inst)
@@ -314,13 +305,12 @@ def _with_levels(m, levels, seed, unit=Fraction(1, 7)):
 
 def test_lane_widths_hold_every_rank_and_every_bit(monkeypatch):
     """Lanes widen from 8 to 16 bits past 128 distinct values or 8 held
-    bits (7 axioms and the bit above them), and to 32 bits past 32,768
-    values; either side of each edge, the columns equal the per-bundle
-    passes."""
+    bits (8 axioms), and to 32 bits past 32,768 values; either side of each
+    edge, the columns equal the per-bundle passes."""
     widths = []
     real_lanes = fairkit.axioms._lanes
     monkeypatch.setattr(fairkit.axioms, "_lanes", lambda m, w: widths.append(w) or real_lanes(m, w))
-    eight = [ax for ax in ALL_AXIOMS if ax != CHEN_LIU][:7]  # 7 axioms and a bit above: 8 bits
+    eight = [ax for ax in ALL_AXIOMS if ax != CHEN_LIU][:8]  # 8 axioms: 8 bits
     for levels, width in ((126, 8), (127, 8), (128, 8), (129, 16), (200, 16)):
         inst = _with_levels(7, levels, seed=13_500 + levels)
         widths.clear()
@@ -328,9 +318,10 @@ def test_lane_widths_hold_every_rank_and_every_bit(monkeypatch):
         assert set(widths) == {width}, (levels, widths)
     inst = generate(GenParams(agents=2, items=6, item_class="generallyGoodBad", seed=13_600))
     assert well_defined(inst, CHEN_LIU)
-    for ids, width in ((ALL_AXIOMS[:7], 8), (ALL_AXIOMS[:8], 16), (ALL_AXIOMS, 16)):
-        widths.clear()  # the axioms' bits and the one above, as a po bit would be
-        assert fairkit.axioms.held_columns(inst, ids)[1] == tuple(
+    for ids, width in ((ALL_AXIOMS[:8], 8), (ALL_AXIOMS[2:], 8), (ALL_AXIOMS[:9], 16),
+                       (ALL_AXIOMS, 16)):
+        widths.clear()
+        assert fairkit.axioms.held_columns(inst, ids) == tuple(
             map(tuple, _passed_columns(inst, ids, range(inst.full + 1))))
         assert widths == [width], (len(ids), widths)
     sample = [*range(0, 1 << 15, 97), (1 << 15) - 1]
@@ -409,6 +400,37 @@ def test_order_preserving_maps_keep_columns_and_landscapes(case):
     assert _flag_rows(moved) == _flag_rows(inst)
     if scaled:  # leximin compares values across agents: only a common scale keeps it
         assert leximin_set(moved) == leximin_set(inst)
+
+
+@st.composite
+def _common_order(draw):
+    """A seeded instance of the shapes of :func:`_reordered`, and a copy
+    whose values all went through one strictly increasing map, shared by
+    every agent, with ``Fraction`` images of either sign."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.sampled_from(range(1, _MAX_ITEMS[n] + 1)))
+    inst = generate(GenParams(agents=n, items=m, item_class=draw(st.sampled_from(ITEM_CLASSES)),
+                              seed=draw(st.integers(0, 10**6))))
+    levels = sorted(set().union(*(v.table for v in inst.valuations)))
+    start = Fraction(draw(st.integers(-60, 20)), draw(st.integers(1, 9)))
+    steps = draw(st.lists(st.fractions(Fraction(1, 9), 5, max_denominator=9),
+                          min_size=len(levels), max_size=len(levels)))
+    image = dict(zip(levels, accumulate(steps, initial=start)))
+    return inst, Instance(inst.item_names, tuple(ExplicitValuation([image[x] for x in v.table])
+                                                 for v in inst.valuations))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_common_order())
+def test_one_increasing_map_for_every_agent_keeps_leximin(case):
+    """Leximin compares the sorted profiles, which one increasing map for
+    all agents keeps in order, so the leximin set and both cutters'
+    cut-and-choose allocations are unchanged."""
+    inst, moved = case
+    assert leximin_set(moved) == leximin_set(inst)
+    if inst.n == 2:
+        assert [cut_and_choose(moved, c) for c in (0, 1)] == [cut_and_choose(inst, c)
+                                                               for c in (0, 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import fairkit.axioms
 import fairkit.cli
 import fairkit.search
 from fairkit import BudgetExceededError, ExplicitValuation, Instance, dumps_instance, fixture
-from fairkit.axioms import ALL_AXIOMS
+from fairkit.axioms import ALL_AXIOMS, check_axiom
 from fairkit.core import is_additive_consistent
 from fairkit.efficiency import pareto_front, utilities
 from fairkit.search import (
@@ -473,7 +473,7 @@ _DENSE_PAIR_FAMILIES = {
     "identical": dict(lo=-2, hi=2, identical=True), "additive": dict(lo=-2, hi=2, additive=True),
     "normalised": dict(lo=-2, hi=2, disjointly_normalised=True),
 }
-_FRONT_ONLY_COMBOS = (("efx",), ("efxpm", "po"), ("ef1pm", "efx0", "po"), ("chen-liu", "po"))
+_BESIDE_PO_COMBOS = (("efx",), ("efxpm", "po"), ("ef1pm", "efx0", "po"), ("chen-liu", "po"))
 
 
 def _ref_po_flags(inst, order):
@@ -489,11 +489,11 @@ def _ref_po_flags(inst, order):
 def test_dense_two_agent_walks_match_the_reference(tmp_path, capsys):
     """Two-agent walks over every allocation, from the per-agent columns,
     against the naive oracles: ``landscape`` with the default combos and
-    with every axiom alone and with po, a walk whose front-only axioms
-    (chen-liu on generallyGoodBad instances among them) are decided on the
-    front only, and ``enumerate``'s rows, on 2x1 to 2x12 (one block up to
-    m = 8, several above) with ties, Fraction tables and identical,
-    additive and disjointly normalised agents."""
+    with every axiom alone and with po, a walk that names some axioms only
+    beside po (chen-liu on generallyGoodBad instances among them), and
+    ``enumerate``'s rows, on 2x1 to 2x12 (one block up to m = 8, several
+    above) with ties, Fraction tables and identical, additive and
+    disjointly normalised agents."""
     solo_and_po = [(ax,) for ax in ALL_AXIOMS] + [(ax, "po") for ax in ALL_AXIOMS]
     checked = {"chen-liu": 0, "multi-block": 0}
     for m, families, thirds in _DENSE_PAIR_SHAPES:
@@ -512,7 +512,7 @@ def test_dense_two_agent_walks_match_the_reference(tmp_path, capsys):
                 assert _rows_as_sets(landscape(inst)) == _oracle_rows(order, flags, DEFAULT_COMBOS)
                 assert _rows_as_sets(landscape(inst, solo_and_po)) == _oracle_rows(order, flags,
                                                                                  solo)
-                combos = [c for c in _FRONT_ONLY_COMBOS if c[0] in defined]
+                combos = [c for c in _BESIDE_PO_COMBOS if c[0] in defined]
                 needs, walk = held_walk(inst, combos)
                 walked = [(to_sets(alloc), held) for alloc, held in _walked(walk)]
                 assert [s for s, _ in walked] == order
@@ -531,6 +531,26 @@ def test_dense_two_agent_walks_match_the_reference(tmp_path, capsys):
                 assert [r["axioms"] for r in rows] == [
                     {ax: flags[ax][k] for ax in requested} for k in range(len(order))]
     assert checked["chen-liu"] >= 10 and checked["multi-block"] >= 7
+
+
+def test_held_sets_carry_every_named_axiom_on_and_off_the_front():
+    """Every walked allocation holds the bits of the named axioms that
+    ``check_axiom`` accepts, the k-th sorted name owning ``1 << k``, and the
+    po bit above them iff its profile is on the Pareto front, on single-
+    and multi-block shapes (2x9, 2x10, 3x7) of both walks."""
+    combos = [("ef",), ("efxpm", "po"), ("chen-liu", "efx", "po"), ()]
+    names = ["chen-liu", "ef", "efx", "efxpm"]
+    for k, (n, m) in enumerate(((2, 4), (2, 9), (2, 10), (3, 4), (3, 7))):
+        inst = generate(GenParams(agents=n, items=m, item_class="generallyGoodBad",
+                                  seed=9960 + k))
+        front = pareto_front(inst)
+        needs, walk = held_walk(inst, combos)
+        assert needs == [0b00010, 0b11000, 0b10101, 0]
+        walked = _walked(walk)
+        assert [alloc for alloc, _ in walked] == list(fairkit.search.enumerate_allocations(inst))
+        assert [held for _, held in walked] == [
+            sum(1 << b for b, ax in enumerate(names) if check_axiom(inst, alloc, ax).satisfied)
+            | (utilities(inst, alloc) in front) << len(names) for alloc, _ in walked], (n, m)
 
 
 class _Unread:
@@ -553,9 +573,9 @@ def test_held_walk_without_po_reads_no_profile(monkeypatch):
         fairkit.axioms.held_columns, fairkit.search._blocks, fairkit.core._layout)
 
     def recording(inst, axiom_ids):
-        bit_of, cols = real_columns(inst, axiom_ids)
+        cols = real_columns(inst, axiom_ids)
         columns[:] = cols
-        return bit_of, cols
+        return cols
 
     def blocks(n, m, tables):
         if tables:  # the held columns' stream, read through the layout's getters
@@ -592,28 +612,24 @@ def test_held_walk_without_po_reads_no_profile(monkeypatch):
         assert sum(reads) == (2 * n ** m if n == 2 else 0), (n, m)  # both columns, once
 
 
-def test_landscape_checks_each_axiom_once_and_po_only_axioms_on_the_front(monkeypatch):
+def test_landscape_checks_each_axiom_once(monkeypatch):
+    """One scan over the named axioms, each once, and one call of it per
+    allocation, the off-front ones included."""
     inst = generate(GenParams(agents=3, items=4, item_class="generallyGoodBad", seed=9700))
     scanned = []
     builds = []
     real = fairkit.axioms.held
 
     def counting(inst, axiom_ids):
-        bit_of, scan = real(inst, axiom_ids)
-        builds.append((tuple(axiom_ids), bit_of))
-        return bit_of, lambda alloc, want: scanned.append((alloc, want)) or scan(alloc, want)
+        scan = real(inst, axiom_ids)
+        builds.append(tuple(axiom_ids))
+        return lambda alloc: scanned.append(alloc) or scan(alloc)
 
     monkeypatch.setattr(fairkit.axioms, "held", counting)
-    front = pareto_front(inst)
     allocs = list(fairkit.search.enumerate_allocations(inst))
-    on_front = [a for a in allocs if utilities(inst, a) in front]
     landscape(inst, (("efx",), ("efx", "po"), ("efxpm", "po"), ("chen-liu", "efxpm", "po")))
-    [(names, bit_of)] = builds
-    assert names == ("chen-liu", "efx", "efxpm")
-    assert [a for a, _ in scanned] == allocs
-    for ax in ("efx", "efxpm", "chen-liu"):
-        checked = [a for a, want in scanned if want & bit_of[ax]]
-        assert checked == (allocs if ax == "efx" else on_front)
+    assert builds == [("chen-liu", "efx", "efxpm")]
+    assert scanned == allocs
 
 
 def test_landscape_checks_the_budget_before_any_work(monkeypatch):
@@ -714,13 +730,12 @@ def test_mine_po_scan_tests_front_allocations_only(monkeypatch):
     real = fairkit.axioms.held
 
     def recording(inst, axiom_ids):
-        bit_of, scan = real(inst, axiom_ids)
+        scan = real(inst, axiom_ids)
 
-        def scan_and_record(alloc, want):
-            if want:  # a scan asked for no bit tests no axiom
-                tested.append((inst, alloc))
-            return scan(alloc, want)
-        return bit_of, scan_and_record
+        def scan_and_record(alloc):
+            tested.append((inst, alloc))
+            return scan(alloc)
+        return scan_and_record
 
     monkeypatch.setattr(fairkit.axioms, "held", recording)
     params = GenParams(agents=3, items=3, lo=-3, hi=3, seed=975)
