@@ -17,11 +17,13 @@ whose lhs < rhs reproduces the failed inequality; :func:`satisfies` is its
 yes or no for one allocation.  For scans over many allocations, :func:`held`
 decides many axioms at once without witnesses: one bit per axiom, from one
 pass over each envying pair's two bundles, and none at all for an envy-free
-allocation.  With two agents, :func:`held_columns` decides them for every
-allocation at once, from one column per agent over its own bundles, with
-no pair pass: integer arithmetic over the ranks of the agents' values,
-packed in 8-, 16- or 32-bit lanes, decides every bundle at once.  All
-three read the one clause table through one cached reading of its rows.
+allocation.  With two agents, :func:`held_columns` decides them, and Pareto
+optimality, for every allocation at once, with no pair pass: integer
+arithmetic over the ranks of the agents' values, packed in 8-, 16- or
+32-bit lanes, decides every bundle of both agents at once, and one AND of
+the two agents' columns gives the held sets of all allocations as one lane
+string.  All three read the one clause table through one cached reading of
+its rows.
 """
 
 from __future__ import annotations
@@ -30,10 +32,11 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
+from itertools import count, repeat
 from typing import Optional
 
 from .core import Allocation, Instance
+from .efficiency import _maxima
 from .taxonomy import classify
 
 # axiom identifiers (CLI spelling)
@@ -404,31 +407,50 @@ def _nothing(alloc):
     return 0
 
 
-def held_columns(inst: Instance, axiom_ids) -> tuple:
-    """``(c0, c1)`` for a two-agent instance: per agent, the bits of the
-    axioms ``axiom_ids`` (numbered as in :func:`held`) that each of its own
-    bundles leaves, as a tuple indexed by the bundle's mask.
+def held_columns(inst: Instance, axiom_ids, po: bool = False):
+    """The held sets of a two-agent instance's 2**m allocations, in
+    enumeration order, as one lane string: entry k holds the bits of the
+    axioms ``axiom_ids`` (numbered as in :func:`held`) that allocation k
+    satisfies and, with ``po``, the po bit ``1 << len(ids)`` (``ids`` the
+    distinct ids) iff its profile is on the Pareto front.  A ``bytes`` for
+    8-bit lanes, an ``array`` for 16- and 32-bit ones.
 
     With two agents the envied bundle is the complement of the envier's, so
     whether agent i envies, and which axioms its pair fails, depends on its
-    own bundle x alone.  Entry x compares ``t[x]`` with ``t[full ^ x]`` and
-    holds every bit when i does not envy, else every bit but those that i's
-    pair pass against ``full ^ x`` (``_pair_pass``) fails.  So the
-    allocation giving agent 0 the bundle ``full ^ k`` and agent 1 the
-    bundle k holds ``c0[full ^ k] & c1[k]``, which is :func:`held`'s
-    ``scan`` of it.  Both columns are full, and :func:`_columns` decides
-    them together, in lanes of the narrowest of 8, 16 and 32 bits that
-    holds every rank and every bit.  A column is 2**m ints, at most 65,536;
-    a lane int is 512 KB at 2x16 with 32-bit lanes, and one such call
-    peaked at 37 MB (2 MB at 2x14 with 8-bit lanes).  Errors as in
-    :func:`held`, and ``ValueError`` unless n is 2.
+    own bundle x alone.  :func:`_columns` decides every bundle of both
+    agents at once: entry x of agent i's column holds every bit when i does
+    not envy, else every bit but those that i's pair pass against
+    ``full ^ x`` (``_pair_pass``) fails.  Allocation k gives agent 0 the
+    bundle ``full ^ k`` and agent 1 the bundle k, so it holds
+    ``c0[full ^ k] & c1[k]``, which is :func:`held`'s ``scan`` of it: one
+    big-int AND of agent 0's column, reversed, with agent 1's.  The po bit
+    comes from the same ranks (:func:`_on_front`).  Lanes are the narrowest
+    of 8, 16 and 32 bits that hold every rank and every bit, the po bit
+    included.  A lane int is 512 KB at 2x16 with 32-bit lanes; one call
+    with ``po`` peaked at 34.6 MB there (every value distinct), and at
+    1.7 MB at 2x14 with 8-bit lanes.  Errors as in :func:`held`, and
+    ``ValueError`` unless n is 2.
     """
     if inst.n != 2:
         raise ValueError(f"held_columns needs two agents, got {inst.n}")
     ids = tuple(dict.fromkeys(axiom_ids))
     masks = _chen_liu_masks(inst, ids)
-    v0, v1 = inst.valuations
-    return _columns(v0.table, v1.table, inst.m, (1 << len(ids)) - 1, _groups(ids), masks)
+    t0, t1 = (v.table for v in inst.valuations)
+    m, k = inst.m, len(ids)
+    # one rank map serves both tables, so ranking costs one sort
+    rank = dict(zip(sorted({*t0, *t1}), count()))
+    d, bits = len(rank), (1 << (k + po)) - 1
+    w = 8 if d <= 1 << 7 and bits < 1 << 8 else 16 if d <= 1 << 15 and bits < 1 << 16 else 32
+    ranks = map(rank.__getitem__, t0 + t1)
+    ranks = bytes(ranks) if w == 8 else array(_TYPECODE[w], ranks)
+    size = 1 << m
+    held = 0
+    if ids:
+        both = _unpack(_columns(ranks, m, w, (1 << k) - 1, _groups(ids), masks), w, 2 * size)
+        held = _pack(both[size - 1::-1]) & _pack(both[size:])
+    if po:
+        held |= _on_front(ranks[size - 1::-1], ranks[size:], d, w) >> (w - 1 - k)
+    return _unpack(held, w, size)
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +462,12 @@ def held_columns(inst: Instance, axiom_ids) -> tuple:
 # (the position of a value among the distinct values of both tables) keeps
 # every comparison of the pair pass, which compares values of one table.
 # w is the narrowest of 8, 16 and 32 whose lanes hold every rank below
-# their top bit and every axiom's bit (there is no po bit: the walk ORs it
-# in).  With H the top bit of every lane, ((A | H) - B) & H has a lane's top
-# bit set iff A >= B there, and no lane borrows from the next;
-# ((A | H) - (B + 1)) & H tests A > B.  The memory figures in
-# :func:`held_columns` are tracemalloc peaks, the 2x16 one with every value
-# distinct, its rank map and the cached masks.
+# their top bit and every held bit, the po bit included.  With H the top bit
+# of every lane, ((A | H) - B) & H has a lane's top bit set iff A >= B
+# there, and no lane borrows from the next; ((A | H) - (B + 1)) & H tests
+# A > B, and ~(((X | H) - L1) | X) & H that X is 0.  The memory figures in
+# :func:`held_columns` are tracemalloc peaks, with the rank map and the
+# cached masks.
 #
 # For item o, shifting VA and VB down by o lanes (D_A = VA >> s, D_B =
 # VB >> s) puts t[y | o] and t[full ^ (y | o)] in each lane y that lacks o.
@@ -457,7 +479,7 @@ def held_columns(inst: Instance, axiom_ids) -> tuple:
 # where one repairs), and an axiom fails on the envying lanes where one of
 # its groups does; a group that no axiom has is not built.
 
-_TYPECODE = {8: "B", 16: "H", 32: "I"}
+_TYPECODE = {8: "B", 16: "H", 32: "I", 64: "Q"}
 _SWAP = sys.byteorder == "big"  # lane ints are read and written little-endian
 
 
@@ -475,12 +497,12 @@ def _lanes(m, w):
     return l1, l1 << w - 1, his
 
 
-def _columns(t0, t1, m, want, groups, masks):
-    """Both agents' columns (see :func:`held_columns`) over their tables t0
-    and t1, holding the bits of ``want`` that they leave, for the axioms
-    whose clause groups are ``groups`` (:func:`_groups`) and the agents'
-    chen-liu ``masks``.  One rank map serves both tables, so ranking costs
-    one sort."""
+def _columns(ranks, m, w, want, groups, masks):
+    """Both agents' columns (see :func:`held_columns`) as one lane int,
+    agent i's bundle x in lane x + i * 2**m, over their values' ``ranks``
+    in that order (w-bit lanes), holding the bits of ``want`` that they
+    leave, for the axioms whose clause groups are ``groups``
+    (:func:`_groups`) and the agents' chen-liu ``masks``."""
     ef, ef1, ef1pm, cl, x_lt, x_eq, p_gt, p_eq, ox_gt, ox_eq, op_gt, op_eq = groups
     rep = ef1 | ef1pm                    # repairs
     eq = p_eq | ox_eq | op_eq            # an item leaving va unchanged
@@ -488,16 +510,9 @@ def _columns(t0, t1, m, want, groups, masks):
     above = op_gt | op_eq | ef1pm | cl   # o in a, read at t[b + o]
     reads_a = p_gt | eq | up | above     # t[a + o] and t[a - o] are read
     items = rep | x_lt | x_eq | reads_a  # any item at all
-    rank = dict(zip(sorted({*t0, *t1}), count()))
-    d = len(rank)
-    w = 8 if d <= 1 << 7 and want < 1 << 8 else 16 if d <= 1 << 15 and want < 1 << 16 else 32
-    ranks = map(rank.__getitem__, t0 + t1)
-    lanes = bytes(ranks) if w == 8 else array(_TYPECODE[w], ranks)
-    if _SWAP and w > 8:
-        lanes.byteswap()
     half = w << m
-    va = int.from_bytes(lanes, "little")
-    vb = int.from_bytes(lanes[::-1], "little")  # agent 1's reversed table, then agent 0's
+    va = _pack(ranks)
+    vb = _pack(ranks[::-1])  # agent 1's reversed table, then agent 0's
     vb = vb >> half | (vb & ((1 << half) - 1)) << half
     l1, h, his = _lanes(m, w)
     va1, vbh = va + l1, vb | h
@@ -567,10 +582,48 @@ def _columns(t0, t1, m, want, groups, masks):
             if bits >> k & 1:
                 flags |= f
         fail |= (envy & flags) >> (w - 1 - k)
-    lanes = (want * l1 ^ fail).to_bytes(half >> 2, "little")
-    if w > 8:
-        lanes = array(_TYPECODE[w], lanes)
-        if _SWAP:
-            lanes.byteswap()
-    lanes = tuple(lanes)
-    return lanes[:1 << m], lanes[1 << m:]
+    return want * l1 ^ fail
+
+
+def _on_front(r0, r1, d, w):
+    """The top bit of lane k where allocation k's profile, of ranks
+    ``r0[k]`` and ``r1[k]`` among ``d``, is on the Pareto front, from lane
+    sequences of w bits.  The distinct profiles are collected at C level,
+    as one 2w-bit key per allocation, and the front is their
+    :func:`efficiency._maxima`.  Two front points never share agent 0's
+    rank, so the front is a table from it to agent 1's rank, all-ones (no
+    rank) where it has none, and lane k is on it iff the table maps
+    ``r0[k]`` to ``r1[k]``: a ``translate`` (8 bits) or a C-level ``map``
+    and one lane-equality test."""
+    size = len(r0)  # 2**m
+    keys = bytearray(2 * size) if w == 8 else array(_TYPECODE[w], bytes(size * w >> 2))
+    keys[_SWAP::2] = r1
+    keys[1 - _SWAP::2] = r0  # read as 2w-bit lanes: r0 << w | r1
+    table = bytearray(b"\xff") * 256 if w == 8 else [(1 << w) - 1] * d
+    for a, b in _maxima(map(divmod, set(array(_TYPECODE[2 * w], bytes(keys))), repeat(1 << w))):
+        table[a] = b
+    on = r0.translate(table) if w == 8 else array(_TYPECODE[w], map(table.__getitem__, r0))
+    l1 = _lanes(size.bit_length() - 1, w)[0] >> size * w  # 1 in each of the 2**m lanes
+    h = l1 << w - 1
+    x = _pack(on) ^ _pack(r1)
+    return ~((x | h) - l1 | x) & h  # lanes where x is 0
+
+
+def _pack(lanes):
+    """The lane int of a ``bytes`` or ``array`` of lanes, lane 0 lowest."""
+    if _SWAP and not isinstance(lanes, bytes):
+        lanes = array(lanes.typecode, lanes)
+        lanes.byteswap()
+    return int.from_bytes(lanes, "little")
+
+
+def _unpack(x, w, lanes):
+    """The first ``lanes`` w-bit lanes of the int x: a ``bytes`` for 8-bit
+    lanes, an ``array`` for wider ones."""
+    out = x.to_bytes(lanes * w >> 3, "little")
+    if w == 8:
+        return out
+    out = array(_TYPECODE[w], out)
+    if _SWAP:
+        out.byteswap()
+    return out

@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from itertools import chain, islice, starmap
+from operator import getitem, itemgetter
 from typing import Optional
 
 from . import axioms
@@ -173,8 +174,8 @@ def cmd_enumerate(args) -> int:
             if text is None:
                 text = flags[held] = ", ".join(
                     key + ("true" if held & bit else "false") for key, bit in keys)
-            bundles = ", ".join(map(bundle.__getitem__, alloc))
-            utils = ", ".join(map(utility.__getitem__, map(tuple.__getitem__, tables, alloc)))
+            bundles = ", ".join(itemgetter(*alloc)(bundle))  # a tuple: n >= 2 masks
+            utils = ", ".join(map(utility.__getitem__, map(getitem, tables, alloc)))
             lines.append(f'{{"index": {k}, "bundles": [{bundles}], "utilities": [{utils}], '
                          f'"axioms": {{{text}}}}}')
         if not lines:

@@ -328,7 +328,33 @@ def enumerate_allocations(inst: Instance, budget: Optional[int] = None) -> Itera
     ``DEFAULT_BUDGET``).  No value is read (:func:`_blocks` with no tables).
     """
     check_budget(inst.n, inst.m, budget)
-    return chain.from_iterable(allocs for allocs, _ in _blocks(inst.n, inst.m, []))
+    return iter(_Allocations(inst.n, inst.m))
+
+
+class _Allocations:
+    """The allocations of n agents and m items as a sequence in enumeration
+    order that builds only what is read: iterating it walks :func:`_blocks`
+    with no tables, and ``[k]`` decodes allocation k alone."""
+
+    __slots__ = ("n", "m")
+
+    def __init__(self, n: int, m: int):
+        self.n, self.m = n, m
+
+    def __len__(self) -> int:
+        return self.n ** self.m
+
+    def __iter__(self) -> Iterator[Allocation]:
+        return chain.from_iterable(allocs for allocs, _ in _blocks(self.n, self.m, []))
+
+    def __getitem__(self, k: int) -> Allocation:
+        if not 0 <= k < len(self):
+            raise IndexError(f"no allocation {k} among {len(self)}")
+        bundles = [0] * self.n
+        for o in range(self.m):  # item o goes to agent (k // n**o) % n
+            k, agent = divmod(k, self.n)
+            bundles[agent] |= 1 << o
+        return tuple(bundles)
 
 
 def check_budget(n: int, m: int, budget: Optional[int] = None) -> None:
@@ -422,5 +448,4 @@ def _high_parts(n: int, low: int, m: int) -> Iterator[tuple]:
     """Per-agent masks of items ``low..m-1`` in the counter order: the
     allocations of m - low items (:func:`_blocks`), each mask shifted up by
     ``low`` items."""
-    highs = chain.from_iterable(allocs for allocs, _ in _blocks(n, m - low, []))
-    return map(tuple, map(map, repeat(mul), repeat(repeat(1 << low)), highs))
+    return map(tuple, map(map, repeat(mul), repeat(repeat(1 << low)), _Allocations(n, m - low)))

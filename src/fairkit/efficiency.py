@@ -79,13 +79,22 @@ def pareto_front(inst: Instance, budget: Optional[int] = None) -> frozenset:
     profiles: set = set()
     for _, profs in allocation_blocks(inst, budget):
         profiles.update(profs)
+    return frozenset(_maxima(profiles))
+
+
+def _maxima(profiles) -> list:
+    """The distinct ``profiles`` (tuples of one length) that no other
+    dominates, by :func:`pareto_front`'s elimination rounds.  Each
+    coordinate may go through its own strictly increasing map first, such
+    as a rank: dominance, and the larger sum of a dominating profile, are
+    kept."""
     rest = sorted(profiles, key=sum, reverse=True)
     front: list = []
     while rest:
         top = rest[0]
         front.append(top)
         rest = list(compress(rest, map(any, map(map, repeat(lt), repeat(top), rest))))
-    return frozenset(front)
+    return front
 
 
 def leximin_set(inst: Instance, budget: Optional[int] = None) -> list:

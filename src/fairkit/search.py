@@ -11,8 +11,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain, compress, count, repeat, starmap
-from operator import and_, getitem, itemgetter, or_
+from itertools import chain, compress, repeat
+from operator import getitem, itemgetter, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import axioms
@@ -21,6 +21,7 @@ from .core import (
     AdditiveValuation,
     ExplicitValuation,
     Instance,
+    _Allocations,
     _blocks,
     check_budget,
     check_size,
@@ -282,17 +283,15 @@ def held_walk(inst: Instance, combos: Sequence[tuple],
     masks.  When every combo has ``"po"``, only the Pareto-optimal
     allocations are walked, one block each, and each is scanned
     (:func:`axioms.held`) when reached, so a reader that stops early scans
-    no further.  Otherwise every allocation is walked (:func:`_full_walk`).
-    With two agents, each agent's pair outcome depends on its own bundle
-    alone (the other holds the complement), so the two columns of
-    :func:`axioms.held_columns`, built at the call, hold every outcome; they
-    are read as a :func:`core._blocks` stream of their own, which gives each
-    allocation its two entries, and their AND is its axioms' bits.  With
-    more agents, or with no named axiom, each allocation gets one fused
-    scan; a scan of no axiom builds no pair pass and returns 0 at once.
-    Profiles come from a stream over the tables, read only if a combo has
-    ``"po"``.  The combos must be well-defined for the instance.  The
-    budget is checked, and the front computed, at the call.
+    no further.  Otherwise every allocation is walked.  With two agents
+    the walk is one block: a sequence of the allocations that builds one
+    only when it is read or indexed (``core._Allocations``), and the held
+    sets of all of them as one lane string from
+    :func:`axioms.held_columns`, a ``bytes`` or an ``array``, with the po
+    bit only if a combo has ``"po"``.  With more agents each allocation gets
+    one fused scan (:func:`_full_walk`).  The combos must be well-defined
+    for the instance.  The budget is checked, and the lane string or the
+    front computed, at the call.
     """
     check_budget(inst.n, inst.m, budget)  # before any work
     if not combos:
@@ -303,13 +302,14 @@ def held_walk(inst: Instance, combos: Sequence[tuple],
     needs = [sum(bit_of[ax] for ax in set(combo)) for combo in combos]
     with_po = ["po" in combo for combo in combos]
     n, m = inst.n, inst.m
-    columns = axioms.held_columns(inst, names) if n == 2 and names and not all(with_po) else None
-    scan = None if columns else axioms.held(inst, names)
+    if n == 2 and not all(with_po):
+        return needs, iter([(_Allocations(n, m), axioms.held_columns(inst, names, any(with_po)))])
+    scan = axioms.held(inst, names)
     front = pareto_front(inst, budget) if any(with_po) else None
     blocks = _blocks(n, m, [v.table for v in inst.valuations] if front is not None else [])
     if all(with_po):
         return needs, _front_walk(blocks, front, scan, po_bit)
-    return needs, _full_walk(_blocks(n, m, columns or []), blocks, scan, front, po_bit)
+    return needs, _full_walk(blocks, scan, front, po_bit)
 
 
 def _front_walk(blocks, front, scan, po_bit):
@@ -320,20 +320,15 @@ def _front_walk(blocks, front, scan, po_bit):
             yield (alloc,), (scan(alloc) | po_bit,)
 
 
-def _full_walk(held_blocks, blocks, scan, front, po_bit):
-    """:func:`held_walk`'s blocks over every allocation, at any n.  Each
-    block's allocations come from ``held_blocks``, the two columns' stream
-    (``scan`` None), whose two entries are ANDed, or the bare allocation
-    stream, whose allocations are scanned.  With a front, the po bit is
-    ORed in where the profile, read from ``blocks``, the tables' stream, is
-    on it."""
+def _full_walk(blocks, scan, front, po_bit):
+    """:func:`held_walk`'s blocks over every allocation of three or more
+    agents: each block's allocations are listed and scanned as they are
+    read, and with a front, the po bit is ORed in where the profile, read
+    from the same block, is on it."""
     on = (0, po_bit)
-    for (allocs, entries), (_, profiles) in zip(held_blocks, blocks):
-        if scan is None:
-            helds = starmap(and_, entries)
-        else:
-            allocs = list(allocs)  # each one is read by its scan
-            helds = map(scan, allocs)
+    for allocs, profiles in blocks:
+        allocs = list(allocs)  # each one is read by its scan
+        helds = map(scan, allocs)
         if front is not None:
             helds = map(or_, helds, map(getitem, repeat(on), map(front.__contains__, profiles)))
         yield allocs, helds
@@ -346,10 +341,12 @@ def landscape(inst: Instance, combos: Optional[Sequence[tuple]] = None,
     Combos are tuples of axiom ids, optionally including ``"po"``.  Rows for
     the chen-liu axiom are skipped when it is not well-defined for the
     instance.  Each row's example is its first satisfying allocation in
-    enumeration order.  The combos are decided by :func:`held_walk`: each
-    of its blocks' held sets is tallied with one ``Counter.update``, and a
-    block in which a new held set appears gives up the first allocation of
-    each new set only.
+    enumeration order.  The combos are decided by :func:`held_walk`.  A
+    two-agent lane string of 8-bit lanes is tallied with one C-level
+    ``count`` per distinct held set, and any other block with one
+    ``Counter.update``; the first allocation of each new set is found by
+    ``index`` and taken from the block by that index, so no other
+    allocation of a two-agent walk is built.
     """
     combos = tuple(DEFAULT_COMBOS if combos is None else combos)
     check_budget(inst.n, inst.m, budget)  # before any work
@@ -358,12 +355,15 @@ def landscape(inst: Instance, combos: Optional[Sequence[tuple]] = None,
     tally: Counter = Counter()  # set of held axioms (as bits) -> allocations holding exactly it
     first: dict = {}  # set of held axioms -> its first allocation, in order of first sight
     for allocs, helds in walk:
-        helds = list(helds)
-        tally.update(helds)
-        if len(tally) > len(first):
-            new = [held for held in dict.fromkeys(helds) if held not in first]
-            at = set(map(helds.index, new))
-            first.update(zip(new, compress(allocs, map(at.__contains__, count()))))
+        if isinstance(helds, bytes):  # a lane string: one C-level count per distinct set
+            sets = set(helds)
+            tally.update(dict(zip(sets, map(helds.count, sets))))
+        else:
+            helds = list(helds)
+            tally.update(helds)
+        if len(tally) > len(first):  # new sets: their first allocations, decoded by index
+            for k in sorted(map(helds.index, tally.keys() - first.keys())):
+                first[helds[k]] = allocs[k]
     rows = []
     for combo, need in zip(combos, needs):
         sets = [held for held in first if held & need == need]

@@ -223,6 +223,17 @@ def test_blocked_enumeration_follows_the_counter_order():
             assert list(enumerate_allocations(_instance(n, m))) == _counter_order(n, m), (n, m)
 
 
+def test_allocation_sequence_decodes_each_index_in_the_counter_order():
+    for n, m in ((2, 1), (2, 5), (2, 9), (3, 4), (3, 7), (5, 3)):
+        order = _counter_order(n, m)
+        space = fairkit.core._Allocations(n, m)
+        assert len(space) == len(order) and list(space) == order, (n, m)
+        assert [space[k] for k in range(len(order))] == order, (n, m)
+        for k in (-1, len(order)):
+            with pytest.raises(IndexError):
+                space[k]
+
+
 def test_allocation_blocks_split_at_the_largest_low_block_under_the_cap():
     for n, m in ((2, 7), (2, 8), (2, 9), (2, 14), (3, 6), (3, 7), (4, 5), (4, 6),
                  (5, 4), (5, 5), (6, 4), (3, 2), (17, 3), (32, 2), (64, 2)):

@@ -1,5 +1,6 @@
-"""The fused axiom scan (``held``) and the two-agent columns (``held_columns``)
-against the witness checkers, the pair pass and the naive oracles."""
+"""The fused axiom scan (``held``) and the two-agent lane string
+(``held_columns``) against the witness checkers, the pair pass, the Pareto
+front and the naive oracles."""
 
 import random
 from collections import Counter
@@ -202,9 +203,9 @@ def test_landscape_builds_one_scan_and_skips_envy_free_allocations(monkeypatch):
         scan = real_held(inst, axiom_ids)
         return lambda alloc: scanned.append(alloc) or scan(alloc)
 
-    def recording_columns(inst, axiom_ids):
+    def recording_columns(inst, axiom_ids, po):
         builds.append(tuple(axiom_ids))
-        return real_columns(inst, axiom_ids)
+        return real_columns(inst, axiom_ids, po)
 
     monkeypatch.setattr(fairkit.axioms, "_pair_pass", counting_pass)
     monkeypatch.setattr(fairkit.axioms, "held", recording_held)
@@ -237,36 +238,59 @@ def test_landscape_builds_one_scan_and_skips_envy_free_allocations(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the two-agent columns against one pair pass per envying bundle
+# the two-agent lane string against one pair pass per envying bundle, and
+# against the fused scan and the Pareto front
 
-def _passed_columns(inst, axiom_ids, bundles):
-    """``held_columns``' entries at ``bundles`` from one ``_pair_pass`` per
-    envying (agent, bundle), and ``want`` (every axiom bit) where the agent
-    does not envy."""
+def _passed_lanes(inst, axiom_ids, indices, po=False):
+    """``held_columns``' entries at the allocation ``indices``: per agent,
+    one ``_pair_pass`` per envying bundle and ``want`` (every axiom bit)
+    where the agent does not envy, ANDed as ``c0[full ^ k] & c1[k]``; with
+    ``po``, the po bit above them where the profile is in ``pareto_front``."""
     ids = tuple(dict.fromkeys(axiom_ids))
     want = (1 << len(ids)) - 1
     fails = fairkit.axioms._pair_pass(ids)
     full = inst.full
-    return [[want & ~fails(t, x, full ^ x, t[x], t[full ^ x], good, bad)
-             if t[x] < t[full ^ x] else want for x in bundles]
-            for t, (good, bad) in zip([v.table for v in inst.valuations],
-                                      fairkit.axioms._chen_liu_masks(inst, ids))]
+    columns = [[want & ~fails(t, x, full ^ x, t[x], t[full ^ x], good, bad)
+                if t[x] < t[full ^ x] else want for x in range(full + 1)]
+               for t, (good, bad) in zip([v.table for v in inst.valuations],
+                                         fairkit.axioms._chen_liu_masks(inst, ids))]
+    t0, t1 = (v.table for v in inst.valuations)
+    front = pareto_front(inst) if po else ()
+    return [columns[0][full ^ k] & columns[1][k] | ((t0[full ^ k], t1[k]) in front) << len(ids)
+            for k in indices]
 
 
-def _assert_columns_match_the_pair_pass(inst, axiom_sets=None, bundles=None):
-    """Both columns equal the per-bundle passes for every defined axiom
+def _assert_columns_match_the_pair_pass(inst, axiom_sets=None, indices=None):
+    """The lane string equals the per-bundle passes for every defined axiom
     alone, all of them together and reversed (or ``axiom_sets``), each
-    holding its axioms' bits only; at ``bundles`` only, if given."""
+    holding its axioms' bits only, and with ``po`` the po bit above them;
+    at the allocation ``indices`` only, if given."""
     defined = [ax for ax in ALL_AXIOMS if well_defined(inst, ax)]
     if axiom_sets is None:
         axiom_sets = [[ax] for ax in defined] + [defined, defined[::-1]]
-    bundles = range(inst.full + 1) if bundles is None else bundles
+    indices = range(inst.full + 1) if indices is None else indices
     for ids in axiom_sets:
-        columns = fairkit.axioms.held_columns(inst, ids)
-        assert all(len(c) == inst.full + 1 for c in columns)
-        got = [[c[x] for x in bundles] for c in columns]
-        assert got == _passed_columns(inst, ids, bundles), (ids, inst)
+        for po in (False, True):
+            lanes = fairkit.axioms.held_columns(inst, ids, po)
+            assert len(lanes) == inst.full + 1
+            assert [lanes[k] for k in indices] == _passed_lanes(inst, ids, indices, po), (
+                ids, po, inst)
     return defined
+
+
+def _assert_lanes_match_the_scan(inst, axiom_ids, indices=None):
+    """The lane string with ``po`` equals :func:`held`'s scan of each
+    allocation ORed with the po bit from ``pareto_front``, allocation by
+    allocation in enumeration order (at ``indices`` only, if given)."""
+    ids = tuple(dict.fromkeys(axiom_ids))
+    allocs = list(enumerate_allocations(inst))
+    indices = range(len(allocs)) if indices is None else indices
+    lanes = fairkit.axioms.held_columns(inst, ids, True)
+    scan = held(inst, ids)
+    front = pareto_front(inst)
+    assert len(lanes) == len(allocs)
+    assert [lanes[k] for k in indices] == [
+        scan(allocs[k]) | (utilities(inst, allocs[k]) in front) << len(ids) for k in indices]
 
 
 def _halved(inst):
@@ -305,30 +329,53 @@ def _with_levels(m, levels, seed, unit=Fraction(1, 7)):
 
 def test_lane_widths_hold_every_rank_and_every_bit(monkeypatch):
     """Lanes widen from 8 to 16 bits past 128 distinct values or 8 held
-    bits (8 axioms), and to 32 bits past 32,768 values; either side of each
-    edge, the columns equal the per-bundle passes."""
+    bits (8 axioms, or 7 and the po bit), and to 32 bits past 32,768
+    values; either side of each edge, the lane string equals the per-bundle
+    passes, and with po, the fused scan ORed with the po bit of the Pareto
+    front, at each width with 8 named axioms and po."""
     widths = []
     real_lanes = fairkit.axioms._lanes
     monkeypatch.setattr(fairkit.axioms, "_lanes", lambda m, w: widths.append(w) or real_lanes(m, w))
     eight = [ax for ax in ALL_AXIOMS if ax != CHEN_LIU][:8]  # 8 axioms: 8 bits
     for levels, width in ((126, 8), (127, 8), (128, 8), (129, 16), (200, 16)):
         inst = _with_levels(7, levels, seed=13_500 + levels)
+        for ids, po, want in ((eight, False, width), ([EFX, EF1PM], False, width),
+                              (eight[:7], True, width), (eight, True, 16)):
+            widths.clear()
+            assert list(fairkit.axioms.held_columns(inst, ids, po)) == _passed_lanes(
+                inst, ids, range(inst.full + 1), po), (levels, ids, po)
+            assert set(widths) == {want}, (levels, ids, po, widths)
         widths.clear()
-        _assert_columns_match_the_pair_pass(inst, [eight, [EFX, EF1PM]])
-        assert set(widths) == {width}, (levels, widths)
+        _assert_lanes_match_the_scan(inst, eight)
+        assert set(widths) == {16}
+        if width == 8:
+            widths.clear()
+            _assert_lanes_match_the_scan(inst, eight[:7])
+            assert set(widths) == {8}
+    # 128 values with agent 1's top rank, 127, in two thirds of its bundles: a
+    # rank with no front point maps to all-ones, which 127 differs from in
+    # the top bit only
+    inst = Instance([f"i{o}" for o in range(7)],
+                    (ExplicitValuation([x * 5 % 127 for x in range(128)]),
+                     ExplicitValuation([127 if x % 3 else x % 127 for x in range(128)])))
+    widths.clear()
+    _assert_lanes_match_the_scan(inst, eight[:7])
+    assert set(widths) == {8}
     inst = generate(GenParams(agents=2, items=6, item_class="generallyGoodBad", seed=13_600))
     assert well_defined(inst, CHEN_LIU)
-    for ids, width in ((ALL_AXIOMS[:8], 8), (ALL_AXIOMS[2:], 8), (ALL_AXIOMS[:9], 16),
-                       (ALL_AXIOMS, 16)):
+    for ids, po, width in ((ALL_AXIOMS[:8], False, 8), (ALL_AXIOMS[2:], False, 8),
+                           (ALL_AXIOMS[:7], True, 8), (ALL_AXIOMS[:9], False, 16),
+                           (ALL_AXIOMS[:8], True, 16), (ALL_AXIOMS, True, 16)):
         widths.clear()
-        assert fairkit.axioms.held_columns(inst, ids) == tuple(
-            map(tuple, _passed_columns(inst, ids, range(inst.full + 1))))
-        assert widths == [width], (len(ids), widths)
+        assert list(fairkit.axioms.held_columns(inst, ids, po)) == _passed_lanes(
+            inst, ids, range(inst.full + 1), po)
+        assert set(widths) == {width}, (len(ids), po, widths)
     sample = [*range(0, 1 << 15, 97), (1 << 15) - 1]
     for levels, width in ((1 << 15, 16), ((1 << 15) + 1, 32)):
+        inst = _with_levels(15, levels, seed=13_700, unit=1)
         widths.clear()
-        _assert_columns_match_the_pair_pass(_with_levels(15, levels, seed=13_700, unit=1),
-                                            [[EFX, EF1, EFXPM0]], sample)
+        _assert_columns_match_the_pair_pass(inst, [[EFX, EF1, EFXPM0]], sample)
+        _assert_lanes_match_the_scan(inst, eight, sample)
         assert set(widths) == {width}
     inst = _with_levels(16, 1 << 17, seed=13_800, unit=1)  # 2x16, every value distinct
     widths.clear()
@@ -390,8 +437,9 @@ def test_order_preserving_maps_keep_columns_and_landscapes(case):
     defined = [ax for ax in ALL_AXIOMS if well_defined(inst, ax)]
     assert defined == [ax for ax in ALL_AXIOMS if well_defined(moved, ax)]
     if inst.n == 2:
-        assert (fairkit.axioms.held_columns(moved, defined)
-                == fairkit.axioms.held_columns(inst, defined))
+        for po in (False, True):
+            assert (fairkit.axioms.held_columns(moved, defined, po)
+                    == fairkit.axioms.held_columns(inst, defined, po))
     combos = [*DEFAULT_COMBOS, *[(ax,) for ax in defined if (ax,) not in DEFAULT_COMBOS],
               *[(ax, "po") for ax in defined]]
     rows = landscape(inst, combos)

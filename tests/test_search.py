@@ -2,7 +2,7 @@ import hashlib
 import json
 from dataclasses import replace
 from fractions import Fraction
-from operator import ge, is_, or_
+from operator import ge, or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +18,7 @@ from fairkit.search import (
     DEFAULT_COMBOS,
     ITEM_CLASSES,
     GenParams,
+    LandscapeRow,
     RejectionBudgetError,
     SplitMix64,
     generate,
@@ -248,6 +249,35 @@ def test_landscape_skips_chen_liu_when_undefined():
     d1 = fixture("FIX-D1").instance
     rows = landscape(d1, combos=[("chen-liu", "po")])
     assert rows[0].count == 0
+
+
+def test_two_agent_landscape_builds_only_its_examples(monkeypatch):
+    """A two-agent landscape walks no allocation stream: it tallies one
+    lane string and decodes one allocation per distinct held set, on 8- and
+    16-bit lanes, with and without po, with rows equal to those counted
+    from the walk's allocations."""
+    decoded = []
+    real_getitem = fairkit.core._Allocations.__getitem__
+
+    def forbidden(*args):
+        raise AssertionError("an allocation stream was walked")
+
+    for kw in (dict(items=9), dict(items=9, lo=-300, hi=300), dict(items=4)):
+        inst = generate(GenParams(agents=2, seed=9990, **kw))
+        combos = [*DEFAULT_COMBOS, ("efx0", "efxpm0")]
+        for case in (combos, [c for c in combos if "po" not in c]):
+            needs, walk = held_walk(inst, case)
+            walked = _walked(walk)
+            want = [LandscapeRow(combo, sum(held & need == need for _, held in walked),
+                                 next((a for a, held in walked if held & need == need), None))
+                    for combo, need in zip(case, needs)]
+            with monkeypatch.context() as patched:
+                patched.setattr(fairkit.core, "_blocks", forbidden)
+                patched.setattr(fairkit.core._Allocations, "__getitem__",
+                                lambda self, k: decoded.append(k) or real_getitem(self, k))
+                decoded.clear()
+                assert landscape(inst, case) == want
+            assert len(decoded) == len(set(held for _, held in walked)), kw
 
 
 def test_landscape_with_no_defined_combo_walks_nothing(monkeypatch):
@@ -567,28 +597,23 @@ def test_held_walk_without_po_reads_no_profile(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a Pareto front was computed for a walk without po")
 
-    columns = []  # the two-agent walk's held columns: the only values a walk without po reads
+    lanes = []  # the two-agent walk's lane strings: the only values a walk without po reads
     reads = []
     real_columns, real_blocks, real_layout = (
         fairkit.axioms.held_columns, fairkit.search._blocks, fairkit.core._layout)
 
-    def recording(inst, axiom_ids):
-        cols = real_columns(inst, axiom_ids)
-        columns[:] = cols
-        return cols
+    def recording(inst, axiom_ids, po):
+        assert not po, "the po bit was asked for by a walk without po"
+        lanes.append(real_columns(inst, axiom_ids, po))
+        return lanes[-1]
 
     def blocks(n, m, tables):
-        if tables:  # the held columns' stream, read through the layout's getters
-            assert len(tables) == len(columns) == 2 and all(map(is_, tables, columns))
-            return real_blocks(n, m, tables)
+        assert not tables, "a valuation table was streamed for a walk without po"
         return ((allocs, _Unread()) for allocs, _ in real_blocks(n, m, tables))
 
     def checked(getter):
-        def read(values):  # one block of a held column: all of it, or a slice at a block start
-            size = len(values)
-            assert any(values == col[lo:lo + size] for col in columns
-                       for lo in range(0, len(col), size)), "a value was read without po"
-            reads.append(size)
+        def read(values):
+            reads.append(len(values))
             return getter(values)
         return read
 
@@ -597,9 +622,10 @@ def test_held_walk_without_po_reads_no_profile(monkeypatch):
     monkeypatch.setattr(fairkit.core, "_layout", lambda n, m: real_layout(n, m)[:2] + (
         tuple(map(checked, real_layout(n, m)[2])),))
     monkeypatch.setattr(fairkit.search, "pareto_front", forbidden)
+    monkeypatch.setattr(fairkit.axioms, "_on_front", forbidden)
     # a single-block and a multi-block shape for each of the two walks without po
     for n, m, seed in ((3, 3, 9940), (3, 7, 9942), (2, 4, 9943), (2, 10, 9941)):
-        columns.clear()
+        lanes.clear()
         reads.clear()
         inst = generate(GenParams(agents=n, items=m, lo=-1, hi=1, seed=seed))
         order, flags = _oracle_flags(inst, {"ef"})
@@ -609,7 +635,9 @@ def test_held_walk_without_po_reads_no_profile(monkeypatch):
         assert [to_sets(alloc) for alloc, _ in walked] == order
         assert [held & ef == ef for _, held in walked] == flags["ef"]
         assert anything == 0 and any(flags["ef"]) and not all(flags["ef"])
-        assert sum(reads) == (2 * n ** m if n == 2 else 0), (n, m)  # both columns, once
+        assert not reads, (n, m)  # no value read through an allocation stream
+        if n == 2:  # one block: the lane string, built once
+            assert len(lanes) == 1 and [held for _, held in walked] == list(lanes[0])
 
 
 def test_landscape_checks_each_axiom_once(monkeypatch):
