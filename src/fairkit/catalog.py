@@ -9,9 +9,10 @@ discrepancies visible without failing the run.
 Fixtures are data: each row of ``_SPECS`` holds the id, title, item names,
 valuations and claim rows ``(id, kind, description, check)``, and each check
 comes from the few shared forms below.  A claim gates unless its kind is
-``exploratory``.  A combo is written ``"efx&po"`` and read by
-:func:`~fairkit.search.parse_axioms`, and an allocation ``"a,b|c"`` (agent 1
-gets a and b, agent 2 c).
+``exploratory``.  A combo ``"efx&po"`` is read by :func:`~fairkit.search.parse_axioms`,
+a count claim ``"efx&po=0"`` (``mine --predicate`` syntax) by
+:func:`~fairkit.search.parse_predicate`, and an allocation ``"a,b|c"`` (agent 1
+gets a and b, agent 2 c) as bundle keys by :func:`~fairkit.serialize.mask_from_key`.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .axioms import (
     Witness,
     _item_classes,
     check_axiom,
+    well_defined,
 )
 from .core import (
     AdditiveValuation,
@@ -37,7 +39,6 @@ from .core import (
     Instance,
     enumerate_allocations,
     is_additive_consistent,
-    mask_from_names,
     names_of,
 )
 from .efficiency import (
@@ -48,7 +49,8 @@ from .efficiency import (
     utility_vector,
 )
 from .protocols import cut_and_choose
-from .search import held_walk, parse_axioms
+from .search import held_walk, parse_axioms, parse_predicate
+from .serialize import mask_from_key
 from .values import format_value
 
 
@@ -97,10 +99,7 @@ class ClaimReport:
 # ---------------------------------------------------------------------------
 # notation
 
-@lru_cache(maxsize=None)
-def _bundle(item_names, key):
-    """``"a,b"`` -> the mask of items a and b; ``""`` is the empty bundle."""
-    return mask_from_names(item_names, key.split(",") if key else [])
+_bundle = lru_cache(maxsize=None)(mask_from_key)  # "a,b" -> the mask of items a and b
 
 
 def _parse(inst, text):
@@ -115,8 +114,8 @@ def _fmt(inst, *allocs):
 
 
 def _scan(inst, combo):
-    """The allocations satisfying ``combo``, e.g. ``"efx&po"``, in enumeration order."""
-    [want], walk = held_walk(inst, [parse_axioms(combo.split("&"))])
+    """The allocations satisfying ``combo``, e.g. ``("efx", "po")``, in enumeration order."""
+    [want], walk = held_walk(inst, [combo])
     return list(chain.from_iterable(compress(allocs, map(eq, repeat(want), helds))
                                     for allocs, helds in walk))
 
@@ -190,24 +189,29 @@ def _marginals(item, bundles):
     return check
 
 
-def _count(combo, n, at_least=False):
-    """``combo`` holds on exactly ``n`` allocations (at least ``n`` with ``at_least``)."""
+def _count(text):
+    """The count predicate ``text`` holds, in ``mine --predicate`` syntax, e.g. ``"efx&po=0"``."""
+    predicate = parse_predicate(text)
+    combo = "&".join(predicate.combo)
+
     def check(inst):
-        hits = _scan(inst, combo)
-        ok = len(hits) >= n if at_least else len(hits) == n
+        if not all(well_defined(inst, ax) for ax in predicate.combo):
+            return False, f"{combo} is not defined on this instance"  # as mine decides it
+        hits, total = _scan(inst, predicate.combo), inst.n ** inst.m
         example = f", e.g. {_fmt(inst, hits[0])}" if hits else ""
-        return ok, f"{combo} satisfied by {len(hits)} of {inst.n ** inst.m} allocations{example}"
+        return (predicate.settled(len(hits), len(hits), total),
+                f"{combo} satisfied by {len(hits)} of {total} allocations{example}")
     return check
 
 
-def _allocs_are(allocs, *combos):
-    """Each of ``combos`` holds on exactly the allocations ``allocs``."""
+def _allocs_are(allocs, *axiom_ids):
+    """Each of ``axiom_ids`` (an axiom or po) holds on exactly the allocations ``allocs``."""
     def check(inst):
         want = {_parse(inst, a) for a in allocs}
-        found = {combo: _scan(inst, combo) for combo in combos}
+        found = {ax: _scan(inst, (ax,)) for ax in axiom_ids}
         ok = all(set(hits) == want for hits in found.values())
-        return ok, "; ".join(f"{combo} holds on {len(hits)}: {_fmt(inst, *hits)}"
-                             for combo, hits in found.items())
+        return ok, "; ".join(f"{ax} holds on {len(hits)}: {_fmt(inst, *hits)}"
+                             for ax, hits in found.items())
     return check
 
 
@@ -223,9 +227,9 @@ def _allocation(*allocs, holds="", fails="", utils=None):
 
 def _witnesses(axiom, condition, rows, covers=None):
     """Each row ``(allocation, envier, envied, item, lhs, rhs)`` fails ``axiom``
-    with that witness; the rows hold exactly the ``covers`` combo's allocations."""
+    with that witness; the rows hold exactly the ``covers`` allocations (an axiom or po)."""
     def check(inst):
-        if covers is not None and set(_scan(inst, covers)) != {_parse(inst, r[0]) for r in rows}:
+        if covers is not None and set(_scan(inst, (covers,))) != {_parse(inst, r[0]) for r in rows}:
             return False, f"the rows do not hold exactly the {covers} allocations"
         for text, envier, envied, item, lhs, rhs in rows:
             witness = Witness(envier, envied, condition, inst.item_index(item), lhs, rhs)
@@ -244,7 +248,7 @@ def _leximin(allocs, vector, holds=""):
         lm = leximin_set(inst)
         tied = {a for a in enumerate_allocations(inst) if utility_vector(inst, a) == vector}
         ok = (set(lm) == {_parse(inst, a) for a in allocs} == tied
-              and (not holds or set(lm) <= set(_scan(inst, holds))))
+              and (not holds or all(_holds(inst, a, holds) for a in lm)))
         vec = _values(utility_vector(inst, lm[0]))
         return ok, f"leximin tie-set {_fmt(inst, *lm)}, vector {vec}"
     return check
@@ -273,7 +277,7 @@ def _improves(*pairs):
 
 def _ex1_vacuous(inst):
     """efxpm holds everywhere, vacuously on exactly the two lopsided allocations."""
-    sat = _scan(inst, EFXPM)
+    sat = _scan(inst, (EFXPM,))
     vacuous = [a for a in sat if check_axiom(inst, a, EFXPM).vacuous]
     ok = len(sat) == 4 and set(vacuous) == {(inst.full, 0), (0, inst.full)}
     return ok, f"efxpm holds on {len(sat)} of 4 allocations, vacuously on {_fmt(inst, *vacuous)}"
@@ -364,7 +368,7 @@ _SPECS = (
          _facts(identical=True, nonzero_marginals=True)),
         ("t1-item-a-mixed", "instance-predicate",
          "item a is mixed; the {c} vs {b,d} bipartition certifies it", _t1_mixed_witness),
-        ("t1-no-efx", "no-allocation", "no allocation satisfies efx", _count("efx", 0)),
+        ("t1-no-efx", "no-allocation", "no allocation satisfies efx", _count("efx=0")),
         ("t1-efx-witnesses", "allocation-lacks",
          "every allocation fails efx with its recorded removed-good witness",
          _witnesses("efx", REMOVED_GOOD, (
@@ -383,7 +387,7 @@ _SPECS = (
         ("t1-leximin-efxpm-po", "allocation-has", "both leximin allocations satisfy efxpm and po",
          _leximin(("c|a,b,d", "a,b,d|c"), (5, 8), holds="efxpm&po")),
         ("t1-variant-a-portability", "exploratory",
-         "recorded: the efx impossibility carries over to variant-a", _count("variant-a", 0)),
+         "recorded: the efx impossibility carries over to variant-a", _count("variant-a=0")),
     )),
     ("FIX-T2", "identical generally-bad instance separating efx from efxpm and po", "a b c d",
      ({"": 0, "a": -4, "b": -4, "c": -4, "d": -6,
@@ -394,9 +398,9 @@ _SPECS = (
         ("t2-efx-set", "set-equality", "exactly the triple/single splits satisfy efx",
          _allocs_are(("a,b,c|d", "d|a,b,c"), "efx")),
         ("t2-no-efx-efxpm", "no-allocation", "no allocation satisfies efx and efxpm together",
-         _count("efx&efxpm", 0)),
+         _count("efx&efxpm=0")),
         ("t2-no-efx-po", "no-allocation", "no efx allocation is pareto-optimal",
-         _count("efx&po", 0)),
+         _count("efx&po=0")),
         ("t2-efxpm-witness", "allocation-lacks",
          "the triple/single split fails efxpm by adding item a",
          _witnesses("efxpm", ADDED_BAD, (("a,b,c|d", 0, 1, "a", -8, -7),))),
@@ -408,7 +412,7 @@ _SPECS = (
          _leximin(_TWO_TWO, (-7, -5))),
         ("t2-variant-b-portability", "exploratory",
          "recorded: the efx/po incompatibility carries over to variant-b",
-         _count("variant-b&po", 0)),
+         _count("variant-b&po=0")),
     )),
     ("FIX-T4", "cardinality valuations where ef1 and pareto-optimality clash", "a b c d",
      (("size", (0, -1, -2, 3, 4)), ("size", (0, 1, 2, 3, 4))), (
@@ -420,9 +424,9 @@ _SPECS = (
         ("t4-ef1pm-equals-ef1", "set-equality", "the ef1pm set coincides with the ef1 set",
          _allocs_are(_ONE_THREE + _TWO_TWO, "ef1pm", "ef1")),
         ("t4-no-ef1-po", "no-allocation", "no ef1 allocation is pareto-optimal",
-         _count("ef1&po", 0)),
+         _count("ef1&po=0")),
         ("t4-no-ef1pm-po", "no-allocation", "no ef1pm allocation is pareto-optimal",
-         _count("ef1pm&po", 0)),
+         _count("ef1pm&po=0")),
         ("t4-empty-all-po", "allocation-has",
          "handing everything to agent 2 is pareto-optimal at utilities (0, 4)",
          _allocation("|a,b,c,d", holds="po", utils=(0, 4))),
@@ -439,16 +443,16 @@ _SPECS = (
          _witnesses("chen-liu", REMOVED_GOOD,
                     (("a,b|", 1, 0, "b", 0, 1), ("|a,b", 0, 1, "b", 0, 1)), covers="po")),
         ("d1-no-chenliu-po", "no-allocation", "no allocation satisfies chen-liu and po together",
-         _count("chen-liu&po", 0)),
+         _count("chen-liu&po=0")),
     )),
     ("FIX-ZM", "zero/one additive pair separating efxpm from its zero-marginal variant", "a b",
      (("additive", (0, 1)),), (
         ("zm-base", "instance-predicate", "identical additive instance with item values 0 and 1",
          _facts(identical=True, additive=True)),
         ("zm-no-efxpm0", "no-allocation",
-         "no allocation satisfies the zero-marginal variant efxpm0", _count("efxpm0", 0)),
+         "no allocation satisfies the zero-marginal variant efxpm0", _count("efxpm0=0")),
         ("zm-efxpm-exists", "exists-allocation", "efxpm allocations exist",
-         _count("efxpm", 1, at_least=True)),
+         _count("efxpm>=1")),
         ("zm-pair-split", "allocation-has", "giving the valued item to agent 1 satisfies efxpm",
          _allocation("b|a", holds="efxpm")),
     )),

@@ -378,7 +378,7 @@ def allocation_blocks(inst: Instance, budget: Optional[int] = None) -> Iterator[
 def _blocks(n: int, m: int, tables: list) -> Iterator[tuple]:
     """The one allocation stream of n agents and m items, with profiles read
     from ``tables``: one sequence per agent indexed by mask, such as a
-    valuation table or a held column (none, and no value read, if empty).
+    valuation table (none, and no value read, if empty).
     The items split into a low block of L items, with L the largest value
     up to min(m, 8) such that ``n**L <= _BLOCK_CAP`` (1024), and the rest.
     A block holds one assignment of the high items and runs through all

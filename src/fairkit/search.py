@@ -375,7 +375,8 @@ def landscape(inst: Instance, combos: Optional[Sequence[tuple]] = None,
 # ---------------------------------------------------------------------------
 # mining
 
-_PREDICATE_OPS = ("<=", ">=", "=")
+# each comparison's accepted counts a..b, from the target t and the total n
+_PREDICATE_OPS = {"<=": lambda t, n: (0, t), ">=": lambda t, n: (t, n), "=": lambda t, n: (t, t)}
 
 
 @dataclass(frozen=True)
@@ -387,16 +388,9 @@ class Predicate:
     target: object  # int or "all"
 
     def settled(self, lo: int, hi: int, total: int) -> Optional[bool]:
-        """The predicate's value if it is the same for every count in
-        ``lo..hi``, else None."""
-        want = total if self.target == "all" else self.target
-        if self.op == "=":
-            if lo == hi:
-                return lo == want
-            return None if lo <= want <= hi else False
-        if self.op == "<=":
-            return True if hi <= want else False if lo > want else None
-        return True if lo >= want else False if hi < want else None
+        """True if every count in ``lo..hi`` is accepted, False if none is, else None."""
+        a, b = _PREDICATE_OPS[self.op](total if self.target == "all" else self.target, total)
+        return True if a <= lo and hi <= b else False if hi < a or b < lo else None
 
     def text(self) -> str:
         return "&".join(self.combo) + self.op + str(self.target)
@@ -404,17 +398,16 @@ class Predicate:
 
 def parse_predicate(text: str) -> Predicate:
     """Parse ``"efx=0"``, ``"efxpm&po>=1"`` or ``"ef=all"``; the combo is
-    read by :func:`parse_axioms`, and the target is ``all`` or an integer."""
-    for op in _PREDICATE_OPS:
+    read by :func:`parse_axioms`, and the target is ``all`` or ASCII digits
+    (no sign, no ``_``).  Every count claim, ``mine --predicate`` or a
+    catalog row, is read here."""
+    for op in _PREDICATE_OPS:  # in insertion order: "=" after "<=" and ">=", which hold it
         if op in text:
             left, _, right = text.partition(op)
-            combo = parse_axioms(left.split("&"))
-            right = right.strip()
-            try:
-                target: object = "all" if right == "all" else int(right)
-            except ValueError:
-                break
-            return Predicate(combo, op, target)
+            combo, target = parse_axioms(left.split("&")), right.strip()
+            if target == "all" or target.isascii() and target.isdigit():
+                return Predicate(combo, op, target if target == "all" else int(target))
+            break
     raise ValueError(f"cannot parse predicate {text!r} (use e.g. 'efx=0' or 'efxpm&po>=1')")
 
 

@@ -173,6 +173,13 @@ def ref_item_classes(vm, m):
     return good, bad
 
 
+def ref_generally_good_bad(vm, m):
+    """Every item is generally good or generally bad for every agent, the
+    domain of the chen-liu variant."""
+    good, bad = ref_item_classes(vm, m)
+    return all(g or b for row_g, row_b in zip(good, bad) for g, b in zip(row_g, row_b))
+
+
 def ref_chen_liu(vm, alloc, m, classes=None):
     """``classes`` is ``ref_item_classes(vm, m)``, computed here when None."""
     n = len(alloc)
@@ -212,3 +219,57 @@ def ref_leximin(vm, n, m):
         elif vec == best:
             arg.add(alloc)
     return best, arg
+
+
+def weak_orders(size):
+    """Every weak order on ``size`` elements, as rank tuples whose ranks are
+    exactly 0..r-1 (75 on 4 elements, OEIS A000670), by filtering all
+    ``size**size`` tuples: for the smallest shapes only."""
+    return [ranks for ranks in product(range(size), repeat=size)
+            if set(ranks) == set(range(max(ranks) + 1))]
+
+
+def oracle_flags(inst, axes):
+    """The allocations in enumeration order, as frozenset bundles, and each
+    axiom's (or po's) verdicts on them from the naive reference checkers.
+
+    Allocation k gives item o to agent (k // n**o) % n, the documented
+    enumeration order.
+    """
+    n, m = inst.n, inst.m
+    vm = value_maps(inst)
+    order = [tuple(frozenset(o for o in range(m) if k // n ** o % n == i) for i in range(n))
+             for k in range(n ** m)]
+    ref = {
+        "ef": ref_ef, "ef1": ref_ef1, "efx": ref_efx, "ef1pm": ref_ef1pm, "efxpm": ref_efxpm,
+        "efx0": lambda vm, s: ref_efx(vm, s, zero=True),
+        "efxpm0": lambda vm, s: ref_efxpm(vm, s, zero=True),
+        "variant-a": ref_variant_a, "variant-b": ref_variant_b,
+        "po": lambda vm, s: ref_po(vm, s, n, m),
+    }
+    if "chen-liu" in axes:
+        classes = ref_item_classes(vm, m)
+        ref["chen-liu"] = lambda vm, s: ref_chen_liu(vm, s, m, classes)
+    return order, {ax: [ref[ax](vm, s) for s in order] for ax in axes}
+
+
+def oracle_landscape(inst, combos):
+    """(combo, count, example) per combo from the naive reference checkers;
+    the example is the first satisfying allocation in enumeration order."""
+    order, flags = oracle_flags(inst, {ax for combo in combos for ax in combo})
+    return oracle_rows(order, flags, combos)
+
+
+def oracle_rows(order, flags, combos):
+    """:func:`oracle_landscape`'s rows from the verdicts of :func:`oracle_flags`."""
+    rows = []
+    for combo in combos:
+        hits = [k for k in range(len(order)) if all(flags[ax][k] for ax in combo)]
+        rows.append((tuple(combo), len(hits), order[hits[0]] if hits else None))
+    return rows
+
+
+def rows_as_sets(rows):
+    """``landscape`` rows as :func:`oracle_rows` writes them."""
+    return [(r.combo, r.count, None if r.example is None else to_sets(r.example))
+            for r in rows]

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import fairkit.catalog as catalog
 from fairkit import (
     ExplicitValuation,
     Instance,
@@ -13,7 +14,10 @@ from fairkit import (
     satisfies,
     verify_claims,
 )
-from fairkit.axioms import EF1, EF1PM, EFX, EFXPM
+from fairkit.axioms import ALL_AXIOMS, EF1, EF1PM, EFX, EFXPM, well_defined
+from fairkit.search import _matches, parse_predicate
+
+from reference import oracle_flags, oracle_rows, ref_generally_good_bad, value_maps
 
 EXPECTED_IDS = {
     "FIX-EX1", "FIX-EX2", "FIX-OBS1", "FIX-OBS3", "FIX-T1", "FIX-T2",
@@ -64,6 +68,41 @@ def test_claims_fail_on_instances_they_do_not_hold_for(fid, cid, inst, detail):
     assert claim.gating
     assert claim.check(inst) == (False, detail)
     assert claim.check(fixture(fid).instance)[0] is True
+
+
+def test_count_claims_decide_like_mine_and_the_oracle():
+    """A count claim is a ``mine --predicate`` string: on every fixture, for
+    every defined axiom alone and with po, its verdict is ``_matches``' and
+    the one the reference count gives, and its detail names that count; a
+    combo that is not defined fails, as mine does not match it."""
+    for fid in list_fixtures():
+        inst = fixture(fid).instance
+        chen_liu = ref_generally_good_bad(value_maps(inst), inst.m)
+        assert chen_liu == well_defined(inst, "chen-liu"), fid
+        defined = [ax for ax in ALL_AXIOMS if chen_liu or ax != "chen-liu"]
+        order, flags = oracle_flags(inst, defined + ["po"])
+        combos = [(ax,) for ax in defined] + [(ax, "po") for ax in defined]
+        for combo, count, _ in oracle_rows(order, flags, combos):
+            total = len(order)
+            for bound, want in (("=0", count == 0), (">=1", count >= 1), ("<=1", count <= 1),
+                                ("=all", count == total)):
+                text = "&".join(combo) + bound
+                passed, detail = catalog._count(text)(inst)
+                assert passed is want is _matches(inst, parse_predicate(text), None), text
+                assert detail.startswith(f"{'&'.join(combo)} satisfied by {count} of {total} "
+                                         "allocations"), (text, detail)
+        for text in ([] if chen_liu else ["chen-liu=0", "chen-liu&po>=1", "chen-liu=all"]):
+            # no landscape row for the combo: mine matches nothing, and the claim fails
+            combo = text.partition("=")[0].rstrip("<>")
+            assert catalog._count(text)(inst) == (False, f"{combo} is not defined on this instance")
+            assert _matches(inst, parse_predicate(text), None) is False
+    t1 = fixture("FIX-T1").instance
+    assert catalog._count("efx>=1")(t1) == (False, "efx satisfied by 0 of 16 allocations")
+    assert catalog._count("EFXPM & PO>=2")(t1) == (
+        True, "efxpm&po satisfied by 2 of 16 allocations, e.g. a,b,d|c")
+    for text in ("efx>=-1", "efx=1_000", "efx<3"):  # read by parse_predicate, when built
+        with pytest.raises(ValueError, match="cannot parse predicate"):
+            catalog._count(text)
 
 
 def test_variant_portability_rows_are_failing_and_non_gating():

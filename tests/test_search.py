@@ -2,7 +2,8 @@ import hashlib
 import json
 from dataclasses import replace
 from fractions import Fraction
-from operator import ge, or_
+from itertools import combinations, product
+from operator import ge
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,16 +32,12 @@ from fairkit.search import (
 from fairkit.taxonomy import classify
 
 from reference import (
+    oracle_flags,
+    oracle_landscape,
+    oracle_rows,
     ref_chen_liu,
-    ref_ef,
-    ref_ef1,
-    ref_ef1pm,
-    ref_efx,
-    ref_efxpm,
-    ref_item_classes,
-    ref_po,
-    ref_variant_a,
-    ref_variant_b,
+    ref_generally_good_bad,
+    rows_as_sets,
     to_sets,
     value_maps,
 )
@@ -297,10 +294,12 @@ def test_parse_predicate():
         parse_predicate("bogus=0")
     with pytest.raises(ValueError):
         parse_predicate("efx~0")
-    for text in ("efx=x", "efx=1.5", "efx&po>=", "po<=al"):  # the target is an integer or all
+    # the target is all or ASCII digits: no sign, no underscore, no other script's digits
+    for text in ("efx=x", "efx=1.5", "efx&po>=", "po<=al", "efx>=-1", "efx=-1", "efx= -1 ",
+                 "efx<=+1", "efx=\u0663", "efx=1_000", "efx=\u00b2", "efx=1 0", "efx=ALL"):
         with pytest.raises(ValueError, match=r"cannot parse predicate .* \(use e\.g\. 'efx=0'"):
             parse_predicate(text)
-    assert parse_predicate("efx= -1 ").target == -1
+    assert parse_predicate("efx= 012 ").target == 12
 
 
 def test_predicate_axiom_names_read_like_the_axioms_option():
@@ -370,52 +369,6 @@ def test_mine_seeds_are_consecutive_offsets():
     assert [h.seed for h in hits] == [40, 41, 42, 43, 44]
 
 
-def _oracle_flags(inst, axes):
-    """The allocations in enumeration order, as frozenset bundles, and each
-    axiom's (or po's) verdicts on them from the naive reference checkers.
-
-    Allocation k gives item o to agent (k // n**o) % n, the documented
-    enumeration order.
-    """
-    n, m = inst.n, inst.m
-    vm = value_maps(inst)
-    order = [tuple(frozenset(o for o in range(m) if k // n ** o % n == i) for i in range(n))
-             for k in range(n ** m)]
-    ref = {
-        "ef": ref_ef, "ef1": ref_ef1, "efx": ref_efx, "ef1pm": ref_ef1pm, "efxpm": ref_efxpm,
-        "efx0": lambda vm, s: ref_efx(vm, s, zero=True),
-        "efxpm0": lambda vm, s: ref_efxpm(vm, s, zero=True),
-        "variant-a": ref_variant_a, "variant-b": ref_variant_b,
-        "po": lambda vm, s: ref_po(vm, s, n, m),
-    }
-    if "chen-liu" in axes:
-        classes = ref_item_classes(vm, m)
-        ref["chen-liu"] = lambda vm, s: ref_chen_liu(vm, s, m, classes)
-    return order, {ax: [ref[ax](vm, s) for s in order] for ax in axes}
-
-
-def _oracle_landscape(inst, combos):
-    """(combo, count, example) per combo from the naive reference checkers;
-    the example is the first satisfying allocation in enumeration order."""
-    order, flags = _oracle_flags(inst, {ax for combo in combos for ax in combo})
-    return _oracle_rows(order, flags, combos)
-
-
-def _oracle_rows(order, flags, combos):
-    """:func:`_oracle_landscape`'s rows from the verdicts of :func:`_oracle_flags`."""
-    rows = []
-    for combo in combos:
-        hits = [k for k in range(len(order)) if all(flags[ax][k] for ax in combo)]
-        rows.append((tuple(combo), len(hits), order[hits[0]] if hits else None))
-    return rows
-
-
-def _rows_as_sets(rows):
-    def sets(alloc):
-        return tuple(frozenset(o for o in range(16) if b >> o & 1) for b in alloc)
-    return [(r.combo, r.count, None if r.example is None else sets(r.example)) for r in rows]
-
-
 def test_landscape_matches_naive_oracle():
     cases = [
         GenParams(agents=2, items=4, lo=-4, hi=4, seed=9100),
@@ -427,8 +380,8 @@ def test_landscape_matches_naive_oracle():
     for base in cases:
         for k in range(4):
             inst = generate(replace(base, seed=base.seed + k))
-            want = _oracle_landscape(inst, DEFAULT_COMBOS)
-            assert _rows_as_sets(landscape(inst)) == want
+            want = oracle_landscape(inst, DEFAULT_COMBOS)
+            assert rows_as_sets(landscape(inst)) == want
 
 
 def test_landscape_chen_liu_rows_match_naive_oracle():
@@ -436,7 +389,7 @@ def test_landscape_chen_liu_rows_match_naive_oracle():
     for k in range(8):
         inst = generate(GenParams(agents=2 + k % 2, items=3, item_class="generallyGoodBad",
                                   seed=9600 + k))
-        assert _rows_as_sets(landscape(inst, combos)) == _oracle_landscape(inst, combos)
+        assert rows_as_sets(landscape(inst, combos)) == oracle_landscape(inst, combos)
 
 
 _WALK_COMBO_SETS = (
@@ -477,7 +430,7 @@ def test_held_walk_matches_the_reference_in_enumeration_order():
         for k in range(3):
             seeded = generate(replace(params, seed=params.seed + k))
             for inst in (seeded, _thirds(seeded)):
-                order, flags = _oracle_flags(inst, axes)
+                order, flags = oracle_flags(inst, axes)
                 for combos in _WALK_COMBO_SETS:
                     needs, walk = held_walk(inst, combos)
                     walked = [(to_sets(alloc), held) for alloc, held in _walked(walk)]
@@ -531,16 +484,15 @@ def test_dense_two_agent_walks_match_the_reference(tmp_path, capsys):
             seeded = generate(GenParams(agents=2, items=m, seed=9950 + 10 * m + f,
                                         **_DENSE_PAIR_FAMILIES[family]))
             for inst in (seeded, _thirds(seeded)) if thirds else (seeded,):
-                good, bad = ref_item_classes(value_maps(inst), m)
-                defined = [ax for ax in ALL_AXIOMS if ax != "chen-liu" or all(
-                    map(or_, sum(good, []), sum(bad, [])))]
-                order, flags = _oracle_flags(inst, defined)
+                chen_liu = ref_generally_good_bad(value_maps(inst), m)
+                defined = [ax for ax in ALL_AXIOMS if chen_liu or ax != "chen-liu"]
+                order, flags = oracle_flags(inst, defined)
                 flags["po"] = _ref_po_flags(inst, order)
                 checked["chen-liu"] += "chen-liu" in defined
                 checked["multi-block"] += m > 8
                 solo = [c for c in solo_and_po if c[0] in defined]
-                assert _rows_as_sets(landscape(inst)) == _oracle_rows(order, flags, DEFAULT_COMBOS)
-                assert _rows_as_sets(landscape(inst, solo_and_po)) == _oracle_rows(order, flags,
+                assert rows_as_sets(landscape(inst)) == oracle_rows(order, flags, DEFAULT_COMBOS)
+                assert rows_as_sets(landscape(inst, solo_and_po)) == oracle_rows(order, flags,
                                                                                  solo)
                 combos = [c for c in _BESIDE_PO_COMBOS if c[0] in defined]
                 needs, walk = held_walk(inst, combos)
@@ -628,7 +580,7 @@ def test_held_walk_without_po_reads_no_profile(monkeypatch):
         lanes.clear()
         reads.clear()
         inst = generate(GenParams(agents=n, items=m, lo=-1, hi=1, seed=seed))
-        order, flags = _oracle_flags(inst, {"ef"})
+        order, flags = oracle_flags(inst, {"ef"})
         assert [to_sets(alloc) for alloc in fairkit.search.enumerate_allocations(inst)] == order
         [ef, anything], walk = held_walk(inst, [("ef",), ()])
         walked = _walked(walk)
@@ -813,6 +765,15 @@ def test_predicate_settles_only_when_every_count_in_range_agrees():
     }
     for (text, lo, hi), want in cases.items():
         assert parse_predicate(text).settled(lo, hi, 8) is want, (text, lo, hi)
+    # by definition: True if every count in lo..hi meets the bound, False if none does
+    meets = {"=": int.__eq__, "<=": int.__le__, ">=": int.__ge__}
+    for op, target, total in product(meets, [*range(11), "all"], (0, 1, 4, 8)):
+        p = parse_predicate(f"efx{op}{target}")
+        t = total if target == "all" else target
+        for lo, hi in combinations(range(total + 2), 2):
+            met = {meets[op](c, t) for c in range(lo, hi)}
+            want = met.pop() if len(met) == 1 else None
+            assert p.settled(lo, hi - 1, total) is want, (p.text(), lo, hi - 1, total)
 
 
 def test_mine_seeds_reports_skipped_seeds():
