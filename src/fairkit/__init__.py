@@ -45,7 +45,6 @@ from .axioms import (
     Verdict,
     Witness,
     check_axiom,
-    envies,
     held,
     satisfies,
 )

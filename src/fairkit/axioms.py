@@ -142,14 +142,6 @@ class Verdict:
     vacuous: tuple = ()
 
 
-def envies(inst: Instance, alloc: Allocation, i: int, j: int) -> bool:
-    """Strict envy of agent i toward agent j.  Error when i == j."""
-    if i == j:
-        raise ValueError("an agent cannot envy itself")
-    t = inst.valuations[i].table
-    return t[alloc[i]] < t[alloc[j]]
-
-
 # ---------------------------------------------------------------------------
 # the Chen-Liu variant (generally good/bad problems only)
 
@@ -199,8 +191,6 @@ def _reading(ef, ef1, ef1pm, cl, x_lt, x_eq, p_gt, p_eq, ox_gt, ox_eq, op_gt, op
     """The flags by which :func:`check_axiom` reads one axiom's groups (:func:`_groups`)."""
     return (ef | ef1 | ef1pm,           # some: one repairing candidate suffices
             cl,                         # own_first: chen-liu lists a's items first
-            (ef1 | ef1pm | x_lt | x_eq | p_gt | p_eq  # walks: item values are read,
-             | ox_gt | ox_eq | op_gt | op_eq),        # not masks only
             ef1 | ef1pm,                # every item of b is a candidate
             ef1,                        # every item of a is a candidate
             x_lt, x_eq,                 # o in b with t[b - o] < vb, == vb
@@ -227,7 +217,7 @@ def check_axiom(inst: Instance, alloc: Allocation, axiom: str) -> Verdict:
     goes on ``vacuous`` if it has no candidate.
     """
     masks = _chen_liu_masks(inst, (axiom,))
-    (some, own_first, walks, every_b, every_a,
+    (some, own_first, every_b, every_a,
      x_lt, x_eq, p_gt, p_eq, a_gt, a_eq, removal) = _READING_OF[axiom]
     violations = []
     vacuous = []
@@ -242,7 +232,7 @@ def check_axiom(inst: Instance, alloc: Allocation, axiom: str) -> Verdict:
                 continue
             repaired = False
             on_b = []  # the candidates of each side that do not repair the envy
-            s = b if walks else b & good
+            s = b
             while s:
                 bit = s & -s
                 s ^= bit
@@ -254,7 +244,7 @@ def check_axiom(inst: Instance, alloc: Allocation, axiom: str) -> Verdict:
                     else:
                         repaired = True
             on_a = []
-            s = a if walks else a & bad
+            s = a
             while s:
                 bit = s & -s
                 s ^= bit

@@ -9,10 +9,14 @@ discrepancies visible without failing the run.
 Fixtures are data: each row of ``_SPECS`` holds the id, title, item names,
 valuations and claim rows ``(id, kind, description, check)``, and each check
 comes from the few shared forms below.  A claim gates unless its kind is
-``exploratory``.  A combo ``"efx&po"`` is read by :func:`~fairkit.search.parse_axioms`,
-a count claim ``"efx&po=0"`` (``mine --predicate`` syntax) by
-:func:`~fairkit.search.parse_predicate`, and an allocation ``"a,b|c"`` (agent 1
-gets a and b, agent 2 c) as bundle keys by :func:`~fairkit.serialize.mask_from_key`.
+``exploratory``.  Each fixture is read as an instance document by
+:func:`~fairkit.serialize.instance_from_document`, the reader of
+``--export-instances`` files and ``mine`` hits.  A combo ``"efx&po"`` is read
+by :func:`~fairkit.search.parse_axioms`, a count claim ``"efx&po=0"``
+(``mine --predicate`` syntax) by :func:`~fairkit.search.parse_predicate`, and
+an allocation ``"a,b|c"`` (agent 1 gets a and b, agent 2 c) as bundle keys by
+:func:`~fairkit.serialize.mask_from_key`, whose bundles then pass
+:func:`~fairkit.core.validate_allocation`.
 """
 
 from __future__ import annotations
@@ -34,12 +38,11 @@ from .axioms import (
     well_defined,
 )
 from .core import (
-    AdditiveValuation,
-    ExplicitValuation,
     Instance,
     enumerate_allocations,
     is_additive_consistent,
     names_of,
+    validate_allocation,
 )
 from .efficiency import (
     check_po,
@@ -50,7 +53,7 @@ from .efficiency import (
 )
 from .protocols import cut_and_choose
 from .search import held_walk, parse_axioms, parse_predicate
-from .serialize import mask_from_key
+from .serialize import bundle_keys, instance_from_document, mask_from_key
 from .values import format_value
 
 
@@ -103,8 +106,9 @@ _bundle = lru_cache(maxsize=None)(mask_from_key)  # "a,b" -> the mask of items a
 
 
 def _parse(inst, text):
-    """``"a,b|c"`` -> the allocation giving a and b to agent 1 and c to agent 2."""
-    return tuple(_bundle(inst.item_names, part) for part in text.split("|"))
+    """``"a,b|c"`` -> the allocation giving a and b to agent 1 and c to agent 2;
+    ``ValueError`` unless the bundles are one per agent, disjoint and covering."""
+    return validate_allocation(inst, [_bundle(inst.item_names, part) for part in text.split("|")])
 
 
 def _fmt(inst, *allocs):
@@ -305,8 +309,11 @@ _ONE_THREE = ("a|b,c,d", "b|a,c,d", "c|a,b,d", "d|a,b,c")
 _TWO_TWO = ("a,b|c,d", "a,c|b,d", "a,d|b,c", "b,c|a,d", "b,d|a,c", "c,d|a,b")
 
 # A valuation is a table over named bundles (the empty bundle defaults to 0),
-# ("additive", item values) or ("size", value by bundle size).  A single
-# valuation is held by both agents.
+# ("additive", item values) or ("size", value by bundle size); values are
+# integers or strings such as "3/2", as in an instance document.  Each row is
+# read as a two-agent document (:func:`_build`), so a single valuation is
+# held by both agents.  Allocation strings pass ``validate_allocation``
+# (:func:`_parse`).
 _SPECS = (
     ("FIX-EX1", "one ball and one racket, complementary pair", "b r",
      ({"": 0, "b": -1, "r": -1, "b,r": 2},), (
@@ -350,7 +357,7 @@ _SPECS = (
      "identical instance without mixed items where item a resists classification", "a b c d",
      ({"": 0, "a": 1, "b": 1, "c": 3, "d": 1,
        "a,b": 2, "a,c": 2, "a,d": 2, "b,c": 2, "b,d": 2, "c,d": 2,
-       "a,b,c": 4, "a,b,d": Fraction(3, 2), "a,c,d": 4, "b,c,d": 4, "a,b,c,d": 5},), (
+       "a,b,c": 4, "a,b,d": "3/2", "a,c,d": 4, "b,c,d": 4, "a,b,c,d": 5},), (
         ("obs3-class", "instance-predicate", "no mixed items, yet not a generally good/bad problem",
          _facts(no_mixed=True, generally_good_bad=False)),
         ("obs3-item-a-unclassified", "instance-predicate",
@@ -460,19 +467,21 @@ _SPECS = (
 
 
 def _valuation(names, spec):
+    """One valuation of a ``_SPECS`` row as an instance document's valuation object."""
     if isinstance(spec, dict):
-        return ExplicitValuation.from_map(
-            len(names), {_bundle(names, key): v for key, v in spec.items()})
+        return {"kind": "explicit", "values": spec}
     kind, values = spec
     if kind == "additive":
-        return AdditiveValuation(values)
-    return ExplicitValuation(tuple(values[bin(x).count("1")] for x in range(1 << len(names))))
+        return {"kind": "additive", "values": dict(zip(names, values))}
+    return {"kind": "explicit", "values": {key: values[bin(mask).count("1")]
+                                           for mask, key in enumerate(bundle_keys(names))}}
 
 
 def _build(fid, title, items, valuations, claims) -> Fixture:
-    names = tuple(items.split())
-    vals = tuple(_valuation(names, spec) for spec in valuations)
-    inst = Instance(names, vals * 2 if len(vals) == 1 else vals)
+    names = items.split()
+    inst = instance_from_document({
+        "items": names, "agents": 2, "identical": len(valuations) == 1,
+        "valuations": [_valuation(names, spec) for spec in valuations]})
     return Fixture(fid, title, inst, tuple(Claim(*row) for row in claims))
 
 

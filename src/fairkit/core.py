@@ -112,10 +112,6 @@ class Valuation:
     m: int
     table: tuple
 
-    def value(self, bundle: int) -> Value:
-        """v(B) for a bundle mask.  The table is total, so this never fails."""
-        return self.table[bundle]
-
     def marginal(self, bundle: int, item: int) -> Value:
         """v(B + o) - v(B).  Error if ``item`` is already in ``bundle``."""
         bit = 1 << item
@@ -175,31 +171,6 @@ class ExplicitValuation(Valuation):
     @property
     def m(self) -> int:
         return len(self.table).bit_length() - 1
-
-    @classmethod
-    def from_map(cls, m: int, entries: dict) -> "ExplicitValuation":
-        """Build from a mask -> value mapping.
-
-        The mapping must cover every non-empty bundle; the empty bundle
-        defaults to 0 when omitted.
-        """
-        table: list = [None] * (1 << m)
-        for mask, v in entries.items():
-            if not 0 <= mask < (1 << m):
-                raise ValueError(f"bundle mask {mask} out of range for m={m}")
-            table[mask] = v
-        return cls(_complete(table))
-
-
-def _complete(table: list) -> list:
-    """``table`` with the empty bundle defaulted to 0; ``None`` marks a
-    missing bundle, and any other missing one is a ``ValueError``."""
-    if table[0] is None:
-        table[0] = 0
-    if None in table:
-        raise ValueError(f"explicit table is missing {table.count(None)} bundles, "
-                         f"e.g. mask {table.index(None)}")
-    return table
 
 
 def nonzero_marginals(v: Valuation) -> bool:

@@ -21,7 +21,6 @@ from .core import (
     ExplicitValuation,
     Instance,
     Valuation,
-    _complete,
     check_item_names,
     check_size,
     joined_by_mask,
@@ -177,10 +176,12 @@ def instance_from_document(doc: dict) -> Instance:
                 else:
                     value = _value_in(v, where, key)
                 table[mask] = value
-            try:
-                return ExplicitValuation._exact(tuple(_complete(table)))
-            except ValueError as exc:
-                raise DocumentError(f"{where}: {exc}") from None
+            if table[0] is None:  # the empty bundle defaults to 0
+                table[0] = 0
+            if None in table:
+                raise DocumentError(f"{where}: explicit table is missing {table.count(None)} "
+                                    f"bundles, e.g. mask {table.index(None)}")
+            return ExplicitValuation._exact(tuple(table))
         raise DocumentError(f"{where}: 'kind' must be 'explicit' or 'additive'")
 
     valuations = [build(raw, idx) for idx, raw in enumerate(raw_vals)]

@@ -30,7 +30,7 @@ def value_maps(inst):
         d = {}
         for mask in range(1 << inst.m):
             key = frozenset(i for i in range(inst.m) if mask >> i & 1)
-            d[key] = v.value(mask)
+            d[key] = v.table[mask]
         maps.append(d)
     return maps
 

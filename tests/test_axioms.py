@@ -1,5 +1,4 @@
 import hashlib
-from fractions import Fraction
 
 import pytest
 
@@ -8,9 +7,7 @@ from fairkit import (
     ExplicitValuation,
     Instance,
     check_axiom,
-    envies,
     fixture,
-    mask_from_names,
     satisfies,
 )
 from fairkit.axioms import (
@@ -36,6 +33,7 @@ from fairkit.axioms import (
 from fairkit.core import enumerate_allocations
 from fairkit.search import GenParams, generate
 
+from conftest import alloc, scaled
 from reference import (
     ref_chen_liu,
     ref_ef,
@@ -56,27 +54,6 @@ T2 = fixture("FIX-T2").instance
 T4 = fixture("FIX-T4").instance
 D1 = fixture("FIX-D1").instance
 ZM = fixture("FIX-ZM").instance
-
-
-def alloc(inst, *bundles):
-    return tuple(mask_from_names(inst.item_names, b) for b in bundles)
-
-
-# ---------------------------------------------------------------------------
-# envy
-
-def test_envies_examples():
-    a = alloc(T2, ("a", "b", "c"), ("d",))
-    assert envies(T2, a, 0, 1)          # -8 < -6
-    assert not envies(T2, a, 1, 0)
-    b = alloc(EX2, ("s",), ("l1", "l2", "l3"))
-    assert envies(EX2, b, 0, 1)         # 6 < 12
-
-
-def test_envies_rejects_self():
-    a = alloc(T2, ("a", "b", "c"), ("d",))
-    with pytest.raises(ValueError):
-        envies(T2, a, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +325,7 @@ def test_witness_output_on_ties_is_unchanged():
         n, m = ((3, 4), (4, 3))[k % 2]
         base = generate(GenParams(agents=n, items=m, lo=-1, hi=1, identical=(k // 2) % 2 == 0,
                                   item_class=("noMixed", "any")[(k // 4) % 2], seed=14_000 + k))
-        half = Instance(base.item_names, tuple(ExplicitValuation([Fraction(x, 2) for x in v.table])
-                                               for v in base.valuations))
-        for inst in (base, half):
+        for inst in (base, scaled(base, 2)):
             for a in enumerate_allocations(inst):
                 for ax in ALL_AXIOMS:
                     if well_defined(inst, ax):
@@ -376,9 +351,7 @@ def test_witness_output_on_a_wide_grid_is_unchanged():
         if k % 5 == 0:
             bases.append(generate(GenParams(additive=True, **shape)))
         for base in bases:
-            third = Instance(base.item_names, tuple(
-                ExplicitValuation([Fraction(x, 3) for x in v.table]) for v in base.valuations))
-            for inst in (base, third):
+            for inst in (base, scaled(base, 3)):
                 for a in enumerate_allocations(inst):
                     for ax in ALL_AXIOMS:
                         if well_defined(inst, ax):

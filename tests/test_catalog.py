@@ -42,6 +42,17 @@ def test_fixtures_are_wellformed():
         assert all(claim.kind for claim in f.claims)
 
 
+def test_allocation_strings_pass_the_allocation_rule():
+    t1 = fixture("FIX-T1").instance
+    assert catalog._parse(t1, "a,b|c,d") == (0b0011, 0b1100)
+    for text, reason in (("a,b|b,c,d", "not pairwise disjoint"), ("a|b", "does not cover"),
+                         ("a|b|c,d", "3 bundles for 2 agents")):
+        with pytest.raises(ValueError, match=reason):
+            catalog._parse(t1, text)
+    with pytest.raises(ValueError, match="not pairwise disjoint"):
+        catalog._allocation("a,b|b,c,d", holds="ef1")(t1)  # the claim forms parse with it
+
+
 def test_every_gating_claim_passes():
     report = verify_claims()
     failures = [r for r in report.results if r.status == "fail" and r.claim.gating]

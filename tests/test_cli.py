@@ -11,7 +11,6 @@ import fairkit.cli
 
 from fairkit import (
     AdditiveValuation,
-    ExplicitValuation,
     Instance,
     check_axiom,
     check_po,
@@ -28,6 +27,8 @@ from fairkit import (
 )
 from fairkit.cli import main
 from fairkit.search import GenParams, generate
+
+from conftest import scaled
 
 
 @pytest.fixture
@@ -505,10 +506,9 @@ def _reference_rows(inst, axioms):
 
 
 def _thirds(inst):
-    """The instance with every value divided by 3, the last agent additive over halves."""
-    vals = [ExplicitValuation(tuple(Fraction(x, 3) for x in v.table)) for v in inst.valuations]
-    vals[-1] = AdditiveValuation([Fraction(k - 1, 2) for k in range(inst.m)])
-    return Instance(inst.item_names, vals)
+    """``scaled(inst, 3)`` with the last agent additive over halves."""
+    halves = AdditiveValuation([Fraction(k - 1, 2) for k in range(inst.m)])
+    return Instance(inst.item_names, scaled(inst, 3).valuations[:-1] + (halves,))
 
 
 @pytest.mark.parametrize("n, m", [(2, 4), (3, 3), (4, 2)])

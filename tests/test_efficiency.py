@@ -3,7 +3,7 @@ from fractions import Fraction
 from operator import ge
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from fairkit import (
     AdditiveValuation,
@@ -15,7 +15,6 @@ from fairkit import (
     enumerate_allocations,
     fixture,
     leximin_set,
-    mask_from_names,
     pareto_front,
     pareto_improves,
     utilities,
@@ -23,6 +22,7 @@ from fairkit import (
 )
 from fairkit.search import GenParams, generate, landscape
 
+from conftest import alloc, small_instances
 from reference import (
     all_allocations,
     ref_ef1,
@@ -39,10 +39,6 @@ T2 = fixture("FIX-T2").instance
 T4 = fixture("FIX-T4").instance
 EX2 = fixture("FIX-EX2").instance
 D1 = fixture("FIX-D1").instance
-
-
-def alloc(inst, *bundles):
-    return tuple(mask_from_names(inst.item_names, b) for b in bundles)
 
 
 def test_utility_vector_examples():
@@ -212,26 +208,8 @@ def test_pareto_front_matches_reference_on_wide_fronts():
     assert _assert_front_matches_ref_po(zero) == {(0, 0, 0)}
 
 
-_VALUES = st.sampled_from((-2, -1, 0, 0, 1, 2, Fraction(1, 2), Fraction(-3, 2)))
-
-
-@st.composite
-def _small_instances(draw):
-    n = draw(st.integers(2, 4))
-    m = draw(st.integers(1, 4 if n == 2 else 3))
-    kind = draw(st.sampled_from(("explicit", "additive", "identical")))
-    if kind == "additive":
-        vals = [AdditiveValuation(draw(st.lists(_VALUES, min_size=m, max_size=m)))
-                for _ in range(n)]
-    else:
-        tables = [draw(st.lists(_VALUES, min_size=1 << m, max_size=1 << m))
-                  for _ in range(1 if kind == "identical" else n)]
-        vals = [ExplicitValuation(t) for t in tables] * (n if kind == "identical" else 1)
-    return Instance(tuple("abcd"[:m]), vals)
-
-
 @settings(max_examples=60)
-@given(_small_instances())
+@given(small_instances())
 def test_pareto_front_matches_reference_property(inst):
     _assert_front_matches_ref_po(inst)
 

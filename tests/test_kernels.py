@@ -15,7 +15,6 @@ import fairkit.axioms
 import fairkit.catalog
 import fairkit.search
 from fairkit import (
-    AdditiveValuation,
     ExplicitValuation,
     Instance,
     check_axiom,
@@ -43,6 +42,7 @@ from fairkit.axioms import (
 from fairkit.efficiency import pareto_front, utilities
 from fairkit.search import DEFAULT_COMBOS, ITEM_CLASSES, GenParams, generate
 
+from conftest import scaled, small_instances
 from reference import (
     ref_chen_liu,
     ref_ef,
@@ -113,25 +113,7 @@ def test_kernels_match_checkers_and_reference_on_seeded_grid():
     assert chen_liu_checked >= len(grid) * 3  # every generallyGoodBad instance at least
 
 
-_VALUES = st.sampled_from((-2, -1, 0, 0, 1, 2, Fraction(1, 2), Fraction(-3, 2)))
-
-
-@st.composite
-def _small_instances(draw):
-    n = draw(st.integers(2, 4))
-    m = draw(st.integers(1, 4 if n == 2 else 3))
-    kind = draw(st.sampled_from(("explicit", "additive", "identical")))
-    if kind == "additive":
-        vals = [AdditiveValuation(draw(st.lists(_VALUES, min_size=m, max_size=m)))
-                for _ in range(n)]
-    else:
-        tables = [draw(st.lists(_VALUES, min_size=1 << m, max_size=1 << m))
-                  for _ in range(1 if kind == "identical" else n)]
-        vals = [ExplicitValuation(t) for t in tables] * (n if kind == "identical" else 1)
-    return Instance(tuple("abcd"[:m]), vals)
-
-
-@given(_small_instances())
+@given(small_instances())
 def test_kernels_match_reference_property(inst):
     _assert_three_way_agreement(inst)
 
@@ -293,12 +275,6 @@ def _assert_lanes_match_the_scan(inst, axiom_ids, indices=None):
         scan(allocs[k]) | (utilities(inst, allocs[k]) in front) << len(ids) for k in indices]
 
 
-def _halved(inst):
-    """``inst`` with every value halved: Fraction tables with the same ties."""
-    return Instance(inst.item_names, tuple(ExplicitValuation([Fraction(x, 2) for x in v.table])
-                                           for v in inst.valuations))
-
-
 def test_columns_match_the_pair_pass_on_seeded_grids():
     chen_liu = 0
     for c, item_class in enumerate(ITEM_CLASSES):
@@ -307,7 +283,7 @@ def test_columns_match_the_pair_pass_on_seeded_grids():
                                       seed=13_000 + 100 * c + m))
             chen_liu += CHEN_LIU in _assert_columns_match_the_pair_pass(inst)
             if m % 3 == 0:
-                _assert_columns_match_the_pair_pass(_halved(inst))
+                _assert_columns_match_the_pair_pass(scaled(inst, 2))
     assert chen_liu >= 10  # every generallyGoodBad instance at least
     for m in (2, 5, 8):  # many ties, one table shared by both agents
         for kw in (dict(lo=-1, hi=1), dict(lo=0, hi=1, identical=True)):

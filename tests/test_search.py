@@ -1,7 +1,6 @@
 import hashlib
 import json
 from dataclasses import replace
-from fractions import Fraction
 from itertools import combinations, product
 from operator import ge
 
@@ -11,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import fairkit.axioms
 import fairkit.cli
 import fairkit.search
-from fairkit import BudgetExceededError, ExplicitValuation, Instance, dumps_instance, fixture
+from fairkit import BudgetExceededError, dumps_instance, fixture
 from fairkit.axioms import ALL_AXIOMS, check_axiom
 from fairkit.core import is_additive_consistent
 from fairkit.efficiency import pareto_front, utilities
@@ -31,6 +30,7 @@ from fairkit.search import (
 )
 from fairkit.taxonomy import classify
 
+from conftest import scaled
 from reference import (
     oracle_flags,
     oracle_landscape,
@@ -402,12 +402,6 @@ _WALK_COMBO_SETS = (
 )
 
 
-def _thirds(inst):
-    """``inst`` with every value divided by 3: Fraction tables with the same ties."""
-    return Instance(inst.item_names, tuple(ExplicitValuation([Fraction(x, 3) for x in v.table])
-                                           for v in inst.valuations))
-
-
 def _walked(walk):
     """A walk's ``(allocation, held)`` pairs, block by block; each block's two
     iterables cover the same run of allocations."""
@@ -429,7 +423,7 @@ def test_held_walk_matches_the_reference_in_enumeration_order():
     for params in grids:
         for k in range(3):
             seeded = generate(replace(params, seed=params.seed + k))
-            for inst in (seeded, _thirds(seeded)):
+            for inst in (seeded, scaled(seeded, 3)):
                 order, flags = oracle_flags(inst, axes)
                 for combos in _WALK_COMBO_SETS:
                     needs, walk = held_walk(inst, combos)
@@ -483,7 +477,7 @@ def test_dense_two_agent_walks_match_the_reference(tmp_path, capsys):
         for f, family in enumerate(families):
             seeded = generate(GenParams(agents=2, items=m, seed=9950 + 10 * m + f,
                                         **_DENSE_PAIR_FAMILIES[family]))
-            for inst in (seeded, _thirds(seeded)) if thirds else (seeded,):
+            for inst in (seeded, scaled(seeded, 3)) if thirds else (seeded,):
                 chen_liu = ref_generally_good_bad(value_maps(inst), m)
                 defined = [ax for ax in ALL_AXIOMS if chen_liu or ax != "chen-liu"]
                 order, flags = oracle_flags(inst, defined)

@@ -107,11 +107,11 @@ def test_empty_bundle_defaults_to_zero():
         "valuations": [{"kind": "explicit", "values": {"a": 4}}],
     }
     inst = instance_from_document(doc)
-    assert inst.valuations[0].value(0) == 0
+    assert inst.valuations[0].table[0] == 0
     # a non-zero empty value is exported explicitly and parsed back
     doc["valuations"][0]["values"][""] = "7"
     inst2 = instance_from_document(doc)
-    assert inst2.valuations[0].value(0) == 7
+    assert inst2.valuations[0].table[0] == 7
     assert loads_instance(dumps_instance(inst2)) == inst2
 
 
