@@ -41,7 +41,6 @@ from .core import (
     Instance,
     enumerate_allocations,
     is_additive_consistent,
-    names_of,
     validate_allocation,
 )
 from .efficiency import (
@@ -113,8 +112,8 @@ def _parse(inst, text):
 
 def _fmt(inst, *allocs):
     """Allocations in ``"a,b|c"`` notation, separated by spaces."""
-    names = inst.item_names
-    return " ".join("|".join(",".join(names_of(names, b)) for b in alloc) for alloc in allocs)
+    keys = bundle_keys(inst.item_names)
+    return " ".join("|".join(keys[b] for b in alloc) for alloc in allocs)
 
 
 def _scan(inst, combo):

@@ -39,7 +39,6 @@ from .protocols import cut_and_choose
 from .search import (
     GenParams,
     ITEM_CLASSES,
-    RejectionBudgetError,
     held_walk,
     mine_seeds,
     parse_axioms,
@@ -395,7 +394,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DocumentError, NotWellDefinedError, RejectionBudgetError, ValueError) as exc:
+    except (DocumentError, NotWellDefinedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -44,11 +44,7 @@ def parse_value(text: str) -> Value:
 
 
 def format_value(v: Value) -> str:
-    """Canonical string form: integers plain, otherwise ``"p/q"``."""
+    """Canonical string form, as Python prints it: integers plain, otherwise ``"p/q"``."""
     if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
         raise ValueError(f"not an exact rational value: {v!r}")
-    if isinstance(v, int):
-        return str(v)
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+    return str(v)

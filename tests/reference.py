@@ -36,7 +36,7 @@ def value_maps(inst):
 
 
 def to_sets(alloc):
-    return tuple(frozenset(i for i in range(64) if b >> i & 1) for b in alloc)
+    return tuple(frozenset(i for i in range(b.bit_length()) if b >> i & 1) for b in alloc)
 
 
 def _pairs(n):
@@ -219,6 +219,20 @@ def ref_leximin(vm, n, m):
         elif vec == best:
             arg.add(alloc)
     return best, arg
+
+
+def ref_cut_and_choose(vm, m, order, cutter):
+    """The documented two-agent protocol on ``order`` (the allocations in
+    enumeration order): the cut is the first leximin partition for two
+    copies of the cutter's valuation, and the chooser takes the side they
+    value more, or the one with the smaller mask (items as bits) when
+    indifferent."""
+    _, ties = ref_leximin([vm[cutter], vm[cutter]], 2, m)
+    cut = next(s for s in order if s in ties)
+    vc = vm[1 - cutter]
+    chosen = max(cut, key=lambda side: (vc[side], -sum(1 << o for o in side)))
+    other = cut[1] if chosen == cut[0] else cut[0]
+    return (other, chosen) if cutter == 0 else (chosen, other)
 
 
 def weak_orders(size):

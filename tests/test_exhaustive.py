@@ -1,14 +1,19 @@
 """Bounded-exhaustive tests: every instance of the smallest shapes against
-the naive oracles of ``reference.py``.
+the naive oracles of ``reference.py``: ``landscape``, and each allocation's
+``check_axiom`` and ``check_po`` verdicts, ``pareto_front``,
+``leximin_set``, ``classify`` and ``cut_and_choose``.
 
-Every verdict ``landscape`` decides reads only each agent's weak order on
+Every verdict but ``leximin_set``'s reads only each agent's weak order on
 its 2**m bundles, so a shape has finitely many instances up to
 order-preserving maps: with two items, one of the 75 weak orders on 4
-bundles per agent.  At 2x2 that is 5,625 instances, all checked here.  At
-3x2 the 73,150 multisets of three weak orders stand for all 421,875
-instances up to agent order; Tier-1 checks every 40th (1,829) and CI all of
-them, through :func:`check_three_by_two`.  Seeded tests sample; these cover
-the whole shape, so a slip in a comparison within one table, which every
+bundles per agent.  (Leximin compares values across agents, so its layer
+covers these rank tables only; the cut of ``cut_and_choose`` is a leximin
+partition of one agent's table, which one order-preserving map keeps.)
+At 2x2 that is 5,625 instances, all checked here.  At 3x2 the 73,150
+multisets of three weak orders stand for all 421,875 instances up to agent
+order; Tier-1 checks every 40th (1,829) and CI all of them, through
+:func:`check_three_by_two`.  Seeded tests sample; these cover the whole
+shape, so a slip in a comparison within one table, which every
 order-preserving relation keeps, shows on some instance here.
 
 Run every 3x2 instance (about two minutes) with::
@@ -18,14 +23,32 @@ Run every 3x2 instance (about two minutes) with::
 
 from itertools import combinations_with_replacement, product
 
-from fairkit import ExplicitValuation, Instance, landscape
+import pytest
+
+from fairkit import (
+    ExplicitValuation,
+    Instance,
+    NotWellDefinedError,
+    check_axiom,
+    check_po,
+    classify,
+    cut_and_choose,
+    landscape,
+    leximin_set,
+    pareto_front,
+)
 from fairkit.axioms import ALL_AXIOMS
 
 from reference import (
     oracle_flags,
     oracle_rows,
+    ref_cut_and_choose,
     ref_generally_good_bad,
+    ref_item_classes,
+    ref_leximin,
+    ref_mixed,
     rows_as_sets,
+    to_sets,
     value_maps,
     weak_orders,
 )
@@ -39,13 +62,15 @@ def check_instances(types) -> int:
     po alone, on the two-item instance of each tuple of ``types`` (agent i
     holds the weak order ``ORDERS[types[i]]``); the po combos are also walked
     without the others, which walks the Pareto-optimal allocations only and
-    scans each with the pair pass (``_front_walk``).  Returns how many
-    instances have chen-liu defined."""
+    scans each with the pair pass (``_front_walk``).  Each instance's other
+    verdicts go through :func:`check_verdicts`.  Returns how many instances
+    have chen-liu defined."""
     tables = [ExplicitValuation(ranks) for ranks in ORDERS]
     chen_liu_defined = 0
     for agents in types:
         inst = Instance(("a", "b"), tuple(tables[k] for k in agents))
-        chen_liu = ref_generally_good_bad(value_maps(inst), 2)
+        vm = value_maps(inst)
+        chen_liu = ref_generally_good_bad(vm, 2)
         chen_liu_defined += chen_liu
         want_combos = [c for c in COMBOS if chen_liu or c[0] != "chen-liu"]
         order, flags = oracle_flags(inst, {ax for c in want_combos for ax in c})
@@ -53,7 +78,40 @@ def check_instances(types) -> int:
         assert rows_as_sets(landscape(inst, COMBOS)) == want, agents
         po_rows = [row for row in want if "po" in row[0]]
         assert rows_as_sets(landscape(inst, [row[0] for row in po_rows])) == po_rows, agents
+        check_verdicts(inst, vm, order, flags)
     return chen_liu_defined
+
+
+def check_verdicts(inst, vm, order, flags):
+    """The single-allocation and whole-instance verdicts against the oracle:
+    ``check_axiom`` of every axiom in ``flags`` (chen-liu raising
+    ``NotWellDefinedError`` when it is not among them) and ``check_po`` on
+    every allocation of ``order``; ``pareto_front``; ``leximin_set``'s tie
+    set in enumeration order; ``classify``'s generally good and bad matrices
+    and mixed flags; and with two agents, ``cut_and_choose`` with either
+    cutter.  ``order`` and ``flags`` are :func:`oracle_flags`'s,
+    ``vm`` is :func:`value_maps`'s."""
+    n, m = inst.n, inst.m
+    allocs = [tuple(sum(1 << o for o in bundle) for bundle in s) for s in order]
+    for ax, want in flags.items():
+        got = [check_po(inst, a) if ax == "po" else check_axiom(inst, a, ax) for a in allocs]
+        assert [verdict.satisfied for verdict in got] == want, (ax, vm)
+    if "chen-liu" not in flags:
+        with pytest.raises(NotWellDefinedError):
+            check_axiom(inst, allocs[0], "chen-liu")
+    profile = [tuple(vm[i][s[i]] for i in range(n)) for s in order]
+    assert pareto_front(inst) == {p for p, po in zip(profile, flags["po"]) if po}, vm
+    _, ties = ref_leximin(vm, n, m)
+    assert [to_sets(a) for a in leximin_set(inst)] == [s for s in order if s in ties], vm
+    _, matrix = classify(inst)
+    good, bad = ref_item_classes(vm, m)
+    assert (matrix.generally_good, matrix.generally_bad) == (
+        tuple(map(tuple, good)), tuple(map(tuple, bad))), vm
+    assert list(matrix.mixed) == [ref_mixed(vm, o, m) for o in range(m)], vm
+    if n == 2:
+        for cutter in (0, 1):
+            assert to_sets(cut_and_choose(inst, cutter)) == ref_cut_and_choose(
+                vm, m, order, cutter), (cutter, vm)
 
 
 def check_three_by_two(stride):
