@@ -35,7 +35,7 @@ from functools import lru_cache
 from itertools import count, repeat
 from typing import Optional
 
-from .core import Allocation, Instance
+from .core import TWO_AGENT_GETTERS, Allocation, Instance
 from .efficiency import _maxima
 from .taxonomy import classify
 
@@ -410,11 +410,11 @@ def held_columns(inst: Instance, axiom_ids, po: bool = False):
     own bundle x alone.  :func:`_columns` decides every bundle of both
     agents at once: entry x of agent i's column holds every bit when i does
     not envy, else every bit but those that i's pair pass against
-    ``full ^ x`` (``_pair_pass``) fails.  Allocation k gives agent 0 the
-    bundle ``full ^ k`` and agent 1 the bundle k, so it holds
+    ``full ^ x`` (``_pair_pass``) fails.  Allocation k holds
     ``c0[full ^ k] & c1[k]``, which is :func:`held`'s ``scan`` of it: one
-    big-int AND of agent 0's column, reversed, with agent 1's.  The po bit
-    comes from the same ranks (:func:`_on_front`).  Lanes are the narrowest
+    big-int AND of the two columns, each read in allocation order through
+    its agent's ``core.TWO_AGENT_GETTERS``.  The po bit comes from the same
+    ranks, read the same way (:func:`_on_front`).  Lanes are the narrowest
     of 8, 16 and 32 bits that hold every rank and every bit, the po bit
     included.  A lane int is 512 KB at 2x16 with 32-bit lanes; one call
     with ``po`` peaked at 34.6 MB there (every value distinct), and at
@@ -434,12 +434,13 @@ def held_columns(inst: Instance, axiom_ids, po: bool = False):
     ranks = map(rank.__getitem__, t0 + t1)
     ranks = bytes(ranks) if w == 8 else array(_TYPECODE[w], ranks)
     size = 1 << m
+    get0, get1 = TWO_AGENT_GETTERS
     held = 0
     if ids:
         both = _unpack(_columns(ranks, m, w, (1 << k) - 1, _groups(ids), masks), w, 2 * size)
-        held = _pack(both[size - 1::-1]) & _pack(both[size:])
+        held = _pack(get0(both[:size])) & _pack(get1(both[size:]))
     if po:
-        held |= _on_front(ranks[size - 1::-1], ranks[size:], d, w) >> (w - 1 - k)
+        held |= _on_front(get0(ranks[:size]), get1(ranks[size:]), d, w) >> (w - 1 - k)
     return _unpack(held, w, size)
 
 

@@ -61,7 +61,7 @@ class Claim:
     id: str
     kind: str
     description: str
-    check: Callable  # Instance -> (Optional[bool], str); None means "open"
+    check: Callable  # Instance -> (bool, str)
 
     @property
     def gating(self) -> bool:
@@ -524,7 +524,7 @@ def verify_claims(fixture_id: Optional[str] = None) -> ClaimReport:
     for f in fixtures:
         for claim in f.claims:
             passed, detail = claim.check(f.instance)
-            status = "open" if passed is None else "pass" if passed else "fail"
+            status = "pass" if passed else "fail"
             results.append(ClaimResult(f.id, claim, status, detail))
     if fixture_id is None:
         results.append(_OPEN_NOTE)

@@ -6,10 +6,10 @@ compact JSON line per allocation, and ``check`` and ``verify-paper`` take
 --table for a plain text view instead.  Exit codes: 0 all requested checks
 passed, 1 an axiom or gating claim failed, 2 input error, 3 enumeration
 budget exceeded.  The commands that enumerate (check, enumerate, leximin,
-cut-and-choose, mine) take --budget; without it, the environment variable
-FAIRKIT_BUDGET overrides the default enumeration budget.  A negative budget,
-from either, is an input error.  The argument parser is built once per
-process and shared by every :func:`main` call.
+cut-and-choose, mine) take --budget, the only source of a budget other than
+the default; :func:`main` rejects a negative one as an input error before the
+command runs.  The argument parser is built once per process and shared by
+every :func:`main` call.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import os
 import sys
 from itertools import chain, islice, starmap
 from operator import getitem, itemgetter
-from typing import Optional
 
 from . import axioms
 from .axioms import NotWellDefinedError, Verdict, Witness, check_axiom
@@ -71,25 +70,6 @@ def _load_instance(args) -> Instance:
     return loads_instance(_read(args.instance))
 
 
-def _budget(args) -> Optional[int]:
-    """The --budget option, else FAIRKIT_BUDGET, else None; each command that
-    enumerates reads it first, so a negative budget is rejected before any work."""
-    budget = getattr(args, "budget", None)
-    source = "--budget"
-    if budget is None:
-        env = os.environ.get("FAIRKIT_BUDGET")
-        if not env:
-            return None
-        source = "FAIRKIT_BUDGET"
-        try:
-            budget = int(env)
-        except ValueError:
-            raise DocumentError(f"FAIRKIT_BUDGET must be an integer, got {env!r}") from None
-    if budget < 0:
-        raise DocumentError(f"{source} must be >= 0, got {budget}")
-    return budget
-
-
 def _witness_doc(inst: Instance, w: Witness) -> dict:
     return {
         "envier": w.envier,
@@ -117,7 +97,6 @@ def _emit(doc) -> None:
 # subcommands
 
 def cmd_check(args) -> int:
-    budget = _budget(args)
     inst = _load_instance(args)
     alloc = loads_allocation(inst, _read(args.allocation))
     requested = parse_axioms(args.axioms.split(","))
@@ -129,7 +108,7 @@ def cmd_check(args) -> int:
     all_ok = True
     for ax in requested:
         if ax == "po":
-            po = check_po(inst, alloc, budget)
+            po = check_po(inst, alloc, args.budget)
             entry = {"satisfied": po.satisfied}
             if po.improver is not None:
                 entry["improver"] = allocation_to_document(inst, po.improver)["bundles"]
@@ -153,11 +132,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    budget = _budget(args)
     inst = _load_instance(args)
     requested = parse_axioms(args.axioms.split(","))
     # the empty combo holds everywhere, so the walk covers every allocation
-    needs, walk = held_walk(inst, [(ax,) for ax in requested] + [()], budget)
+    needs, walk = held_walk(inst, [(ax,) for ax in requested] + [()], args.budget)
     # Each row is printed as json.dumps would print it, from fragments encoded
     # once per scan: every bundle's name array, every utility, every axiom key.
     bundle = [f"[{names}]" for names in joined_by_mask(map(json.dumps, inst.item_names), ", ")]
@@ -183,9 +161,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_leximin(args) -> int:
-    budget = _budget(args)
     inst = _load_instance(args)
-    allocations = leximin_set(inst, budget)
+    allocations = leximin_set(inst, args.budget)
     doc = {
         "utilityVector": [format_value(u) for u in utility_vector(inst, allocations[0])],
         "count": len(allocations),
@@ -229,9 +206,8 @@ def cmd_taxonomy(args) -> int:
 
 
 def cmd_cut_and_choose(args) -> int:
-    budget = _budget(args)
     inst = _load_instance(args)
-    alloc = cut_and_choose(inst, cutter=args.cutter - 1, budget=budget)
+    alloc = cut_and_choose(inst, cutter=args.cutter - 1, budget=args.budget)
     verdict = check_axiom(inst, alloc, axioms.EFXPM)
     _emit({
         "bundles": allocation_to_document(inst, alloc)["bundles"],
@@ -278,11 +254,10 @@ def cmd_verify_paper(args) -> int:
 
 
 def cmd_mine(args) -> int:
-    budget = _budget(args)
     params = GenParams(**{f.name: getattr(args, f.name) for f in dataclasses.fields(GenParams)})
     predicate = parse_predicate(args.predicate)
     hits, skipped, scanned = [], [], 0
-    for seed, hit, reason in mine_seeds(params, predicate, args.count, budget=budget):
+    for seed, hit, reason in mine_seeds(params, predicate, args.count, budget=args.budget):
         scanned += 1
         if hit is not None:
             hits.append(hit)
@@ -326,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         if instance:
             p.add_argument("instance", help="instance JSON file")
         if budget:  # only for the commands that enumerate
-            p.add_argument("--budget", type=int, default=None,
-                           help="enumeration budget (overrides FAIRKIT_BUDGET)")
+            p.add_argument("--budget", type=int, default=None, help="enumeration budget")
 
     p = sub.add_parser("check", help="check axioms on one allocation")
     common(p)
@@ -390,6 +364,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if (getattr(args, "budget", None) or 0) < 0:  # before the command reads any file
+            raise DocumentError(f"--budget must be >= 0, got {args.budget}")
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,6 +23,11 @@ _BLOCK_CAP = 1024  # allocations per block: larger ones barely speed a scan up b
 
 Allocation = tuple  # tuple[int, ...], one bundle mask per agent
 
+# The two-agent order: allocation k gives agent 0 the bundle ``full ^ k`` and
+# agent 1 the bundle k, so agent i's getter reads a run of values indexed by
+# bundle, ``t[h:h + 2**L]`` or a whole table, in allocation order.
+TWO_AGENT_GETTERS = (itemgetter(slice(None, None, -1)), itemgetter(slice(None)))
+
 
 class BudgetExceededError(Exception):
     """Raised when an exhaustive scan would exceed its allocation budget."""
@@ -379,8 +384,8 @@ def _layout(n: int, m: int) -> tuple:
     size, its per-agent mask columns (:func:`_low_columns`) and one value
     getter per column, immutable and shared by every scan of the shape;
     masks come from the columns.  With two agents, agent 0's column counts
-    down from ``2**L - 1`` and agent 1's up from 0, so their getters are the
-    slices ``t[::-1]`` and ``t[:]``.  With more, each is an
+    down from ``2**L - 1`` and agent 1's up from 0, so their getters are
+    ``TWO_AGENT_GETTERS``.  With more, each is an
     ``operator.itemgetter(*column)``, which returns a tuple (``n**L >= 2``)
     and holds an 8-byte pointer per entry (the masks are small ints, which
     Python shares): ``8 * n * n**L`` bytes per shape plus about 100 per
@@ -390,7 +395,7 @@ def _layout(n: int, m: int) -> tuple:
         low += 1
     columns = _low_columns(n, low)
     if n == 2:
-        return low, columns, (itemgetter(slice(None, None, -1)), itemgetter(slice(None)))
+        return low, columns, TWO_AGENT_GETTERS
     return low, columns, tuple(itemgetter(*col) for col in columns)
 
 

@@ -1,5 +1,6 @@
 """Bounded-exhaustive tests: every instance of the smallest shapes against
-the naive oracles of ``reference.py``: ``landscape``, and each allocation's
+the naive oracles of ``reference.py``: ``landscape``, the per-allocation
+rows of ``held_walk`` that ``enumerate`` prints, each allocation's
 ``check_axiom`` and ``check_po`` verdicts, ``pareto_front``,
 ``leximin_set``, ``classify`` and ``cut_and_choose``.
 
@@ -38,6 +39,7 @@ from fairkit import (
     pareto_front,
 )
 from fairkit.axioms import ALL_AXIOMS
+from fairkit.search import held_walk
 
 from reference import (
     oracle_flags,
@@ -62,9 +64,10 @@ def check_instances(types) -> int:
     po alone, on the two-item instance of each tuple of ``types`` (agent i
     holds the weak order ``ORDERS[types[i]]``); the po combos are also walked
     without the others, which walks the Pareto-optimal allocations only and
-    scans each with the pair pass (``_front_walk``).  Each instance's other
-    verdicts go through :func:`check_verdicts`.  Returns how many instances
-    have chen-liu defined."""
+    scans each with the pair pass (``_front_walk``).  Each instance's rows
+    go through :func:`check_rows` and its other verdicts through
+    :func:`check_verdicts`.  Returns how many instances have chen-liu
+    defined."""
     tables = [ExplicitValuation(ranks) for ranks in ORDERS]
     chen_liu_defined = 0
     for agents in types:
@@ -78,8 +81,22 @@ def check_instances(types) -> int:
         assert rows_as_sets(landscape(inst, COMBOS)) == want, agents
         po_rows = [row for row in want if "po" in row[0]]
         assert rows_as_sets(landscape(inst, [row[0] for row in po_rows])) == po_rows, agents
+        check_rows(inst, order, flags)
         check_verdicts(inst, vm, order, flags)
     return chen_liu_defined
+
+
+def check_rows(inst, order, flags):
+    """The walk that ``enumerate`` prints, of each axiom of ``flags`` alone
+    and ``()``, against the oracle: allocation k is ``order[k]`` and holds the
+    bit of ``(ax,)`` iff ``flags[ax][k]``.  ``order`` and ``flags`` are
+    :func:`oracle_flags`'s."""
+    needs, walk = held_walk(inst, [(ax,) for ax in flags] + [()])
+    rows = [(to_sets(a), held) for allocs, helds in walk
+            for a, held in zip(allocs, helds, strict=True)]
+    assert [alloc for alloc, _ in rows] == order, inst
+    for ax, need in zip(flags, needs):
+        assert [held & need == need for _, held in rows] == flags[ax], (ax, inst)
 
 
 def check_verdicts(inst, vm, order, flags):
