@@ -84,6 +84,10 @@ class GenParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("agents", "items", "lo", "hi", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         check_size(self.agents, self.items)
         if self.lo > self.hi:
             raise ValueError("empty value range")

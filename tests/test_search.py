@@ -200,6 +200,15 @@ def test_item_classes_take_neither_additive_nor_disjointly_normalised():
         GenParams(item_class="x")
 
 
+@pytest.mark.parametrize("kw, name", [(dict(lo=-1.5, hi=2.5, seed=1), "lo"),
+                                      (dict(lo=True, hi=3), "lo"),
+                                      (dict(agents=2.0), "agents")])
+def test_gen_params_take_only_ints(kw, name):
+    # a float value would reach the explicit tables, past the exactness contract
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+        GenParams(**kw)
+
+
 def test_generate_values_stay_in_range_without_structural_constraints():
     p = GenParams(agents=2, items=3, lo=-2, hi=2, seed=5)
     inst = generate(p)
