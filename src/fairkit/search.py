@@ -34,20 +34,39 @@ from .taxonomy import classify  # noqa: F401  (importable from here for bench/sp
 ITEM_CLASSES = ("any", "generallyGoodBad", "noMixed")
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_CHUNK = 1024  # values mixed at once by SplitMix64.take
 
 
 class SplitMix64:
-    """SplitMix64: deterministic 64-bit stream, identical on every platform."""
+    """SplitMix64: deterministic 64-bit stream, identical on every platform.
+
+    Values are mixed many at a time (:meth:`take`): a chunk of up to 1,024
+    is one Python int of 128-bit lanes, lane i holding the state ``i + 1``
+    steps on, and each xor-shift-multiply step of the mixer runs on the
+    whole int (:func:`_mix`).  ``next_u64``, ``randint`` and ``bit`` read
+    one value through the same path.
+    """
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
+    def take(self, k: int) -> Iterator[int]:
+        """The next k values, as k calls of :meth:`next_u64` would give them.
+
+        The state moves on by k steps at the call.  A read of at most one
+        chunk is mixed at the call; a longer read is mixed chunk by chunk as
+        the iterator is read, so at most one chunk of values is held.
+        """
+        start = self._state
+        self._state = (start + k * _GAMMA) & _MASK64
+        if k <= _CHUNK:  # one chunk, as most reads are: no chain to build
+            return iter(_mix(start, k))
+        return chain.from_iterable(_mix((start + i * _GAMMA) & _MASK64, min(_CHUNK, k - i))
+                                   for i in range(0, k, _CHUNK))
+
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return next(self.take(1))
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform-ish integer in [lo, hi]; modulo bias is negligible here."""
@@ -57,6 +76,33 @@ class SplitMix64:
 
     def bit(self) -> int:
         return self.next_u64() & 1
+
+
+@lru_cache(maxsize=16)
+def _stream_lanes(k):
+    """``(ONES, STEPS, MASK)`` for k 128-bit lanes: ONES holds 1 in every
+    lane, STEPS ``(i + 1) * gamma`` mod 2**64 in lane i, and MASK the low 64
+    bits of every lane.  Built from bytes; cached like ``axioms._lanes``
+    (48 KB for a full chunk)."""
+    ones = int.from_bytes((1).to_bytes(16, "little") * k, "little")
+    steps = int.from_bytes(b"".join((i * _GAMMA & _MASK64).to_bytes(16, "little")
+                                    for i in range(1, k + 1)), "little")
+    return ones, steps, ones * _MASK64
+
+
+def _mix(state, k):
+    """The k SplitMix64 values after ``state``, as an ``array`` of 64-bit
+    lanes.  Lane i of the int starts at ``state + (i + 1) * gamma``, masked
+    to 64 bits.  Each step's product of a 64-bit lane and a 64-bit constant
+    fits its 128-bit lane, so nothing carries into the next one; the mask
+    after each xor-shift and product clears what a right shift pulled down
+    from the next lane, or a product left above bit 63.  The last xor-shift
+    needs no mask: only the low 64 bits of each lane are read out."""
+    ones, steps, mask = _stream_lanes(k)
+    z = (state * ones + steps) & mask
+    z = ((z ^ z >> 30) & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = ((z ^ z >> 27) & mask) * 0x94D049BB133111EB & mask
+    return axioms._unpack(z ^ z >> 31, 64, 2 * k)[::2]
 
 
 @dataclass(frozen=True)
@@ -108,30 +154,40 @@ def _item_names(m: int) -> tuple:
     return tuple(chr(ord("a") + i) for i in range(m))  # m <= DEFAULT_ITEM_CAP (16)
 
 
-def _draw(rng, p, avoid=()) -> int:
-    """Uniform draw from [p.lo, p.hi] minus ``avoid``; with nothing to avoid, ``rng.randint``."""
+def _draw(u, p, avoid=()) -> int:
+    """The drawn 64-bit value ``u`` as a uniform pick from [p.lo, p.hi]
+    minus ``avoid``; with nothing to avoid, ``p.lo + u % (p.hi - p.lo + 1)``,
+    as :meth:`SplitMix64.randint` reads a value."""
     skip = sorted({a for a in avoid if p.lo <= a <= p.hi})
     size = p.hi - p.lo + 1 - len(skip)
     if size < 1:
         raise RejectionBudgetError(
             f"no value in [{p.lo}, {p.hi}] keeps non-zero marginals for {p}")
-    v = p.lo + rng.next_u64() % size
+    v = p.lo + u % size
     for a in skip:  # the (v - lo)-th value of the range that is not skipped
         if a <= v:
             v += 1
     return v
 
 
-def _monotone_table(rng, members: int, m: int, lo: int, hi: int, increasing: bool,
+def _split(rng, m) -> int:
+    """An item mask from m draws, item i in it iff draw i is odd."""
+    return sum((u & 1) << i for i, u in enumerate(rng.take(m)))
+
+
+def _monotone_table(draws, members: int, m: int, lo: int, hi: int, increasing: bool,
                     strict: bool) -> list:
     """Random monotone function over the subsets of ``members``; 0 at empty.
 
-    Non-strict mode draws a value per bundle and clamps it against the
-    bundle's subsets; strict mode adds a signed increment of at least 1 on
-    top of the extreme subset value (values may then leave [lo, hi]).
+    Each non-empty subset reads one value of the iterator ``draws``, in
+    the order the subsets are built.  Non-strict mode reads a value in
+    [lo, hi] per bundle and clamps it against the bundle's subsets; strict
+    mode adds a signed increment of at least 1 on top of the extreme subset
+    value (values may then leave [lo, hi]).
     """
     table = [0] * (1 << m)
     step = max(1, hi - lo)
+    width = hi - lo + 1
     sub = 0
     while True:
         if sub:
@@ -148,10 +204,10 @@ def _monotone_table(rng, members: int, m: int, lo: int, hi: int, increasing: boo
                 else:
                     extreme = min(extreme, prev)
             if strict:
-                inc = rng.randint(1, step)
+                inc = 1 + next(draws) % step
                 table[sub] = extreme + inc if increasing else extreme - inc
             else:
-                draw = rng.randint(lo, hi)
+                draw = lo + next(draws) % width
                 table[sub] = max(draw, extreme) if increasing else min(draw, extreme)
         if sub == members:
             break
@@ -166,12 +222,16 @@ def _item_class_table(rng, p, shared_split) -> ExplicitValuation:
     ``noMixed``, so all agents agree on directions) and values a bundle as a
     monotone-increasing function of its goods plus a monotone-decreasing
     function of its bads, strictly monotone under ``nonzero_marginals``.
+    Once the split is known, both functions read from one take of
+    ``2**g + 2**(m - g) - 2`` values, g the number of goods.
     """
     m = p.items
-    goods = shared_split if shared_split is not None else sum(rng.bit() << i for i in range(m))
+    goods = shared_split if shared_split is not None else _split(rng, m)
     bads = ((1 << m) - 1) ^ goods
-    up = _monotone_table(rng, goods, m, p.lo, p.hi, True, p.nonzero_marginals)
-    down = _monotone_table(rng, bads, m, p.lo, p.hi, False, p.nonzero_marginals)
+    g = goods.bit_count()
+    draws = rng.take((1 << g) + (1 << m - g) - 2)
+    up = _monotone_table(draws, goods, m, p.lo, p.hi, True, p.nonzero_marginals)
+    down = _monotone_table(draws, bads, m, p.lo, p.hi, False, p.nonzero_marginals)
     return ExplicitValuation._exact(tuple(up[mask & goods] + down[mask & bads]
                                           for mask in range(1 << m)))
 
@@ -182,18 +242,18 @@ def _additive_table(rng, p, c) -> AdditiveValuation:
     last drawn one also avoids making the last item 0."""
     m = p.items
     items: list = []
-    for o in range(m if c is None else m - 1):
+    for o, u in enumerate(rng.take(m if c is None else m - 1)):
         avoid = ()
         if p.nonzero_marginals:
             avoid = (0, c - sum(items)) if o == m - 2 and c is not None else (0,)
-        items.append(_draw(rng, p, avoid))
+        items.append(_draw(u, p, avoid))
     if c is not None:
         items.append(c - sum(items))
     return AdditiveValuation(tuple(items))
 
 
 def _explicit_table(rng, p, c) -> ExplicitValuation:
-    """Table entries drawn in ascending mask order.
+    """Table entries drawn in ascending mask order, one take for the table.
 
     With a constant ``c`` only the masks below their complement are drawn,
     and each sets its complement to c minus it.  Under ``nonzero_marginals``
@@ -202,16 +262,18 @@ def _explicit_table(rng, p, c) -> ExplicitValuation:
     """
     m = p.items
     if c is None and not p.nonzero_marginals:
-        return ExplicitValuation._exact(tuple(rng.randint(p.lo, p.hi) for _ in range(1 << m)))
+        width = p.hi - p.lo + 1
+        return ExplicitValuation._exact(tuple(map(p.lo.__add__,
+                                                  map(width.__rmod__, rng.take(1 << m)))))
     full = (1 << m) - 1
     t: list = [None] * (1 << m)
-    for x in range(1 << m if c is None else 1 << (m - 1)):
+    for x, u in enumerate(rng.take(1 << m if c is None else 1 << (m - 1))):
         avoid: list = []
         if p.nonzero_marginals:
             avoid = [t[x ^ (1 << o)] for o in range(m) if t[x ^ (1 << o)] is not None]
             if c is not None and m == 1 and c % 2 == 0:
                 avoid.append(c // 2)  # the one item's neighbour is x's own complement
-        t[x] = _draw(rng, p, avoid)
+        t[x] = _draw(u, p, avoid)
         if c is not None:
             t[full ^ x] = c - t[x]
     return ExplicitValuation._exact(tuple(t))
@@ -222,18 +284,21 @@ def generate(params: GenParams) -> Instance:
 
     All draws come from one SplitMix64 stream seeded with ``params.seed``,
     and every constraint holds by construction (see :class:`GenParams`).
-    Raises :class:`RejectionBudgetError` when ``nonzero_marginals`` meets a
-    value range too small to leave a choice.
+    Each table, item split and disjoint constant takes the exact number of
+    values it needs in one :meth:`SplitMix64.take`, so the stream is the
+    one a value-at-a-time reader would see.  Raises
+    :class:`RejectionBudgetError` when ``nonzero_marginals`` meets a value
+    range too small to leave a choice.
     """
     p = params
     rng = SplitMix64(p.seed)
     agents = 1 if p.identical else p.agents
     if p.item_class != "any":
-        shared = sum(rng.bit() << i for i in range(p.items)) if p.item_class == "noMixed" else None
+        shared = _split(rng, p.items) if p.item_class == "noMixed" else None
         vals = [_item_class_table(rng, p, shared) for _ in range(agents)]
     else:
         lone_item = p.additive and p.nonzero_marginals and p.items == 1  # its value is c
-        c = _draw(rng, p, (0,) if lone_item else ()) if p.disjointly_normalised else None
+        c = _draw(rng.next_u64(), p, (0,) if lone_item else ()) if p.disjointly_normalised else None
         table = _additive_table if p.additive else _explicit_table
         vals = [table(rng, p, c) for _ in range(agents)]
     return Instance(_item_names(p.items), tuple(vals * (p.agents // agents)))

@@ -129,6 +129,10 @@ GOLDENS = (
      "54d43ecc8e50cc0c1f94c921fc488a82faa5bba71664ffa68eb2cf765fa3adf9"),
     ("enumerate-2x9-variant-a-ef1.jsonl", "enumerate {d}/2x9-ggb.json --axioms variant-a,ef1",
      0, "6c9298c84c6dc63f03a1884679da9a5341a9c3103ecce2536d7f36067bedab52"),
+    # a generallyGoodBad stream at m = 11: split bits and monotone tables
+    ("mine-2x11-ggb.json",
+     "mine --predicate ef1>=0 -n 2 -m 11 --item-class generallyGoodBad --count 1", 0,
+     "74d1b71700c023b6e2cde3f95e15b6cb52d06ec37a0b42e82a3c42419917e1d6"),
     ("mine-2x12-efx.json", "mine --predicate efx>=1 -n 2 -m 12 --count 4", 0,
      "f086fe66422e3b65097687ca2e01624f7eebc719fee30082533156b0bfffa6a8"),
     # enumerate printed this when every flag still came from check_axiom

@@ -287,3 +287,17 @@ def rows_as_sets(rows):
     """``landscape`` rows as :func:`oracle_rows` writes them."""
     return [(r.combo, r.count, None if r.example is None else to_sets(r.example))
             for r in rows]
+
+
+def splitmix64(seed):
+    """The SplitMix64 stream from ``seed`` (Steele, Lea & Flood, OOPSLA
+    2014), one value per step, as ``(state, value)`` pairs: the state after
+    the step and the value it gives."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield state, z ^ (z >> 31)

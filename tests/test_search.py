@@ -1,7 +1,9 @@
 import hashlib
 import json
+import sys
+import tracemalloc
 from dataclasses import replace
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from operator import ge
 
 import pytest
@@ -38,9 +40,27 @@ from reference import (
     ref_chen_liu,
     ref_generally_good_bad,
     rows_as_sets,
+    splitmix64,
     to_sets,
     value_maps,
 )
+
+
+def test_splitmix_take_matches_the_scalar_stream():
+    # lane sums wrap past 2**64 from the two high seeds; 1,024 values make a chunk
+    for seed in (0, 2 ** 63, 2 ** 64 - 1):
+        for k in (0, 1, 2, 1023, 1024, 1025, 2049):
+            rng = SplitMix64(seed)
+            ref = list(islice(splitmix64(seed), k))
+            assert list(rng.take(k)) == [value for _, value in ref], (seed, k)
+            assert rng._state == (ref[-1][0] if ref else seed)
+        for a, b in ((0, 3), (1, 1024), (1023, 2), (1024, 1025), (2049, 1)):
+            rng = SplitMix64(seed)
+            first, second = rng.take(a), rng.take(b)  # each reads from the state at its call
+            ref = list(islice(splitmix64(seed), a + b))
+            assert list(second) + list(first) == [v for _, v in ref[a:] + ref[:a]], (seed, a, b)
+            assert rng._state == ref[-1][0]
+            assert rng.next_u64() == next(islice(splitmix64(seed), a + b, None))[1]
 
 
 def test_splitmix_is_stable():
@@ -104,14 +124,30 @@ _PINNED_STREAMS = {  # family -> sha256 prefix of its instances over the grid be
     "additive+dn": (dict(additive=True, disjointly_normalised=True), "86fba0e6cbeec3ed"),
     "generallyGoodBad+nz": (dict(item_class="generallyGoodBad", nonzero_marginals=True),
                             "0e809ec6fcfaab7a"),
+    "nz": (dict(nonzero_marginals=True), "0661a55e96a83923"),
+    "additive+nz": (dict(additive=True, nonzero_marginals=True), "48f86f3dc92b9aef"),
+}
+
+# family -> sha256 prefix over a grid at m = 11, where an explicit table
+# takes 2,048 draws: more than one chunk of SplitMix64.take
+_PINNED_STREAMS_11 = {
+    "any": "468522e4d931a6b4",
+    "generallyGoodBad": "33fe790fd84112f7",
+    "noMixed": "4b978bb00538271b",
+    "identical": "385451a1bfba5ee2",
+    "additive": "2ad328a44102affa",
+    "dn": "2d63bda55e0c7a9f",
+    "additive+dn": "17dc70ac0c304863",
+    "generallyGoodBad+nz": "098b338f2740cee2",
+    "nz": "e711d3d753660eea",
+    "additive+nz": "c92c601956c58c39",
 }
 
 
 @pytest.mark.parametrize("family", sorted(_PINNED_STREAMS))
 def test_generate_streams_are_pinned(family):
-    # every family but explicit and additive tables with non-zero marginals
-    # yields the same bytes per seed as it always has, so mined seeds and
-    # benchmark inputs stay reproducible
+    # every family yields the same bytes per seed as when it was pinned, so
+    # mined seeds and benchmark inputs stay reproducible
     kw, want = _PINNED_STREAMS[family]
     h = hashlib.sha256()
     for n, m in ((2, 3), (2, 4), (3, 4), (2, 6), (3, 6)):
@@ -120,6 +156,31 @@ def test_generate_streams_are_pinned(family):
                 p = GenParams(agents=n, items=m, lo=lo, hi=hi, seed=seed, **kw)
                 h.update(dumps_instance(generate(p)).encode())
     assert h.hexdigest()[:16] == want
+
+
+@pytest.mark.parametrize("family", sorted(_PINNED_STREAMS_11))
+def test_generate_streams_are_pinned_across_chunks(family):
+    kw, _ = _PINNED_STREAMS[family]
+    h = hashlib.sha256()
+    for n in (2, 3):
+        for lo, hi in ((-8, 8), (-1000, 1000)):
+            for seed in range(2):
+                p = GenParams(agents=n, items=11, lo=lo, hi=hi, seed=seed, **kw)
+                h.update(dumps_instance(generate(p)).encode())
+    assert h.hexdigest()[:16] == _PINNED_STREAMS_11[family]
+
+
+def test_generate_peak_memory_stays_near_its_tables():
+    # draws are mixed one chunk at a time, never as one list of the stream
+    p = GenParams(agents=2, items=16, seed=5)
+    generate(replace(p, items=11))  # the chunk constants are built outside the trace
+    tracemalloc.start()
+    try:
+        inst = generate(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * sum(sys.getsizeof(v.table) for v in inst.valuations)
 
 
 def _assert_meets_constraints(inst, p):
