@@ -19,8 +19,8 @@ decides many axioms at once without witnesses: one bit per axiom, from one
 pass over each envying pair's two bundles, and none at all for an envy-free
 allocation.  With two agents, :func:`held_columns` decides them, and Pareto
 optimality, for every allocation at once, with no pair pass: integer
-arithmetic over the ranks of the agents' values, packed in 8-, 16- or
-32-bit lanes, decides every bundle of both agents at once, and one AND of
+arithmetic over order-preserving codes of the agents' values, packed in
+8-, 16- or 32-bit lanes, decides every bundle of both agents at once, and one AND of
 the two agents' columns gives the held sets of all allocations as one lane
 string.  All three read the one clause table through one cached reading of
 its rows.
@@ -28,6 +28,7 @@ its rows.
 
 from __future__ import annotations
 
+import struct
 import sys
 from array import array
 from dataclasses import dataclass
@@ -217,8 +218,10 @@ def check_axiom(inst: Instance, alloc: Allocation, axiom: str) -> Verdict:
     goes on ``vacuous`` if it has no candidate.
     """
     masks = _chen_liu_masks(inst, (axiom,))
+    reading = _READING_OF[axiom]
     (some, own_first, every_b, every_a,
-     x_lt, x_eq, p_gt, p_eq, a_gt, a_eq, removal) = _READING_OF[axiom]
+     x_lt, x_eq, p_gt, p_eq, a_gt, a_eq, removal) = reading
+    clauses = any(reading[2:10])  # some item can be a candidate, not only by mask
     violations = []
     vacuous = []
     for i, v in enumerate(inst.valuations):
@@ -226,13 +229,14 @@ def check_axiom(inst: Instance, alloc: Allocation, axiom: str) -> Verdict:
         a = alloc[i]
         va = t[a]
         good, bad = masks[i]
+        walk = clauses or good or bad
         for j, b in enumerate(alloc):
             vb = t[b]
             if va >= vb:  # no envy, always so for j == i
                 continue
             repaired = False
             on_b = []  # the candidates of each side that do not repair the envy
-            s = b
+            s = b if walk else 0
             while s:
                 bit = s & -s
                 s ^= bit
@@ -244,7 +248,7 @@ def check_axiom(inst: Instance, alloc: Allocation, axiom: str) -> Verdict:
                     else:
                         repaired = True
             on_a = []
-            s = a
+            s = a if walk else 0
             while s:
                 bit = s & -s
                 s ^= bit
@@ -414,12 +418,18 @@ def held_columns(inst: Instance, axiom_ids, po: bool = False):
     ``c0[full ^ k] & c1[k]``, which is :func:`held`'s ``scan`` of it: one
     big-int AND of the two columns, each read in allocation order through
     its agent's ``core.TWO_AGENT_GETTERS``.  The po bit comes from the same
-    ranks, read the same way (:func:`_on_front`).  Lanes are the narrowest
-    of 8, 16 and 32 bits that hold every rank and every bit, the po bit
-    included.  A lane int is 512 KB at 2x16 with 32-bit lanes; one call
-    with ``po`` peaked at 34.6 MB there (every value distinct), and at
-    1.7 MB at 2x14 with 8-bit lanes.  Errors as in :func:`held`, and
-    ``ValueError`` unless n is 2.
+    ranks, read the same way (:func:`_on_front`).  When every value is an
+    ``int`` in [-64, 63] and the held bits fit 8-bit lanes, each value v's
+    rank is the offset code v + 64, made at C level (:func:`_offset_ranks`);
+    otherwise (a ``Fraction``, an int outside that window, or more than 8
+    held bits) one rank map over the distinct values of both tables gives
+    the ranks, and lanes are the narrowest of 8, 16 and 32 bits that hold
+    every rank and every bit, the po bit included.  With no axiom and no
+    ``po`` the lane string is ``bytes`` of zeros, and nothing is ranked.
+    A lane int is 512 KB at 2x16 with 32-bit lanes; one call with ``po``
+    peaked at 34.6 MB there (every value distinct), and at 1.7 MB at 2x14
+    with 8-bit lanes.  Errors as in :func:`held`, and ``ValueError`` unless
+    n is 2.
     """
     if inst.n != 2:
         raise ValueError(f"held_columns needs two agents, got {inst.n}")
@@ -427,12 +437,19 @@ def held_columns(inst: Instance, axiom_ids, po: bool = False):
     masks = _chen_liu_masks(inst, ids)
     t0, t1 = (v.table for v in inst.valuations)
     m, k = inst.m, len(ids)
-    # one rank map serves both tables, so ranking costs one sort
-    rank = dict(zip(sorted({*t0, *t1}), count()))
-    d, bits = len(rank), (1 << (k + po)) - 1
-    w = 8 if d <= 1 << 7 and bits < 1 << 8 else 16 if d <= 1 << 15 and bits < 1 << 16 else 32
-    ranks = map(rank.__getitem__, t0 + t1)
-    ranks = bytes(ranks) if w == 8 else array(_TYPECODE[w], ranks)
+    if not (ids or po):
+        return bytes(1 << m)
+    bits = (1 << (k + po)) - 1
+    ranks = _offset_ranks(m, t0, t1) if bits < 1 << 8 else None
+    if ranks is not None:
+        d, w = 1 << 7, 8
+    else:
+        # one rank map serves both tables, so ranking costs one sort
+        rank = dict(zip(sorted({*t0, *t1}), count()))
+        d = len(rank)
+        w = 8 if d <= 1 << 7 and bits < 1 << 8 else 16 if d <= 1 << 15 and bits < 1 << 16 else 32
+        ranks = map(rank.__getitem__, t0 + t1)
+        ranks = bytes(ranks) if w == 8 else array(_TYPECODE[w], ranks)
     size = 1 << m
     get0, get1 = TWO_AGENT_GETTERS
     held = 0
@@ -450,15 +467,20 @@ def held_columns(inst: Instance, axiom_ids, po: bool = False):
 # The two agents' tables become Python ints of 2 * 2**m lanes, w bits each,
 # agent i's bundle x in lane x + i * 2**m: VA holds the rank of t_i[x] and
 # VB that of t_i[full ^ x], the envier's va and vb when it owns x.  A rank
-# (the position of a value among the distinct values of both tables) keeps
-# every comparison of the pair pass, which compares values of one table.
-# w is the narrowest of 8, 16 and 32 whose lanes hold every rank below
-# their top bit and every held bit, the po bit included.  With H the top bit
+# is any injective, order-preserving code of the values of both tables, so
+# it keeps every comparison of the pair pass, which compares values of one
+# table.  Int tables within [-64, 63] take the offset code v + 64, in
+# [0, 127], with 8-bit lanes whenever the held bits fit them; every other
+# table (a Fraction, an int outside the window), and every call with more
+# than 8 held bits, takes the rank map, the position of a value among the
+# distinct values of both tables, and w is the narrowest of 8, 16 and 32
+# whose lanes hold every rank below their top bit and every held bit, the
+# po bit included.  With H the top bit
 # of every lane, ((A | H) - B) & H has a lane's top bit set iff A >= B
 # there, and no lane borrows from the next; ((A | H) - (B + 1)) & H tests
 # A > B, and ~(((X | H) - L1) | X) & H that X is 0.  The memory figures in
 # :func:`held_columns` are tracemalloc peaks, with the rank map and the
-# cached masks.
+# cached masks, taken before the offset code.
 #
 # For item o, shifting VA and VB down by o lanes (D_A = VA >> s, D_B =
 # VB >> s) puts t[y | o] and t[full ^ (y | o)] in each lane y that lacks o.
@@ -472,6 +494,27 @@ def held_columns(inst: Instance, axiom_ids, po: bool = False):
 
 _TYPECODE = {8: "B", 16: "H", 32: "I", 64: "Q"}
 _SWAP = sys.byteorder == "big"  # lane ints are read and written little-endian
+_PLUS64 = bytes(b + 64 & 255 for b in range(256))  # the signed byte v to v + 64
+
+
+@lru_cache(maxsize=8)
+def _signed_bytes(m):
+    """The packer of both tables' 2 * 2**m values as signed bytes; cached
+    like :func:`_lanes`."""
+    return struct.Struct(f"<{2 << m}b")
+
+
+def _offset_ranks(m, t0, t1):
+    """The 8-bit codes v + 64 of the values v of ``t0`` then ``t1``, if
+    every one is an ``int`` in [-64, 63], else None, at C level: one pack
+    (a ``Fraction`` or an int outside [-128, 127] fails it) and one
+    ``translate``, which takes [-64, 63] to [0, 127] and the rest of
+    [-128, 127] to 128 and above."""
+    try:
+        codes = _signed_bytes(m).pack(*t0, *t1).translate(_PLUS64)
+    except struct.error:
+        return None
+    return codes if codes.isascii() else None
 
 
 @lru_cache(maxsize=8)

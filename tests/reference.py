@@ -47,6 +47,13 @@ def ref_ef(vm, alloc):
     return all(vm[i][alloc[i]] >= vm[i][alloc[j]] for i, j in _pairs(len(alloc)))
 
 
+def ref_envy(vm, alloc):
+    """Every envying ordered pair as ``(i, j, v_i(A_i), v_i(A_j))``, in pair
+    order: EF's witnesses, each the bare envy."""
+    return [(i, j, vm[i][alloc[i]], vm[i][alloc[j]]) for i, j in _pairs(len(alloc))
+            if vm[i][alloc[i]] < vm[i][alloc[j]]]
+
+
 def ref_ef1(vm, alloc):
     for i, j in _pairs(len(alloc)):
         vi = vm[i]

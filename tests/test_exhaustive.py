@@ -20,6 +20,14 @@ order-preserving relation keeps, shows on some instance here.
 Run every 3x2 instance (about two minutes) with::
 
     python -c 'import sys; sys.path[:0] = ["tests"]; import test_exhaustive as t; t.check_three_by_two(1)'
+
+The two-agent lane string has two ways to rank the tables' values
+(``axioms.held_columns``): an offset code for small ints, and a rank map
+for everything else.  The 2x2 instances reach only the first, so
+:func:`check_rank_paths` compares each with a copy that takes the second:
+every third instance in Tier-1, and all 5,625 (about two seconds) with::
+
+    python -c 'import sys; sys.path[:0] = ["tests"]; import test_exhaustive as t; t.check_rank_paths(1)'
 """
 
 from itertools import combinations_with_replacement, product
@@ -38,13 +46,14 @@ from fairkit import (
     leximin_set,
     pareto_front,
 )
-from fairkit.axioms import ALL_AXIOMS
+from fairkit.axioms import ALL_AXIOMS, VACUOUS_ENVY, _offset_ranks, held_columns, well_defined
 from fairkit.search import held_walk
 
 from reference import (
     oracle_flags,
     oracle_rows,
     ref_cut_and_choose,
+    ref_envy,
     ref_generally_good_bad,
     ref_item_classes,
     ref_leximin,
@@ -113,6 +122,11 @@ def check_verdicts(inst, vm, order, flags):
     for ax, want in flags.items():
         got = [check_po(inst, a) if ax == "po" else check_axiom(inst, a, ax) for a in allocs]
         assert [verdict.satisfied for verdict in got] == want, (ax, vm)
+    ef = [check_axiom(inst, a, "ef") for a in allocs]  # every witness: the bare envy
+    assert [[(w.envier, w.envied, w.condition, w.item, w.lhs, w.rhs) for w in verdict.violations]
+            + list(verdict.vacuous) for verdict in ef] == [
+        [(i, j, VACUOUS_ENVY, None, lhs, rhs) for i, j, lhs, rhs in ref_envy(vm, s)]
+        for s in order], vm
     if "chen-liu" not in flags:
         with pytest.raises(NotWellDefinedError):
             check_axiom(inst, allocs[0], "chen-liu")
@@ -131,6 +145,25 @@ def check_verdicts(inst, vm, order, flags):
                 vm, m, order, cutter), (cutter, vm)
 
 
+def check_rank_paths(stride):
+    """On every ``stride``-th of the 5,625 2x2 instances, by type indices,
+    ``held_columns`` of the defined axioms, in two groups that each fit
+    8-bit lanes with the po bit, without and with po, equals the same call
+    on a copy whose every value x is 100 * (x + 1): the ranks 0..3 take the
+    offset code of ``_offset_ranks``, and 100..400 the rank map."""
+    tables = [ExplicitValuation(ranks) for ranks in ORDERS]
+    wide = [ExplicitValuation([100 * (x + 1) for x in ranks]) for ranks in ORDERS]
+    for agents in list(product(range(len(ORDERS)), repeat=2))[::stride]:
+        inst = Instance(("a", "b"), tuple(tables[k] for k in agents))
+        copy = Instance(("a", "b"), tuple(wide[k] for k in agents))
+        assert _offset_ranks(2, *(v.table for v in inst.valuations)) is not None
+        assert _offset_ranks(2, *(v.table for v in copy.valuations)) is None
+        defined = [ax for ax in ALL_AXIOMS if well_defined(inst, ax)]
+        for ids in (defined[:7], defined[7:]):
+            for po in (False, True):
+                assert held_columns(inst, ids, po) == held_columns(copy, ids, po), (agents, ids)
+
+
 def check_three_by_two(stride):
     """:func:`check_instances` on every ``stride``-th of the 73,150 3x2 type
     triples, sorted by type index."""
@@ -143,6 +176,10 @@ def check_three_by_two(stride):
 def test_every_two_by_two_instance_matches_the_oracle():
     assert len(ORDERS) == 75
     assert 0 < check_instances(product(range(75), repeat=2)) < 75 ** 2
+
+
+def test_every_third_two_by_two_instance_has_one_lane_string_on_both_rank_paths():
+    check_rank_paths(3)
 
 
 def test_every_fortieth_three_by_two_instance_matches_the_oracle():

@@ -360,6 +360,35 @@ def test_lane_widths_hold_every_rank_and_every_bit(monkeypatch):
     assert set(widths) == {32}
 
 
+def test_offset_codes_and_the_rank_map_give_the_pair_pass_lanes(monkeypatch):
+    """Int tables within [-64, 63], both ends among their values, take the
+    offset code (``_offset_ranks`` returns codes); one value of -65 or 64,
+    or one ``Fraction``, sends them to the rank map (it returns None), and
+    so do 8 named axioms with po, whose 9 held bits leave 8-bit lanes (it
+    is not called).  On each path the lane string equals the per-bundle
+    passes, without and with po."""
+    codes = []
+    real = fairkit.axioms._offset_ranks
+    monkeypatch.setattr(fairkit.axioms, "_offset_ranks",
+                        lambda m, t0, t1: codes.append(real(m, t0, t1)) or codes[-1])
+    eight = [ax for ax in ALL_AXIOMS if ax != CHEN_LIU][:8]
+    nine = [eight[:7], [eight[7], VARIANT_B]]  # every axiom but chen-liu, in 8-bit lanes with po
+    for m in range(1, 9):
+        rng = random.Random(13_900 + m)
+        values = [rng.randint(-64, 63) for _ in range(2 << m)]
+        low, high, odd = rng.sample(range(2 << m), 3)
+        values[low], values[high] = -64, 63
+        for x, offset in ((None, True), (-65, False), (64, False), (Fraction(1, 2), False)):
+            if x is not None:
+                values[odd] = x
+            inst = Instance([f"i{o}" for o in range(m)], (ExplicitValuation(values[:1 << m]),
+                                                          ExplicitValuation(values[1 << m:])))
+            codes.clear()
+            _assert_columns_match_the_pair_pass(inst, [*nine, eight])
+            assert len(codes) == 5, (m, x)  # every call but the one of eight with po
+            assert {c is not None for c in codes} == {offset}, (m, x)
+
+
 # ---------------------------------------------------------------------------
 # metamorphic relations: maps that keep each agent's order keep every verdict
 
