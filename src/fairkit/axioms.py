@@ -424,12 +424,10 @@ def held_columns(inst: Instance, axiom_ids, po: bool = False):
     otherwise (a ``Fraction``, an int outside that window, or more than 8
     held bits) one rank map over the distinct values of both tables gives
     the ranks, and lanes are the narrowest of 8, 16 and 32 bits that hold
-    every rank and every bit, the po bit included.  With no axiom and no
-    ``po`` the lane string is ``bytes`` of zeros, and nothing is ranked.
-    A lane int is 512 KB at 2x16 with 32-bit lanes; one call with ``po``
-    peaked at 34.6 MB there (every value distinct), and at 1.7 MB at 2x14
-    with 8-bit lanes.  Errors as in :func:`held`, and ``ValueError`` unless
-    n is 2.
+    every rank and every bit, the po bit included.  A lane int is 512 KB
+    at 2x16 with 32-bit lanes; one call with ``po`` peaked at 34.6 MB there
+    (every value distinct), and at 1.7 MB at 2x14 with 8-bit lanes.  Errors
+    as in :func:`held`, and ``ValueError`` unless n is 2.
     """
     if inst.n != 2:
         raise ValueError(f"held_columns needs two agents, got {inst.n}")
@@ -437,8 +435,6 @@ def held_columns(inst: Instance, axiom_ids, po: bool = False):
     masks = _chen_liu_masks(inst, ids)
     t0, t1 = (v.table for v in inst.valuations)
     m, k = inst.m, len(ids)
-    if not (ids or po):
-        return bytes(1 << m)
     bits = (1 << (k + po)) - 1
     ranks = _offset_ranks(m, t0, t1) if bits < 1 << 8 else None
     if ranks is not None:

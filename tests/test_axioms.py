@@ -278,20 +278,6 @@ def test_ef_implies_every_axiom():
                     assert satisfies(inst, a, ax)
 
 
-def test_ef_witnesses_are_the_bare_envy_of_each_envying_pair():
-    """EF has no candidate item, so each envying pair reports its bare envy
-    and nothing else; FIX-EX1's one-item splits are envy-free (the catalog's
-    ``ex1-singles-envy-free``) and each lopsided split has one envier."""
-    got = [(tuple(map(sorted, to_sets(a))), check_axiom(EX1, a, EF))
-           for a in enumerate_allocations(EX1)]
-    assert [(sides, v.satisfied, v.violations, v.vacuous) for sides, v in got] == [
-        (([0, 1], []), False, (Witness(1, 0, VACUOUS_ENVY, None, 0, 2),), ()),
-        (([1], [0]), True, (), ()),
-        (([0], [1]), True, (), ()),
-        (([], [0, 1]), False, (Witness(0, 1, VACUOUS_ENVY, None, 0, 2),), ()),
-    ]
-
-
 def test_up_to_any_vs_up_to_some_boundary_instance():
     # complement-heavy table: singletons repel, pairs attract; handing
     # everything away leaves envy that no qualifying item can express, so the

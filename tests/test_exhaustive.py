@@ -119,12 +119,14 @@ def check_verdicts(inst, vm, order, flags):
     ``vm`` is :func:`value_maps`'s."""
     n, m = inst.n, inst.m
     allocs = [tuple(sum(1 << o for o in bundle) for bundle in s) for s in order]
+    verdicts = {}
     for ax, want in flags.items():
-        got = [check_po(inst, a) if ax == "po" else check_axiom(inst, a, ax) for a in allocs]
+        got = verdicts[ax] = [check_po(inst, a) if ax == "po" else check_axiom(inst, a, ax)
+                              for a in allocs]
         assert [verdict.satisfied for verdict in got] == want, (ax, vm)
-    ef = [check_axiom(inst, a, "ef") for a in allocs]  # every witness: the bare envy
+    # ef has no candidate item, so its every witness is the bare envy
     assert [[(w.envier, w.envied, w.condition, w.item, w.lhs, w.rhs) for w in verdict.violations]
-            + list(verdict.vacuous) for verdict in ef] == [
+            + list(verdict.vacuous) for verdict in verdicts["ef"]] == [
         [(i, j, VACUOUS_ENVY, None, lhs, rhs) for i, j, lhs, rhs in ref_envy(vm, s)]
         for s in order], vm
     if "chen-liu" not in flags:
