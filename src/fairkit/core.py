@@ -257,20 +257,6 @@ class Instance:
         """True iff no agent has a zero marginal for any item on any bundle."""
         return all(nonzero_marginals(v) for v in self.valuations)
 
-    def disjoint_normalisation_constant(self) -> Optional[Value]:
-        """The common c with v_i(M) + v_i(complement) = c, or None.
-
-        The constant must be shared by every bipartition and every agent.
-        """
-        full = self.full
-        c = self.valuations[0].table[0] + self.valuations[0].table[full]
-        for v in self.valuations:
-            t = v.table
-            for mask in range((1 << self.m) // 2):
-                if t[mask] + t[full ^ mask] != c:
-                    return None
-        return c
-
 
 # ---------------------------------------------------------------------------
 # allocations

@@ -44,15 +44,15 @@ class SplitMix64:
     Values are mixed many at a time (:meth:`take`): a chunk of up to 1,024
     is one Python int of 128-bit lanes, lane i holding the state ``i + 1``
     steps on, and each xor-shift-multiply step of the mixer runs on the
-    whole int (:func:`_mix`).  ``next_u64``, ``randint`` and ``bit`` read
-    one value through the same path.
+    whole int (:func:`_mix`).  :meth:`take` is the one reader: a single
+    value is ``next(rng.take(1))``.
     """
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
     def take(self, k: int) -> Iterator[int]:
-        """The next k values, as k calls of :meth:`next_u64` would give them.
+        """The next k values of the stream, in order.
 
         The state moves on by k steps at the call.  A read of at most one
         chunk is mixed at the call; a longer read is mixed chunk by chunk as
@@ -64,18 +64,6 @@ class SplitMix64:
             return iter(_mix(start, k))
         return chain.from_iterable(_mix((start + i * _GAMMA) & _MASK64, min(_CHUNK, k - i))
                                    for i in range(0, k, _CHUNK))
-
-    def next_u64(self) -> int:
-        return next(self.take(1))
-
-    def randint(self, lo: int, hi: int) -> int:
-        """Uniform-ish integer in [lo, hi]; modulo bias is negligible here."""
-        if lo > hi:
-            raise ValueError("empty range")
-        return lo + self.next_u64() % (hi - lo + 1)
-
-    def bit(self) -> int:
-        return self.next_u64() & 1
 
 
 @lru_cache(maxsize=16)
@@ -156,8 +144,8 @@ def _item_names(m: int) -> tuple:
 
 def _draw(u, p, avoid=()) -> int:
     """The drawn 64-bit value ``u`` as a uniform pick from [p.lo, p.hi]
-    minus ``avoid``; with nothing to avoid, ``p.lo + u % (p.hi - p.lo + 1)``,
-    as :meth:`SplitMix64.randint` reads a value."""
+    minus ``avoid``; with nothing to avoid, ``p.lo + u % (p.hi - p.lo + 1)``
+    (the modulo bias is negligible for ranges this small)."""
     skip = sorted({a for a in avoid if p.lo <= a <= p.hi})
     size = p.hi - p.lo + 1 - len(skip)
     if size < 1:
@@ -298,7 +286,8 @@ def generate(params: GenParams) -> Instance:
         vals = [_item_class_table(rng, p, shared) for _ in range(agents)]
     else:
         lone_item = p.additive and p.nonzero_marginals and p.items == 1  # its value is c
-        c = _draw(rng.next_u64(), p, (0,) if lone_item else ()) if p.disjointly_normalised else None
+        c = (_draw(next(rng.take(1)), p, (0,) if lone_item else ())
+             if p.disjointly_normalised else None)
         table = _additive_table if p.additive else _explicit_table
         vals = [table(rng, p, c) for _ in range(agents)]
     return Instance(_item_names(p.items), tuple(vals * (p.agents // agents)))

@@ -3,7 +3,9 @@
 Witness and verdict documents are built by the CLI (``cli._witness_doc``).
 
 Values are serialized as strings ("5", "3/2") so exactness survives JSON;
-plain JSON integers are accepted on input.  Bundle keys are item names joined
+plain JSON integers are accepted on input.  Every input value is checked by
+:func:`~fairkit.values.as_value`, whose message follows the entry's
+``valuations[i]['key']: `` prefix.  Bundle keys are item names joined
 by "," in the order of the ``items`` array, with "" denoting the empty
 bundle, whose value defaults to 0 when omitted.  :func:`dumps_instance`
 produces a canonical form: parsing and re-exporting a canonical document is
@@ -28,7 +30,7 @@ from .core import (
     names_of,
     validate_allocation,
 )
-from .values import Value, as_value, format_value
+from .values import as_value, format_value
 
 
 class DocumentError(Exception):
@@ -55,23 +57,6 @@ def mask_from_key(item_names: Sequence[str], key: str) -> int:
             f"bundle key {key!r} is not canonical (items must follow the items array order)"
         )
     return mask
-
-
-def _value_in(raw: object, where: str, name: str) -> Value:
-    """The value ``raw`` of the entry ``name`` in ``where``; the error message
-    is formatted only when there is an error."""
-    if isinstance(raw, bool):
-        reason = "boolean is not a value"
-    elif isinstance(raw, int):
-        return raw
-    elif isinstance(raw, str):
-        try:
-            return as_value(raw)
-        except ValueError as exc:
-            reason = str(exc)
-    else:
-        reason = f"values must be strings or integers, got {type(raw).__name__}"
-    raise DocumentError(f"{where}[{name!r}]: {reason}")
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -153,10 +138,13 @@ def instance_from_document(doc: dict) -> Instance:
             raise DocumentError(f"{where}: 'values' must be an object")
         if kind == "additive":
             per_item = {}
-            for name, v in values.items():
-                if name not in item_names:
-                    raise DocumentError(f"{where}: unknown item {name!r}")
-                per_item[name] = _value_in(v, where, name)
+            try:
+                for name, v in values.items():
+                    if name not in item_names:
+                        raise DocumentError(f"{where}: unknown item {name!r}")
+                    per_item[name] = as_value(v)
+            except ValueError as exc:
+                raise DocumentError(f"{where}[{name!r}]: {exc}") from None
             missing = [n for n in item_names if n not in per_item]
             if missing:
                 raise DocumentError(f"{where}: missing item value for {missing[0]!r}")
@@ -165,17 +153,20 @@ def instance_from_document(doc: dict) -> Instance:
             if not mask_of:
                 mask_of.update((key, mask) for mask, key in enumerate(bundle_keys(item_names)))
             table: list = [None] * (1 << m)
-            for key, v in values.items():  # in document order: the first bad entry is reported
-                mask = mask_of.get(key)
-                if mask is None:
-                    mask = mask_from_key(item_names, key)  # raises: canonical keys are all known
-                if type(v) is str:
-                    value = parsed.get(v)
-                    if value is None:
-                        value = parsed[v] = _value_in(v, where, key)
-                else:
-                    value = _value_in(v, where, key)
-                table[mask] = value
+            try:
+                for key, v in values.items():  # in document order: the first bad entry is reported
+                    mask = mask_of.get(key)
+                    if mask is None:
+                        mask = mask_from_key(item_names, key)  # raises: each canonical key is known
+                    if type(v) is str:
+                        value = parsed.get(v)
+                        if value is None:
+                            value = parsed[v] = as_value(v)
+                    else:
+                        value = as_value(v)
+                    table[mask] = value
+            except ValueError as exc:
+                raise DocumentError(f"{where}[{key!r}]: {exc}") from None
             if table[0] is None:  # the empty bundle defaults to 0
                 table[0] = 0
             if None in table:

@@ -21,17 +21,19 @@ def as_value(x: object) -> Value:
 
     Accepts ``int``, ``Fraction`` or a string understood by
     :func:`parse_value`.  Fractions with denominator 1 are normalised to
-    ``int``.  Floats (and bools) are rejected.
+    ``int``.  Anything else, bools and floats included, raises
+    ``ValueError("not an exact rational value: 1.5 (float)")``, naming the
+    value and its type; a string that does not parse raises
+    :func:`parse_value`'s error.  This is the one check of what a value is:
+    valuations and instance documents both read values through it.
     """
-    if isinstance(x, bool):
-        raise ValueError(f"not an exact rational value: {x!r}")
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return x
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
     if isinstance(x, str):
         return parse_value(x)
-    raise ValueError(f"not an exact rational value: {x!r} (floats are not allowed)")
+    raise ValueError(f"not an exact rational value: {x!r} ({type(x).__name__})")
 
 
 def parse_value(text: str) -> Value:

@@ -35,6 +35,14 @@ def value_maps(inst):
     return maps
 
 
+def ref_disjoint_constant(vm, m):
+    """The c with v_i(S) + v_i(M - S) = c for every agent i and every bundle
+    S, or None when no one c fits them all."""
+    full = frozenset(range(m))
+    sums = {v[s] + v[full - s] for v in vm for s in all_subsets(range(m))}
+    return sums.pop() if len(sums) == 1 else None
+
+
 def to_sets(alloc):
     return tuple(frozenset(i for i in range(b.bit_length()) if b >> i & 1) for b in alloc)
 

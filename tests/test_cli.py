@@ -1,5 +1,8 @@
+import ast
+import importlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -514,3 +517,19 @@ def test_enumerate_rows_equal_json_dumps_of_the_reference_rows(files, capsys, n,
         assert code == 0 and err == ""
         assert out.splitlines() == list(_reference_rows(loads_instance(dumps_instance(inst)),
                                                         axioms)), axioms
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    """Each (module, attribute) row of ``WRAPS`` in ``bench/spans.py`` names
+    an attribute of that fairkit module.  Some exist only for the tracer
+    (``search.satisfies``, ``search.classify`` and the ``enumerate_allocations``
+    imports in ``search``, ``efficiency`` and ``cli``); deleting one breaks a
+    traced benchmark run.  The table is read as source, so the tracer is
+    neither imported nor installed."""
+    tree = ast.parse((Path(__file__).parents[1] / "bench" / "spans.py").read_text())
+    wraps = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["WRAPS"])
+    rows = [(row.elts[0].value, row.elts[1].value) for row in wraps.elts]
+    assert ("search", "satisfies") in rows
+    assert [(module, attr) for module, attr in rows
+            if not hasattr(importlib.import_module(f"fairkit.{module}"), attr)] == []

@@ -145,9 +145,11 @@ def test_bad_documents_raise():
         ({"items": ["a", "b"], "agents": 2, "identical": True,
           "valuations": [{"kind": "explicit", "values": {"a": 1, "b": 1}}]},
          "valuations[0]: explicit table is missing 1 bundles, e.g. mask 3"),
-        # float value
-        ({"items": ["a"], "valuations": [{"kind": "additive", "values": {"a": 1.5}}] * 2},
-         "valuations[0]['a']: values must be strings or integers, got float"),
+        # a value that is not an int or a string: as_value names its type
+        *(({"items": ["a"], "valuations": [{"kind": "additive", "values": {"a": bad}}] * 2},
+           f"valuations[0]['a']: not an exact rational value: {bad!r} ({kind})")
+          for bad, kind in ((1.5, "float"), (True, "bool"), (None, "NoneType"),
+                            ([1], "list"), ({}, "dict"))),
         # additive missing an item
         ({"items": ["a", "b"], "valuations": one}, "valuations[0]: missing item value for 'b'"),
         # not an object, at the top or as a valuation, or 'values' that is not one
@@ -182,7 +184,8 @@ def _explicit(values, items=("a", "b")):
                        "valuations": [{"kind": "explicit", "values": values}]})
 
 
-# each message as the loader printed it when every key went through mask_from_key
+# each key message as the loader printed it when every key went through mask_from_key;
+# each value message is as_value's, after the entry's prefix
 @pytest.mark.parametrize("text, message", [
     (_explicit({"a": "1", "b": "1", "a,z": "2"}), "unknown item 'z' in bundle key 'a,z'"),
     (_explicit({"z": "1", "a": "1", "b": "1"}), "unknown item 'z' in bundle key 'z'"),
@@ -198,11 +201,18 @@ def _explicit(values, items=("a", "b")):
      "valuations[0]: explicit table is missing 4 bundles, e.g. mask 4"),
     (_explicit({"a": "1", "b": "x", "a,b": "y"}),
      "valuations[0]['b']: cannot parse exact value from 'x'"),
-    (_explicit({"a": True, "b": "x", "a,b": "2"}), "valuations[0]['a']: boolean is not a value"),
+    (_explicit({"a": True, "b": "x", "a,b": "2"}),
+     "valuations[0]['a']: not an exact rational value: True (bool)"),
     (_explicit({"a": "1", "b": 1, "a,b": False}),
-     "valuations[0]['a,b']: boolean is not a value"),
+     "valuations[0]['a,b']: not an exact rational value: False (bool)"),
     (_explicit({"a": "1", "b": 1.5, "a,b": "2"}),
-     "valuations[0]['b']: values must be strings or integers, got float"),
+     "valuations[0]['b']: not an exact rational value: 1.5 (float)"),
+    (_explicit({"a": None, "b": "1", "a,b": "2"}),
+     "valuations[0]['a']: not an exact rational value: None (NoneType)"),
+    (_explicit({"a": "1", "b": [1], "a,b": "2"}),
+     "valuations[0]['b']: not an exact rational value: [1] (list)"),
+    (_explicit({"a": "1", "b": "1", "a,b": {}}),
+     "valuations[0]['a,b']: not an exact rational value: {} (dict)"),
     (_explicit({"": "x", "a": "1", "b": "1", "a,b": "2"}),
      "valuations[0]['']: cannot parse exact value from 'x'"),
     # a bad value and a bad key are reported in document order
@@ -215,8 +225,8 @@ def _explicit(values, items=("a", "b")):
     (_explicit({"a": "1", ",a": "2"}, items=("", "a")), "item name '' is empty or contains ','"),
 ], ids=["unknown-item", "unknown-first", "out-of-order", "repeated-item", "leading-comma",
         "space", "missing-6", "missing-4", "bad-value", "boolean", "boolean-last", "float",
-        "bad-empty-value", "value-before-key", "key-before-value", "comma-in-name",
-        "empty-name"])
+        "null", "array", "object", "bad-empty-value", "value-before-key", "key-before-value",
+        "comma-in-name", "empty-name"])
 def test_malformed_explicit_tables_keep_their_messages(text, message):
     with pytest.raises(DocumentError) as exc:
         loads_instance(text)
@@ -297,7 +307,8 @@ def test_first_bad_value_in_document_order_is_reported():
     with pytest.raises(DocumentError, match=r"\['c'\]: cannot parse"):
         instance_from_document(doc({"a": "1", "b": "1", "c": "1/0"}))
     # a value already parsed does not let a boolean through
-    with pytest.raises(DocumentError, match=r"\['b'\]: boolean"):
+    with pytest.raises(DocumentError,
+                       match=r"\['b'\]: not an exact rational value: True \(bool\)$"):
         instance_from_document(doc({"a": 1, "b": True, "c": "1"}))
     inst = instance_from_document(doc({"a": "1/2", "b": 1, "c": "1/2"}))
     assert inst.valuations[0].item_values == (Fraction(1, 2), 1, Fraction(1, 2))
